@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dir", default=None, dest="direction", help="chord direction (optional)")
     p.add_argument("--verify", choices=("exact", "mc"), default="exact")
-    p.set_defaults(func=cmd_excise_kd)
+    p.set_defaults(func=cmd_excise_kd, svg=None)
 
     return parser
 
@@ -196,21 +197,25 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _load_json_file(path: str) -> dict:
+def _load_shape(path: str) -> tuple[dict, planar.Shape]:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            shape_dict = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read shape file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"shape file {path} is not valid JSON: {exc}") from exc
+    return shape_dict, planar.shape_from_dict(shape_dict)
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
+def _parse_vector(flag: str, text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        vector = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in vector):
+        raise ValueError(f"{flag} expects finite numbers, got {text!r}")
+    return vector
 
 
 def _emit_report(report: RunReport, fmt: str) -> None:
@@ -230,18 +235,34 @@ def _mc_agrees(estimate, target, std_error) -> bool:
 
 def cmd_excise(args) -> int:
     started = time.perf_counter()
-    shape_dict = _load_json_file(args.shape)
-    shape = planar.shape_from_dict(shape_dict)
+    shape_dict, shape = _load_shape(args.shape)
+    if shape.dim != 2:
+        raise ValueError(f"excise needs a planar shape, got dimension {shape.dim}; use excise-kd")
     if args.theta == "auto":
         chord = planar.find_balanced_chord(shape, tol=args.tol)
     else:
         try:
             theta = float(args.theta)
-        except ValueError as exc:
-            raise ValueError(f"--theta must be 'auto' or a number, got {args.theta!r}") from exc
+        except ValueError:
+            theta = math.nan
+        if not math.isfinite(theta):
+            raise ValueError(f"--theta must be 'auto' or a finite number, got {args.theta!r}")
         chord = planar.chord_through_centroid(shape, theta)
     plan = planar.plan_excision(shape, chord, tol=args.tol)
+    return _verify_and_report(args, shape_dict, plan, started)
 
+
+def cmd_excise_kd(args) -> int:
+    started = time.perf_counter()
+    shape_dict, shape = _load_shape(args.shape)
+    tangent = _parse_vector("--o", args.tangent)
+    direction = _parse_vector("--dir", args.direction) if args.direction is not None else None
+    plan = ndim.plan_excision_kd(shape, tangent, direction, tol=args.tol)
+    return _verify_and_report(args, shape_dict, plan, started)
+
+
+def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, started: float) -> int:
+    """Run the checks ``--verify`` asks for, then print the run report."""
     passed = True
     exact = None
     if args.verify in ("exact", "both"):
@@ -250,23 +271,23 @@ def cmd_excise(args) -> int:
     estimate = None
     if args.verify in ("mc", "both"):
         estimate = montecarlo.sample_region_centroid(
-            shape, plan.cavity, args.samples, args.seed
+            plan.shape, plan.cavity, args.samples, args.seed
         )
         passed &= _mc_agrees(
             estimate.centroid_estimate, plan.balance_point, estimate.std_error
         )
 
     report = RunReport(
-        command=" ".join(sys.argv[1:]) or "excise",
+        command=" ".join(sys.argv[1:]) or args.command,
         shape_digest=shape_digest(shape_dict),
-        dimension=2,
-        beta=chord.beta,
+        dimension=plan.shape.dim,
+        beta=plan.beta,
         scale_ratio=plan.scale_ratio,
         tolerance=args.tol,
         balance_point=plan.balance_point,
         polynomial_residual=(
-            exact if exact is not None else planar.verify_balance(plan)
-        ).polynomial_residual,
+            exact.polynomial_residual if exact is not None else planar.balance_residual(plan)
+        ),
         passed=passed,
         elapsed_seconds=time.perf_counter() - started,
         composite_centroid=exact.composite_centroid if exact is not None else None,
@@ -279,58 +300,11 @@ def cmd_excise(args) -> int:
         mc_accepted=estimate.samples_accepted if estimate is not None else None,
     )
     if args.svg is not None:
-        with open(args.svg, "w") as handle:
-            handle.write(svg.render_plan(plan))
-    _emit_report(report, args.format)
-    if not passed:
-        print("verification failed", file=sys.stderr)
-    return 0 if passed else 1
-
-
-def cmd_excise_kd(args) -> int:
-    started = time.perf_counter()
-    shape_dict = _load_json_file(args.shape)
-    shape = ndim.shape_kd_from_dict(shape_dict)
-    tangent = _parse_vector(args.tangent)
-    direction = _parse_vector(args.direction) if args.direction is not None else None
-    plan = ndim.plan_excision_kd(shape, tangent, direction, tol=args.tol)
-
-    passed = True
-    exact = None
-    if args.verify == "exact":
-        exact = ndim.verify_balance_kd(plan, tol=max(args.tol, 1e-12))
-        passed = exact.passed
-    estimate = None
-    if args.verify == "mc":
-        estimate = montecarlo.sample_region_centroid(
-            shape, plan.cavity, args.samples, args.seed
-        )
-        passed = _mc_agrees(
-            estimate.centroid_estimate, plan.balance_point, estimate.std_error
-        )
-
-    report = RunReport(
-        command=" ".join(sys.argv[1:]) or "excise-kd",
-        shape_digest=shape_digest(shape_dict),
-        dimension=shape.dim,
-        beta=plan.beta,
-        scale_ratio=plan.scale_ratio,
-        tolerance=args.tol,
-        balance_point=plan.balance_point,
-        polynomial_residual=(
-            exact if exact is not None else ndim.verify_balance_kd(plan)
-        ).polynomial_residual,
-        passed=passed,
-        elapsed_seconds=time.perf_counter() - started,
-        composite_centroid=exact.composite_centroid if exact is not None else None,
-        distance=exact.distance if exact is not None else None,
-        relative_distance=exact.relative_distance if exact is not None else None,
-        seed=args.seed if estimate is not None else None,
-        samples=args.samples if estimate is not None else None,
-        mc_centroid=estimate.centroid_estimate if estimate is not None else None,
-        mc_std_error=estimate.std_error if estimate is not None else None,
-        mc_accepted=estimate.samples_accepted if estimate is not None else None,
-    )
+        try:
+            with open(args.svg, "w") as handle:
+                handle.write(svg.render_plan(plan))
+        except OSError as exc:
+            raise ValueError(f"cannot write SVG figure {args.svg}: {exc}") from exc
     _emit_report(report, args.format)
     if not passed:
         print("verification failed", file=sys.stderr)

@@ -20,68 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndim import Hyperball, Hypercube, Simplex
-from .planar import Circle, Ellipse, Polygon
+from .shapes import Shape
 
 BATCH_SIZE = 1_000_000
-
-Shape = Polygon | Circle | Ellipse | Hyperball | Hypercube | Simplex
 
 
 def bounding_box(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned (lower, upper) corners enclosing the shape."""
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        return v.min(axis=0), v.max(axis=0)
-    if isinstance(shape, Circle):
-        c = np.asarray(shape.center)
-        return c - shape.radius, c + shape.radius
-    if isinstance(shape, Ellipse):
-        a, b = shape.semi_axes
-        cr, sr = math.cos(shape.rotation), math.sin(shape.rotation)
-        half = np.array(
-            [math.hypot(a * cr, b * sr), math.hypot(a * sr, b * cr)]
-        )
-        c = np.asarray(shape.center)
-        return c - half, c + half
-    if isinstance(shape, Hyperball):
-        c = np.asarray(shape.center)
-        return c - shape.radius, c + shape.radius
-    if isinstance(shape, Hypercube):
-        lo = np.asarray(shape.min_corner)
-        return lo, lo + shape.side
-    v = np.asarray(shape.vertices)
-    return v.min(axis=0), v.max(axis=0)
+    return shape.bbox()
 
 
 def contains(shape: Shape, points: np.ndarray) -> np.ndarray:
     """Vectorized closed-region membership for an (n, dim) point array."""
-    points = np.asarray(points, dtype=float)
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        edges = np.roll(v, -1, axis=0) - v
-        rel = points[:, None, :] - v[None, :, :]
-        cross = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= 0.0, axis=1)
-    if isinstance(shape, Circle):
-        d = points - np.asarray(shape.center)
-        return np.einsum("ij,ij->i", d, d) <= shape.radius**2
-    if isinstance(shape, Ellipse):
-        cr, sr = math.cos(shape.rotation), math.sin(shape.rotation)
-        d = points - np.asarray(shape.center)
-        ex = (cr * d[:, 0] + sr * d[:, 1]) / shape.semi_axes[0]
-        ey = (-sr * d[:, 0] + cr * d[:, 1]) / shape.semi_axes[1]
-        return ex * ex + ey * ey <= 1.0
-    if isinstance(shape, Hyperball):
-        d = points - np.asarray(shape.center)
-        return np.einsum("ij,ij->i", d, d) <= shape.radius**2
-    if isinstance(shape, Hypercube):
-        lo = np.asarray(shape.min_corner)
-        return np.all((points >= lo) & (points <= lo + shape.side), axis=1)
-    lam = np.linalg.solve(
-        shape._edge_matrix(), (points - np.asarray(shape.vertices[0])).T
-    ).T
-    return np.all(lam >= 0.0, axis=1) & (lam.sum(axis=1) <= 1.0)
+    return shape.contains(np.asarray(points, dtype=float))
 
 
 def point_in_shape(shape: Shape, p) -> bool:
@@ -131,7 +82,7 @@ def sample_region_centroid(
         raise ValueError(f"need at least 1000 samples for a meaningful error bar, got {n}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    lo, hi = bounding_box(shape)
+    lo, hi = shape.bbox()
     span = hi - lo
     dim = lo.size
     box_volume = float(np.prod(span))
@@ -142,9 +93,9 @@ def sample_region_centroid(
     for index, start in enumerate(range(0, n, BATCH_SIZE)):
         m = min(BATCH_SIZE, n - start)
         pts = lo + _batch_rng(seed, index).random((m, dim)) * span
-        accept = contains(shape, pts)
+        accept = shape.contains(pts)
         if cavity is not None:
-            accept &= ~contains(cavity, pts)
+            accept &= ~cavity.contains(pts)
         kept = pts[accept]
         counts.append(int(kept.shape[0]))
         sums.append(kept.sum(axis=0))

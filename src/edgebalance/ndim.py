@@ -2,10 +2,17 @@
 
 The balance argument is dimension generic: chord offset beta and dimension k
 fix the scale ratio through the order-k balance polynomial, independent of
-the body's shape constant.  To keep verification exact this module sticks to
-three families with closed-form volume and centroid: hyperballs, axis-aligned
-hypercubes, and simplices.  General convex polytopes (which would need k-dim
-triangulation) are out of scope.
+the body's shape constant.  The bodies (``edgebalance.shapes``) and the
+excision pipeline (``edgebalance.planar``) are the same for every k; this
+module adds the k-dimensional entry point, which takes a tangency point
+instead of a chord direction, and keeps the k-dimensional names of the
+shared pipeline as aliases.  Any body works here, planar ones included;
+hyperballs, axis-aligned hypercubes and simplices are the k-dimensional
+families with closed-form volume and centroid, so verification stays
+exact; general convex polytopes (which would need k-dim triangulation) are
+out of scope.  Bodies are validated where they are built (finite numbers,
+positive sizes, non-degenerate simplices, 1 <= k <= 64); the tangency point
+must lie on the boundary.
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
 has beta = 1/2.  Simplices are not; ``balanced_boundary_point`` finds a
@@ -18,245 +25,59 @@ Dimensions are capped at 64: beyond that the beta = 1/2 ratio is one ulp
 from 2 in binary64 and the geometry adds nothing.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .planar import BalanceReport
-from .polynomials import (
-    MAX_DIMENSION,
-    BalanceProblem,
-    PhysicalityError,
-    build_general,
-    evaluate,
-    physicality_threshold,
-    positive_root,
+from .planar import (
+    Chord,
+    ExcisionPlan,
+    _bisect_sign_change,
+    _extent,
+    _solve_excision,
+    area,
+    centroid,
+    composite_centroid,
+    excision_with_ratio,
+    verify_balance,
+)
+from .shapes import (  # the k-dimensional shape API is re-exported from here
+    Hyperball,
+    Hypercube,
+    Point,
+    ShapeKd,
+    Simplex,
+    _as_point,
+    shape_from_dict,
+    shape_to_dict,
 )
 
-PointK = tuple[float, ...]
-
-_MIN_EXCISION_MARGIN = 1e-9
-
-
-def _as_point(p) -> PointK:
-    return tuple(float(x) for x in p)
-
-
-def _check_dim(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
-    if k > MAX_DIMENSION:
-        raise ValueError(f"dimension capped at {MAX_DIMENSION}, got {k}")
+ExcisionPlanKd = ExcisionPlan
+volume_kd = area
+centroid_kd = centroid
+composite_centroid_kd = composite_centroid
+verify_balance_kd = verify_balance
+shape_kd_from_dict = shape_from_dict
+shape_kd_to_dict = shape_to_dict
+barycentric_coordinates = Simplex.barycentric
 
 
-@dataclass(frozen=True)
-class Hyperball:
-    center: PointK
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        _check_dim(self.dim)
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-
-@dataclass(frozen=True)
-class Hypercube:
-    min_corner: PointK
-    side: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "min_corner", _as_point(self.min_corner))
-        object.__setattr__(self, "side", float(self.side))
-        _check_dim(self.dim)
-        if not self.side > 0.0:
-            raise ValueError(f"side must be positive, got {self.side}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.min_corner)
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """k+1 affinely independent vertices in k dimensions."""
-
-    vertices: tuple[PointK, ...]
-
-    def __post_init__(self):
-        vertices = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
-        k = len(vertices) - 1
-        _check_dim(k)
-        if any(len(v) != k for v in vertices):
-            raise ValueError(f"a {k}-simplex needs {k + 1} vertices of dimension {k}")
-        edges = self._edge_matrix()
-        scale = float(np.max(np.abs(edges))) or 1.0
-        if abs(np.linalg.det(edges / scale)) < 1e-12:
-            raise ValueError("simplex vertices are affinely dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def _edge_matrix(self) -> np.ndarray:
-        v = np.asarray(self.vertices)
-        return (v[1:] - v[0]).T  # columns are edges out of vertex 0
-
-
-ShapeKd = Hyperball | Hypercube | Simplex
-
-
-def volume_kd(shape: ShapeKd) -> float:
-    """Closed-form volume: ball pi^(k/2) r^k / Gamma(k/2 + 1), cube side^k,
-    simplex |det| / k!."""
-    k = shape.dim
-    if isinstance(shape, Hyperball):
-        return math.pi ** (k / 2.0) * shape.radius**k / math.gamma(k / 2.0 + 1.0)
-    if isinstance(shape, Hypercube):
-        return shape.side**k
-    return abs(float(np.linalg.det(shape._edge_matrix()))) / math.factorial(k)
-
-
-def centroid_kd(shape: ShapeKd) -> PointK:
-    if isinstance(shape, Hyperball):
-        return shape.center
-    if isinstance(shape, Hypercube):
-        half = 0.5 * shape.side
-        return tuple(c + half for c in shape.min_corner)
-    return _as_point(np.asarray(shape.vertices).mean(axis=0))
-
-
-def _extent_kd(shape: ShapeKd) -> float:
-    if isinstance(shape, Hyperball):
-        return 2.0 * shape.radius
-    if isinstance(shape, Hypercube):
-        return shape.side
-    v = np.asarray(shape.vertices)
-    return float(np.max(v.max(axis=0) - v.min(axis=0)))
-
-
-def barycentric_coordinates(simplex: Simplex, p) -> np.ndarray:
-    """All k+1 barycentric weights of ``p`` (sum to 1, inside iff all >= 0)."""
-    lam = np.linalg.solve(simplex._edge_matrix(), np.asarray(p, dtype=float) - np.asarray(simplex.vertices[0]))
-    return np.concatenate(([1.0 - lam.sum()], lam))
-
-
-def _on_boundary_kd(shape: ShapeKd, p: PointK, tol: float) -> bool:
-    if isinstance(shape, Hyperball):
-        return abs(math.dist(p, shape.center) - shape.radius) <= tol
-    if isinstance(shape, Hypercube):
-        lo = shape.min_corner
-        inside = all(lo[i] - tol <= p[i] <= lo[i] + shape.side + tol for i in range(shape.dim))
-        on_face = any(
-            abs(p[i] - lo[i]) <= tol or abs(p[i] - lo[i] - shape.side) <= tol
-            for i in range(shape.dim)
-        )
-        return inside and on_face
-    lam = barycentric_coordinates(shape, p)
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(lam))))
-    return bool(np.all(lam >= -max(tol, slack)) and np.min(lam) <= max(tol, slack))
-
-
-def _exit_parameter(shape: ShapeKd, origin: np.ndarray, u: np.ndarray) -> float:
+def _exit_parameter(shape: ShapeKd, origin, u) -> float:
     """Largest t with origin + t*u still in the shape, for unit u pointing inward."""
-    if isinstance(shape, Hyperball):
-        c = np.asarray(shape.center)
-        # |origin + t*u - c|^2 = r^2 with origin inside or on the sphere
-        w = origin - c
-        b = float(np.dot(w, u))
-        disc = b * b - (float(np.dot(w, w)) - shape.radius**2)
-        if disc < 0.0:
-            raise ValueError("ray does not meet the sphere")
-        return -b + math.sqrt(disc)
-    if isinstance(shape, Hypercube):
-        lo = np.asarray(shape.min_corner)
-        hi = lo + shape.side
-        best = math.inf
-        for i in range(shape.dim):
-            if u[i] > 0.0:
-                best = min(best, (hi[i] - origin[i]) / u[i])
-            elif u[i] < 0.0:
-                best = min(best, (lo[i] - origin[i]) / u[i])
-        if not math.isfinite(best) or best <= 0.0:
-            raise ValueError("ray exits the cube immediately")
-        return best
-    lam0 = barycentric_coordinates(shape, origin)
-    dlam = barycentric_coordinates(shape, origin + u) - lam0
-    best = math.inf
-    for li, dli in zip(lam0, dlam):
-        if dli < 0.0:
-            t = -li / dli
-            if t > 1e-12:
-                best = min(best, t)
-    if not math.isfinite(best):
-        raise ValueError("ray never leaves the simplex")
-    return best
-
-
-@dataclass(frozen=True)
-class ExcisionPlanKd:
-    """k-dimensional excision: tangency point O, far chord end Q through the
-    centroid, offset beta = |OC|/|OQ|, solved scale ratio, the scaled cavity,
-    and the predicted balance point P on the cavity boundary."""
-
-    shape: ShapeKd
-    tangent_point: PointK
-    far_point: PointK
-    beta: float
-    scale_ratio: float
-    cavity: ShapeKd
-    balance_point: PointK
-
-
-def _scale_about_kd(shape: ShapeKd, origin: PointK, factor: float) -> ShapeKd:
-    o = np.asarray(origin)
-    if isinstance(shape, Hyperball):
-        c = o + (np.asarray(shape.center) - o) * factor
-        return Hyperball(center=tuple(c), radius=shape.radius * factor)
-    if isinstance(shape, Hypercube):
-        # positive scaling keeps the box axis-aligned with the same min corner ordering
-        lo = o + (np.asarray(shape.min_corner) - o) * factor
-        return Hypercube(min_corner=tuple(lo), side=shape.side * factor)
-    v = np.asarray(shape.vertices)
-    return Simplex(vertices=tuple(map(tuple, o + (v - o) * factor)))
+    return shape.exit_parameter(origin, u)
 
 
 def excision_with_ratio_kd(
     shape: ShapeKd, tangent_point, far_point, scale_ratio: float
-) -> ExcisionPlanKd:
+) -> ExcisionPlan:
     """Plan with an explicit ratio; verification fails unless it solves the
     balance equation for the chord's offset."""
-    if not scale_ratio > 1.0 + _MIN_EXCISION_MARGIN:
-        raise PhysicalityError(
-            f"scale ratio {scale_ratio} leaves no cavity strictly inside the body"
-        )
-    o = np.asarray(tangent_point, dtype=float)
-    q = np.asarray(far_point, dtype=float)
-    c = np.asarray(centroid_kd(shape))
+    o, q, c = (np.asarray(p, dtype=float) for p in (tangent_point, far_point, shape.centroid()))
     beta = float(np.linalg.norm(c - o) / np.linalg.norm(q - o))
-    inv = 1.0 / scale_ratio
-    return ExcisionPlanKd(
-        shape=shape,
-        tangent_point=_as_point(o),
-        far_point=_as_point(q),
-        beta=beta,
-        scale_ratio=scale_ratio,
-        cavity=_scale_about_kd(shape, _as_point(o), inv),
-        balance_point=_as_point(o + (q - o) * inv),
-    )
+    return excision_with_ratio(shape, Chord(o, q, c, beta), scale_ratio)
 
 
 def plan_excision_kd(
     shape: ShapeKd, tangent_point, direction=None, tol: float = 1e-12
-) -> ExcisionPlanKd:
+) -> ExcisionPlan:
     """Excision tangent at a boundary point, chord through the centroid.
 
     The chord direction is forced by the construction (it must contain the
@@ -265,13 +86,14 @@ def plan_excision_kd(
     not exceed 1 and PhysicalityError is raised.
     """
     k = shape.dim
-    o = np.asarray(_as_point(tangent_point))
-    if len(o) != k:
-        raise ValueError(f"tangency point has dimension {len(o)}, shape has {k}")
-    scale = max(_extent_kd(shape), 1.0)
-    if not _on_boundary_kd(shape, tuple(o), 1e-9 * scale):
-        raise ValueError(f"tangency point {tuple(o)} is not on the shape boundary")
-    c = np.asarray(centroid_kd(shape))
+    tangent_point = _as_point(tangent_point)
+    if len(tangent_point) != k:
+        raise ValueError(f"tangency point has dimension {len(tangent_point)}, shape has {k}")
+    scale = max(_extent(shape), 1.0)
+    if not shape.on_boundary(tangent_point, 1e-9 * scale):
+        raise ValueError(f"tangency point {tangent_point} is not on the shape boundary")
+    o = np.asarray(tangent_point)
+    c = np.asarray(shape.centroid())
     oc = np.linalg.norm(c - o)
     if oc <= 1e-12 * scale:
         raise ValueError("tangency point coincides with the centroid")
@@ -285,121 +107,37 @@ def plan_excision_kd(
             raise ValueError(
                 "direction must point from the tangency point through the centroid"
             )
-    t_exit = _exit_parameter(shape, o, u)
+    t_exit = shape.exit_parameter(o, u)
     if t_exit <= oc:
         raise ValueError("centroid chord leaves the body before the centroid")
-    q = o + t_exit * u
-    beta = float(oc / t_exit)
-    root = positive_root(BalanceProblem(k=k, beta=beta), tol=tol)
-    if not root.physical:
-        raise PhysicalityError(
-            f"beta = {beta} at dimension {k} is at or above "
-            f"{physicality_threshold(k)!r}; no balance ratio above 1 exists"
-        )
-    return excision_with_ratio_kd(shape, tuple(o), tuple(q), root.value)
+    chord = Chord(tangent_point=o, far_point=o + t_exit * u, centroid=c, beta=float(oc / t_exit))
+    return _solve_excision(shape, chord, tol)
 
 
-def composite_centroid_kd(plan: ExcisionPlanKd) -> PointK:
-    """Centroid of body minus cavity by exact volume-weighted subtraction."""
-    v = volume_kd(plan.shape)
-    v_cav = volume_kd(plan.cavity)
-    if v - v_cav <= 0.0:
-        raise ValueError("cavity volume must be strictly smaller than the body volume")
-    c = np.asarray(centroid_kd(plan.shape))
-    c_cav = np.asarray(centroid_kd(plan.cavity))
-    return _as_point((v * c - v_cav * c_cav) / (v - v_cav))
-
-
-def verify_balance_kd(plan: ExcisionPlanKd, tol: float = 1e-10) -> BalanceReport:
-    """Distance from the remainder centroid to the balance point, chord relative."""
-    com = composite_centroid_kd(plan)
-    dist = float(math.dist(com, plan.balance_point))
-    length = float(math.dist(plan.tangent_point, plan.far_point))
-    k = plan.shape.dim
-    poly = build_general(BalanceProblem(k=k, beta=plan.beta))
-    rel = dist / length
-    return BalanceReport(
-        distance=dist,
-        chord_length=length,
-        relative_distance=rel,
-        tolerance=tol,
-        passed=rel <= tol,
-        polynomial_residual=evaluate(poly, plan.scale_ratio),
-        composite_centroid=com,
-        balance_point=plan.balance_point,
-        dimension=k,
-    )
-
-
-def balanced_boundary_point(shape: ShapeKd, tol: float = 1e-12) -> PointK:
+def balanced_boundary_point(shape: ShapeKd, tol: float = 1e-12) -> Point:
     """A tangency point whose centroid chord has offset 1/2.
 
-    Balls and cubes are centrally symmetric, so any boundary point works and
-    a closed-form one is returned.  For simplices the offset varies from
-    1/(k+1) at a facet centroid to k/(k+1) at a vertex; walking the boundary
-    segment between those two and bisecting on the measured offset lands on
-    1/2 (within ``tol``).
+    On a centrally symmetric body every boundary point works; the one
+    returned is where the centroid ray along -x_0 leaves the body.  On a
+    simplex the offset varies from 1/(k+1) at a facet centroid to k/(k+1)
+    at a vertex; walking the boundary segment between those two and
+    bisecting on the measured offset lands on 1/2 (within ``tol``).
     """
-    if isinstance(shape, Hyperball):
-        o = list(shape.center)
-        o[0] -= shape.radius
-        return tuple(o)
-    if isinstance(shape, Hypercube):
-        return shape.min_corner
-
-    c = np.asarray(centroid_kd(shape))
+    c = np.asarray(shape.centroid())
+    if shape.centrally_symmetric:
+        u = -np.eye(shape.dim)[0]
+        return _as_point(c + shape.exit_parameter(c, u) * u)
+    if len(shape.vertices) != shape.dim + 1:
+        raise ValueError("balanced_boundary_point needs a centrally symmetric body or a simplex")
     facet_centroid = np.asarray(shape.vertices[1:]).mean(axis=0)  # facet opposite vertex 0
     vertex = np.asarray(shape.vertices[1])  # stays on that facet
 
-    def offset(s: float) -> float:
+    def offset(s: float) -> tuple[np.ndarray, float]:
         o = facet_centroid + s * (vertex - facet_centroid)
         oc = np.linalg.norm(c - o)
-        u = (c - o) / oc
-        return oc / _exit_parameter(shape, o, u)
+        return o, oc / shape.exit_parameter(o, (c - o) / oc) - 0.5
 
-    lo, hi = 0.0, 1.0
-    g_lo = offset(lo) - 0.5  # = 1/(k+1) - 1/2 <= 0
-    if abs(g_lo) <= tol:
-        return _as_point(facet_centroid)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = offset(mid) - 0.5
-        if abs(g_mid) <= tol:
-            return _as_point(facet_centroid + mid * (vertex - facet_centroid))
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    raise RuntimeError(f"balanced tangency search did not reach tolerance {tol}")
-
-
-def shape_kd_from_dict(data: dict) -> ShapeKd:
-    """Load a k-dimensional shape from its JSON dictionary form.
-
-    Accepted forms::
-
-        {"type": "hyperball", "center": [...], "radius": r}
-        {"type": "hypercube", "min_corner": [...], "side": s}
-        {"type": "simplex", "vertices": [[...], ...]}
-    """
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("shape dictionary needs a 'type' key")
-    kind = data["type"]
-    try:
-        if kind == "hyperball":
-            return Hyperball(center=tuple(data["center"]), radius=data["radius"])
-        if kind == "hypercube":
-            return Hypercube(min_corner=tuple(data["min_corner"]), side=data["side"])
-        if kind == "simplex":
-            return Simplex(vertices=tuple(tuple(v) for v in data["vertices"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {kind} shape: {exc}") from exc
-    raise ValueError(f"unknown shape type {kind!r}")
-
-
-def shape_kd_to_dict(shape: ShapeKd) -> dict:
-    if isinstance(shape, Hyperball):
-        return {"type": "hyperball", "center": list(shape.center), "radius": shape.radius}
-    if isinstance(shape, Hypercube):
-        return {"type": "hypercube", "min_corner": list(shape.min_corner), "side": shape.side}
-    return {"type": "simplex", "vertices": [list(v) for v in shape.vertices]}
+    o, g_lo = offset(0.0)  # = 1/(k+1) - 1/2 <= 0
+    if abs(g_lo) > tol:
+        o = _bisect_sign_change(offset, 0.0, 1.0, g_lo, tol)
+    return _as_point(o)

@@ -1,18 +1,26 @@
-"""Convex planar shapes and the balanced self-similar excision.
+"""The balanced self-similar excision, in any dimension, and the planar chord search.
 
 The construction: pick a boundary point O of a convex body, draw the chord
 from O through the body centroid C to the opposite boundary point Q, and cut
 out a copy of the body scaled about O so that it stays internally tangent at
 O with the same orientation.  The centroid offset fraction beta = |OC|/|OQ|
-feeds the dimension-2 balance polynomial; its positive root x is the unique
-ratio for which the centroid of body-minus-cavity lands exactly on the
-cavity boundary, at the image P of Q under the scaling.
+and the dimension k feed the balance polynomial; its positive root x is the
+unique ratio for which the centroid of body-minus-cavity lands exactly on
+the cavity boundary, at the image P of Q under the scaling.
 
-All geometry here is closed form: shoelace areas and exact polygon
-centroids, quadratic chord intersections for circles and ellipses, and
-segment-line intersection with vertex tie-breaking for polygons.  Geometric
+One pipeline serves every body of every dimension, through the geometry
+protocol of ``edgebalance.shapes``: a dimension-generic ``Chord``, one
+``ExcisionPlan``, ``plan_excision``, ``excision_with_ratio``,
+``composite_centroid`` and ``verify_balance``.  ``edgebalance.ndim`` only adds
+the k-dimensional way to pick a chord from a tangency point.
+
+The chord search is planar: it rotates the chord about the centroid and
+bisects on beta(theta), with ``_bisect_sign_change`` as the one bisection
+loop of the package.  Shapes are validated where they are built (see
+``edgebalance.shapes``), so nothing here re-checks their numbers.  Geometric
 predicates use absolute tolerances around 1e-12 and assume unit-scale
-coordinates; pre-normalize shapes with very large coordinates.
+coordinates; areas and centroids are computed relative to a vertex, so
+translating a shape far from the origin costs no accuracy.
 """
 
 import math
@@ -28,154 +36,45 @@ from .polynomials import (
     physicality_threshold,
     positive_root,
 )
-
-Point = tuple[float, float]
+from .shapes import (  # the planar shape API is re-exported from here
+    Circle,
+    Ellipse,
+    Point,
+    Polygon,
+    Shape,
+    Shape2D,
+    _as_point,
+    regular_polygon,
+    shape_from_dict,
+    shape_to_dict,
+)
 
 _COLLINEAR_RTOL = 1e-12
 _BOUNDARY_RTOL = 1e-9
 _MIN_EXCISION_MARGIN = 1e-9  # scale ratios this close to 1 leave no usable cavity
+_BISECTION_STEPS = 256
 
 
-def _as_point(p) -> Point:
-    x, y = p
-    return (float(x), float(y))
+def area(shape: Shape) -> float:
+    """Exact area (volume for k > 2): the shape's ``measure``."""
+    return shape.measure()
 
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
+def centroid(shape: Shape) -> Point:
+    return shape.centroid()
 
 
-def _dist(a: Point, b: Point) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _cross(a: Point, b: Point) -> float:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-@dataclass(frozen=True)
-class Polygon:
-    """Strictly convex polygon, vertices ordered counterclockwise."""
-
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self):
-        vertices = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
-        n = len(vertices)
-        if n < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-        for i in range(n):
-            a = vertices[i]
-            b = vertices[(i + 1) % n]
-            c = vertices[(i + 2) % n]
-            turn = _cross(_sub(b, a), _sub(c, b))
-            if turn == 0.0:
-                raise ValueError(f"degenerate or collinear vertices around index {i}")
-            if turn < 0.0:
-                raise ValueError(
-                    "vertices must be strictly convex and wind counterclockwise"
-                )
-
-
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class Ellipse:
-    """Axis lengths ``semi_axes = (a, b)``, rotated by ``rotation`` radians."""
-
-    center: Point
-    semi_axes: tuple[float, float]
-    rotation: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
-        a, b = self.semi_axes
-        object.__setattr__(self, "semi_axes", (float(a), float(b)))
-        object.__setattr__(self, "rotation", float(self.rotation))
-        if not (self.semi_axes[0] > 0.0 and self.semi_axes[1] > 0.0):
-            raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
-
-
-Shape2D = Polygon | Circle | Ellipse
-
-
-def regular_polygon(
-    n: int, circumradius: float, orientation: float = 0.0, center: Point = (0.0, 0.0)
-) -> Polygon:
-    """Regular n-gon as an explicit vertex list, first vertex at ``orientation``."""
-    if n < 3:
-        raise ValueError(f"need at least 3 sides, got {n}")
-    if not circumradius > 0.0:
-        raise ValueError(f"circumradius must be positive, got {circumradius}")
-    cx, cy = _as_point(center)
-    step = 2.0 * math.pi / n
-    return Polygon(
-        tuple(
-            (cx + circumradius * math.cos(orientation + step * i),
-             cy + circumradius * math.sin(orientation + step * i))
-            for i in range(n)
-        )
-    )
-
-
-def _extent(shape: Shape2D) -> float:
-    if isinstance(shape, Polygon):
-        xs = [v[0] for v in shape.vertices]
-        ys = [v[1] for v in shape.vertices]
-        return max(max(xs) - min(xs), max(ys) - min(ys))
-    if isinstance(shape, Circle):
-        return 2.0 * shape.radius
-    return 2.0 * max(shape.semi_axes)
-
-
-def area(shape: Shape2D) -> float:
-    """Exact area: shoelace for polygons, pi r^2 / pi a b for conics."""
-    if isinstance(shape, Polygon):
-        v = shape.vertices
-        acc = 0.0
-        for i in range(len(v)):
-            a = v[i]
-            b = v[(i + 1) % len(v)]
-            acc += a[0] * b[1] - b[0] * a[1]
-        return 0.5 * acc
-    if isinstance(shape, Circle):
-        return math.pi * shape.radius**2
-    return math.pi * shape.semi_axes[0] * shape.semi_axes[1]
-
-
-def centroid(shape: Shape2D) -> Point:
-    if isinstance(shape, Polygon):
-        v = shape.vertices
-        ax = ay = acc = 0.0
-        for i in range(len(v)):
-            a = v[i]
-            b = v[(i + 1) % len(v)]
-            f = a[0] * b[1] - b[0] * a[1]
-            acc += f
-            ax += (a[0] + b[0]) * f
-            ay += (a[1] + b[1]) * f
-        scale = 1.0 / (3.0 * acc)
-        return (ax * scale, ay * scale)
-    return shape.center
+def _extent(shape: Shape) -> float:
+    lo, hi = shape.bbox()
+    return float(np.max(hi - lo))
 
 
 @dataclass(frozen=True)
 class Chord:
     """Chord through the centroid: tangency end O, centroid C, far end Q.
 
-    ``beta`` is |OC|/|OQ|.  The three points are collinear by construction;
-    C lies strictly between the ends.
+    ``beta`` is |OC|/|OQ|.  The three points, of any common dimension, are
+    collinear by construction; C lies strictly between the ends.
     """
 
     tangent_point: Point
@@ -184,96 +83,54 @@ class Chord:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "tangent_point", _as_point(self.tangent_point))
-        object.__setattr__(self, "far_point", _as_point(self.far_point))
-        object.__setattr__(self, "centroid", _as_point(self.centroid))
-        o, q, c = self.tangent_point, self.far_point, self.centroid
-        d = _dist(o, q)
+        o, q, c = _as_point(self.tangent_point), _as_point(self.far_point), _as_point(self.centroid)
+        object.__setattr__(self, "tangent_point", o)
+        object.__setattr__(self, "far_point", q)
+        object.__setattr__(self, "centroid", c)
+        if not len(o) == len(q) == len(c):
+            raise ValueError("chord points must share one dimension")
+        d = math.dist(q, o)
         if d == 0.0:
             raise ValueError("chord endpoints coincide")
-        if abs(_cross(_sub(q, o), _sub(c, o))) > _COLLINEAR_RTOL * d * d:
-            raise ValueError("centroid is not on the chord line")
-        along = ((c[0] - o[0]) * (q[0] - o[0]) + (c[1] - o[1]) * (q[1] - o[1])) / (d * d)
+        along = math.dist(c, o) / d
         if not 0.0 < along < 1.0:
             raise ValueError("centroid must lie strictly between the chord ends")
+        # C - O equals along * (Q - O) only when C is on the chord, up to the
+        # rounding of coordinates as large as C's
+        off_line = math.hypot(*[(z - a) - along * (b - a) for a, b, z in zip(o, q, c)])
+        if off_line > _COLLINEAR_RTOL * max(d, *map(abs, c)):
+            raise ValueError("centroid is not on the chord line")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if abs(self.beta - _dist(o, c) / d) > 1e-9:
+        if abs(self.beta - along) > 1e-9:
             raise ValueError("beta inconsistent with the stored points")
 
     @property
     def length(self) -> float:
-        return _dist(self.tangent_point, self.far_point)
-
-
-def _polygon_line_crossings(
-    vertices: tuple[Point, ...], origin: Point, u: Point, scale: float
-) -> list[tuple[float, Point]]:
-    """Parameters t where ``origin + t*u`` crosses the polygon boundary.
-
-    A crossing exactly at a vertex is shared by two edges; near-identical
-    hits are merged so it counts once.
-    """
-    hits: list[tuple[float, Point]] = []
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        e = _sub(b, a)
-        denom = _cross(u, e)
-        if denom == 0.0:
-            continue  # supporting lines of a convex polygon never cross its interior
-        w = _sub(a, origin)
-        t = _cross(w, e) / denom
-        s = _cross(w, u) / denom
-        if -1e-9 <= s <= 1.0 + 1e-9:
-            hits.append((t, (origin[0] + t * u[0], origin[1] + t * u[1])))
-    hits.sort(key=lambda h: h[0])
-    merged: list[tuple[float, Point]] = []
-    for t, p in hits:
-        if merged and abs(t - merged[-1][0]) <= 1e-9 * max(scale, 1.0):
-            continue
-        merged.append((t, p))
-    return merged
+        return math.dist(self.tangent_point, self.far_point)
 
 
 def chord_through_centroid(shape: Shape2D, theta: float) -> Chord:
-    """Chord through the centroid along direction ``theta``.
+    """Chord through the centroid of a planar shape along direction ``theta``.
 
     The tangency end O is the boundary crossing opposite the direction, the
-    far end Q the crossing along it.  Circles and ellipses are centrally
-    symmetric about their centroid, so beta is exactly 1/2 there.
+    far end Q the crossing along it.  Centrally symmetric shapes have beta
+    exactly 1/2.
     """
-    c = centroid(shape)
+    c = shape.centroid()
     u = (math.cos(theta), math.sin(theta))
-
-    if isinstance(shape, Circle):
-        t = shape.radius
-    elif isinstance(shape, Ellipse):
-        cr, sr = math.cos(shape.rotation), math.sin(shape.rotation)
-        ux = cr * u[0] + sr * u[1]
-        uy = -sr * u[0] + cr * u[1]
-        a, b = shape.semi_axes
-        t = 1.0 / math.hypot(ux / a, uy / b)
+    t_far = shape.exit_parameter(c, u)
+    if shape.centrally_symmetric:
+        t_back, beta = t_far, 0.5
     else:
-        crossings = _polygon_line_crossings(shape.vertices, c, u, _extent(shape))
-        if len(crossings) != 2:
-            raise ValueError(
-                f"degenerate boundary intersection: {len(crossings)} crossings"
-            )
-        (t_neg, o), (t_pos, q) = crossings
-        if not t_neg < 0.0 < t_pos:
-            raise ValueError("centroid is not interior to the polygon")
-        return Chord(
-            tangent_point=o,
-            far_point=q,
-            centroid=c,
-            beta=-t_neg / (t_pos - t_neg),
-        )
-
-    o = (c[0] - t * u[0], c[1] - t * u[1])
-    q = (c[0] + t * u[0], c[1] + t * u[1])
-    return Chord(tangent_point=o, far_point=q, centroid=c, beta=0.5)
+        t_back = shape.exit_parameter(c, (-u[0], -u[1]))
+        beta = t_back / (t_far + t_back)
+    return Chord(
+        tangent_point=(c[0] - t_back * u[0], c[1] - t_back * u[1]),
+        far_point=(c[0] + t_far * u[0], c[1] + t_far * u[1]),
+        centroid=c,
+        beta=beta,
+    )
 
 
 def beta_complement(shape: Shape2D, theta: float) -> tuple[float, float]:
@@ -282,6 +139,41 @@ def beta_complement(shape: Shape2D, theta: float) -> tuple[float, float]:
         chord_through_centroid(shape, theta).beta,
         chord_through_centroid(shape, theta + math.pi).beta,
     )
+
+
+def _bisect_sign_change(g, lo: float, hi: float, g_lo: float, tol: float):
+    """Bisect [lo, hi], across which ``g`` changes sign, until |g| <= tol.
+
+    ``g(x)`` returns ``(result, value)``; the result at the first midpoint
+    whose value is within ``tol`` of zero is returned.  ``g_lo`` is the value
+    at ``lo`` and only its sign matters.
+    """
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        result, g_mid = g(mid)
+        if abs(g_mid) <= tol:
+            return result
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    raise RuntimeError(f"bisection did not reach tolerance {tol} in [{lo!r}, {hi!r}]")
+
+
+def _chord_offset(shape: Shape2D, target: float):
+    """``g`` for ``_bisect_sign_change``: the chord at theta and its offset error."""
+
+    def g(theta: float) -> tuple[Chord, float]:
+        chord = chord_through_centroid(shape, theta)
+        return chord, chord.beta - target
+
+    return g
+
+
+def _vertex_direction(shape: Shape2D) -> float:
+    """Direction from the centroid to vertex 0, where every search starts."""
+    c, v0 = shape.centroid(), shape.vertices[0]
+    return math.atan2(v0[1] - c[1], v0[0] - c[0])
 
 
 def find_balanced_chord(shape: Shape2D, tol: float = 1e-12) -> Chord:
@@ -294,27 +186,14 @@ def find_balanced_chord(shape: Shape2D, tol: float = 1e-12) -> Chord:
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(shape, (Circle, Ellipse)):
+    if shape.centrally_symmetric:
         return chord_through_centroid(shape, 0.0)
-
-    c = centroid(shape)
-    v0 = shape.vertices[0]
-    theta0 = math.atan2(v0[1] - c[1], v0[0] - c[0])
-    lo, hi = theta0, theta0 + math.pi
-    g_lo = chord_through_centroid(shape, lo).beta - 0.5
+    theta0 = _vertex_direction(shape)
+    g = _chord_offset(shape, 0.5)
+    first, g_lo = g(theta0)
     if abs(g_lo) <= tol:
-        return chord_through_centroid(shape, lo)
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        chord = chord_through_centroid(shape, mid)
-        g_mid = chord.beta - 0.5
-        if abs(g_mid) <= tol:
-            return chord
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    raise RuntimeError(f"balanced chord search did not reach tolerance {tol}")
+        return first
+    return _bisect_sign_change(g, theta0, theta0 + math.pi, g_lo, tol)
 
 
 def find_chord_with_beta(
@@ -333,33 +212,21 @@ def find_chord_with_beta(
         raise ValueError(f"beta target must be in (0, 1), got {beta_target}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(shape, (Circle, Ellipse)):
+    if shape.centrally_symmetric:
         if abs(beta_target - 0.5) <= tol:
             return chord_through_centroid(shape, 0.0)
         raise ValueError("centrally symmetric shapes only admit beta = 1/2")
 
-    c = centroid(shape)
-    v0 = shape.vertices[0]
-    theta0 = math.atan2(v0[1] - c[1], v0[0] - c[0])
+    theta0 = _vertex_direction(shape)
     thetas = [theta0 + 2.0 * math.pi * i / samples for i in range(samples + 1)]
-    gs = [chord_through_centroid(shape, t).beta - beta_target for t in thetas]
-    for i, g in enumerate(gs):
-        if abs(g) <= tol:
-            return chord_through_centroid(shape, thetas[i])
+    g = _chord_offset(shape, beta_target)
+    gs = [g(t)[1] for t in thetas]
+    for theta, value in zip(thetas, gs):
+        if abs(value) <= tol:
+            return chord_through_centroid(shape, theta)
     for i in range(samples):
         if (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            lo, hi, g_lo = thetas[i], thetas[i + 1], gs[i]
-            for _ in range(256):
-                mid = 0.5 * (lo + hi)
-                chord = chord_through_centroid(shape, mid)
-                g_mid = chord.beta - beta_target
-                if abs(g_mid) <= tol:
-                    return chord
-                if (g_mid > 0.0) == (g_lo > 0.0):
-                    lo, g_lo = mid, g_mid
-                else:
-                    hi = mid
-            raise RuntimeError(f"chord refinement stalled at target {beta_target}")
+            return _bisect_sign_change(g, thetas[i], thetas[i + 1], gs[i], tol)
     raise ValueError(
         f"no chord with offset {beta_target} found; attainable offsets on this "
         f"shape span [{min(b + beta_target for b in gs):.4f}, "
@@ -376,28 +243,13 @@ def scan_balanced_chords(
     covers [theta0, theta0 + pi).  For centrally symmetric shapes every
     direction balances; the horizontal chord is returned alone.
     """
-    if isinstance(shape, (Circle, Ellipse)):
+    if shape.centrally_symmetric:
         return [chord_through_centroid(shape, 0.0)]
-    c = centroid(shape)
-    v0 = shape.vertices[0]
-    theta0 = math.atan2(v0[1] - c[1], v0[0] - c[0])
+    theta0 = _vertex_direction(shape)
     thetas = [theta0 + math.pi * i / samples for i in range(samples + 1)]
-    gs = [chord_through_centroid(shape, t).beta - 0.5 for t in thetas]
+    g = _chord_offset(shape, 0.5)
+    gs = [g(t)[1] for t in thetas]
     found: list[Chord] = []
-
-    def refine(a: float, b: float, ga: float) -> Chord:
-        for _ in range(256):
-            mid = 0.5 * (a + b)
-            chord = chord_through_centroid(shape, mid)
-            g = chord.beta - 0.5
-            if abs(g) <= tol:
-                return chord
-            if (g > 0.0) == (ga > 0.0):
-                a, ga = mid, g
-            else:
-                b = mid
-        raise RuntimeError("chord refinement stalled")
-
     i = 0
     while i <= samples:
         if abs(gs[i]) <= tol:
@@ -406,53 +258,9 @@ def scan_balanced_chords(
                 i += 1
             continue
         if i < samples and abs(gs[i + 1]) > tol and (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            found.append(refine(thetas[i], thetas[i + 1], gs[i]))
+            found.append(_bisect_sign_change(g, thetas[i], thetas[i + 1], gs[i], tol))
         i += 1
     return found
-
-
-def _scale_about(shape: Shape2D, origin: Point, factor: float) -> Shape2D:
-    ox, oy = origin
-    if isinstance(shape, Polygon):
-        return Polygon(
-            tuple(
-                (ox + (v[0] - ox) * factor, oy + (v[1] - oy) * factor)
-                for v in shape.vertices
-            )
-        )
-    cx = ox + (shape.center[0] - ox) * factor
-    cy = oy + (shape.center[1] - oy) * factor
-    if isinstance(shape, Circle):
-        return Circle(center=(cx, cy), radius=shape.radius * factor)
-    return Ellipse(
-        center=(cx, cy),
-        semi_axes=(shape.semi_axes[0] * factor, shape.semi_axes[1] * factor),
-        rotation=shape.rotation,
-    )
-
-
-def _on_boundary(shape: Shape2D, p: Point, tol: float) -> bool:
-    if isinstance(shape, Circle):
-        return abs(_dist(p, shape.center) - shape.radius) <= tol
-    if isinstance(shape, Ellipse):
-        cr, sr = math.cos(shape.rotation), math.sin(shape.rotation)
-        dx, dy = p[0] - shape.center[0], p[1] - shape.center[1]
-        q = math.hypot(
-            (cr * dx + sr * dy) / shape.semi_axes[0],
-            (-sr * dx + cr * dy) / shape.semi_axes[1],
-        )
-        return abs(q - 1.0) <= tol / min(shape.semi_axes)
-    v = shape.vertices
-    best = math.inf
-    for i in range(len(v)):
-        a = v[i]
-        b = v[(i + 1) % len(v)]
-        e = _sub(b, a)
-        ee = e[0] * e[0] + e[1] * e[1]
-        s = ((p[0] - a[0]) * e[0] + (p[1] - a[1]) * e[1]) / ee
-        s = min(1.0, max(0.0, s))
-        best = min(best, _dist(p, (a[0] + s * e[0], a[1] + s * e[1])))
-    return best <= tol
 
 
 @dataclass(frozen=True)
@@ -465,14 +273,26 @@ class ExcisionPlan:
     point is a convex combination of the tangency point and a body point.
     """
 
-    shape: Shape2D
+    shape: Shape
     chord: Chord
     scale_ratio: float
-    cavity: Shape2D
+    cavity: Shape
     balance_point: Point
 
+    @property
+    def beta(self) -> float:
+        return self.chord.beta
 
-def excision_with_ratio(shape: Shape2D, chord: Chord, scale_ratio: float) -> ExcisionPlan:
+    @property
+    def tangent_point(self) -> Point:
+        return self.chord.tangent_point
+
+    @property
+    def far_point(self) -> Point:
+        return self.chord.far_point
+
+
+def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> ExcisionPlan:
     """Build a plan with an explicit scale ratio (no balance solve).
 
     Useful for what-if checks; ``verify_balance`` will fail unless the ratio
@@ -483,49 +303,54 @@ def excision_with_ratio(shape: Shape2D, chord: Chord, scale_ratio: float) -> Exc
             f"scale ratio {scale_ratio} leaves no cavity strictly inside the body"
         )
     inv = 1.0 / scale_ratio
-    o, q = chord.tangent_point, chord.far_point
+    o = chord.tangent_point
     return ExcisionPlan(
         shape=shape,
         chord=chord,
         scale_ratio=scale_ratio,
-        cavity=_scale_about(shape, o, inv),
-        balance_point=(o[0] + (q[0] - o[0]) * inv, o[1] + (q[1] - o[1]) * inv),
+        cavity=shape.scaled_about(o, inv),
+        balance_point=tuple(a + (b - a) * inv for a, b in zip(o, chord.far_point)),
     )
 
 
-def plan_excision(shape: Shape2D, chord: Chord, tol: float = 1e-12) -> ExcisionPlan:
+def plan_excision(shape: Shape, chord: Chord, tol: float = 1e-12) -> ExcisionPlan:
     """Solve the balance equation for the chord and build the excision.
 
-    Requires ``chord.beta < 2/3``; at or above that threshold the balance
-    root does not exceed 1 and no physical cavity exists.
+    Requires ``chord.beta < k/(k+1)`` (2/3 in the plane); at or above that
+    threshold the balance root does not exceed 1 and no physical cavity
+    exists.
     """
     scale = max(_extent(shape), 1.0)
-    if _dist(chord.centroid, centroid(shape)) > _BOUNDARY_RTOL * scale:
+    if math.dist(chord.centroid, shape.centroid()) > _BOUNDARY_RTOL * scale:
         raise ValueError("chord centroid does not match the shape centroid")
     for p in (chord.tangent_point, chord.far_point):
-        if not _on_boundary(shape, p, _BOUNDARY_RTOL * scale):
+        if not shape.on_boundary(p, _BOUNDARY_RTOL * scale):
             raise ValueError(f"chord endpoint {p} is not on the shape boundary")
-    root = positive_root(BalanceProblem(k=2, beta=chord.beta), tol=tol)
+    return _solve_excision(shape, chord, tol)
+
+
+def _solve_excision(shape: Shape, chord: Chord, tol: float) -> ExcisionPlan:
+    """``plan_excision`` for a chord already known to belong to the shape."""
+    k = shape.dim
+    root = positive_root(BalanceProblem(k=k, beta=chord.beta), tol=tol)
     if not root.physical:
         raise PhysicalityError(
-            f"beta = {chord.beta} is at or above {physicality_threshold(2)!r}; "
-            f"no balance ratio above 1 exists"
+            f"beta = {chord.beta} at dimension {k} is at or above "
+            f"{physicality_threshold(k)!r}; no balance ratio above 1 exists"
         )
     return excision_with_ratio(shape, chord, root.value)
 
 
 def composite_centroid(plan: ExcisionPlan) -> Point:
-    """Centroid of body minus cavity, by exact area-weighted subtraction."""
-    a = area(plan.shape)
-    a_cav = area(plan.cavity)
+    """Centroid of body minus cavity, by exact measure-weighted subtraction."""
+    a = plan.shape.measure()
+    a_cav = plan.cavity.measure()
     if a - a_cav <= 0.0:
-        raise ValueError("cavity area must be strictly smaller than the body area")
-    c = centroid(plan.shape)
-    c_cav = centroid(plan.cavity)
+        raise ValueError("cavity measure must be strictly smaller than the body measure")
     inv = 1.0 / (a - a_cav)
-    return (
-        (a * c[0] - a_cav * c_cav[0]) * inv,
-        (a * c[1] - a_cav * c_cav[1]) * inv,
+    return tuple(
+        (a * c - a_cav * c_cav) * inv
+        for c, c_cav in zip(plan.shape.centroid(), plan.cavity.centroid())
     )
 
 
@@ -549,12 +374,17 @@ class BalanceReport:
     dimension: int = 2
 
 
+def balance_residual(plan: ExcisionPlan) -> float:
+    """The balance polynomial of the plan's dimension and offset at its ratio."""
+    poly = build_general(BalanceProblem(k=plan.shape.dim, beta=plan.beta))
+    return evaluate(poly, plan.scale_ratio)
+
+
 def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
     """Measure how far the remainder centroid is from the balance point."""
     com = composite_centroid(plan)
-    dist = _dist(com, plan.balance_point)
+    dist = math.dist(com, plan.balance_point)
     length = plan.chord.length
-    poly = build_general(BalanceProblem(k=2, beta=plan.chord.beta))
     rel = dist / length
     return BalanceReport(
         distance=dist,
@@ -562,10 +392,10 @@ def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
         relative_distance=rel,
         tolerance=tol,
         passed=rel <= tol,
-        polynomial_residual=evaluate(poly, plan.scale_ratio),
+        polynomial_residual=balance_residual(plan),
         composite_centroid=com,
         balance_point=plan.balance_point,
-        dimension=2,
+        dimension=plan.shape.dim,
     )
 
 
@@ -587,40 +417,7 @@ def boundary_points(shape: Shape2D, count: int) -> list[Point]:
     """``count`` points along the boundary (arc-length spaced for polygons)."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if isinstance(shape, Circle):
-        cx, cy = shape.center
-        return [
-            (cx + shape.radius * math.cos(2.0 * math.pi * i / count),
-             cy + shape.radius * math.sin(2.0 * math.pi * i / count))
-            for i in range(count)
-        ]
-    if isinstance(shape, Ellipse):
-        cr, sr = math.cos(shape.rotation), math.sin(shape.rotation)
-        a, b = shape.semi_axes
-        cx, cy = shape.center
-        pts = []
-        for i in range(count):
-            ang = 2.0 * math.pi * i / count
-            ex, ey = a * math.cos(ang), b * math.sin(ang)
-            pts.append((cx + cr * ex - sr * ey, cy + sr * ex + cr * ey))
-        return pts
-    v = shape.vertices
-    n = len(v)
-    lengths = [_dist(v[i], v[(i + 1) % n]) for i in range(n)]
-    perimeter = sum(lengths)
-    pts = []
-    edge = 0
-    start = 0.0
-    for i in range(count):
-        target = perimeter * i / count
-        while target > start + lengths[edge]:
-            start += lengths[edge]
-            edge += 1
-        frac = (target - start) / lengths[edge]
-        a = v[edge]
-        b = v[(edge + 1) % n]
-        pts.append((a[0] + (b[0] - a[0]) * frac, a[1] + (b[1] - a[1]) * frac))
-    return pts
+    return shape.boundary_points(count)
 
 
 def random_convex_polygon(
@@ -657,54 +454,3 @@ def random_convex_polygon(
             return Polygon(tuple(zip(xs.tolist(), ys.tolist())))
         except ValueError:
             continue  # angular ties are measure zero but cheap to resample
-
-
-def shape_from_dict(data: dict) -> Shape2D:
-    """Load a planar shape from its JSON dictionary form.
-
-    Accepted forms::
-
-        {"type": "polygon", "vertices": [[x, y], ...]}
-        {"type": "circle", "center": [x, y], "radius": r}
-        {"type": "ellipse", "center": [x, y], "semi_axes": [a, b], "rotation": t}
-        {"type": "regular_polygon", "n": n, "circumradius": r, "orientation": t}
-
-    ``rotation`` and ``orientation`` default to 0.  Regular polygons load as
-    explicit vertex lists.
-    """
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("shape dictionary needs a 'type' key")
-    kind = data["type"]
-    try:
-        if kind == "polygon":
-            return Polygon(tuple(tuple(v) for v in data["vertices"]))
-        if kind == "circle":
-            return Circle(center=tuple(data["center"]), radius=data["radius"])
-        if kind == "ellipse":
-            return Ellipse(
-                center=tuple(data["center"]),
-                semi_axes=tuple(data["semi_axes"]),
-                rotation=data.get("rotation", 0.0),
-            )
-        if kind == "regular_polygon":
-            return regular_polygon(
-                n=data["n"],
-                circumradius=data["circumradius"],
-                orientation=data.get("orientation", 0.0),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {kind} shape: {exc}") from exc
-    raise ValueError(f"unknown shape type {kind!r}")
-
-
-def shape_to_dict(shape: Shape2D) -> dict:
-    if isinstance(shape, Polygon):
-        return {"type": "polygon", "vertices": [list(v) for v in shape.vertices]}
-    if isinstance(shape, Circle):
-        return {"type": "circle", "center": list(shape.center), "radius": shape.radius}
-    return {
-        "type": "ellipse",
-        "center": list(shape.center),
-        "semi_axes": list(shape.semi_axes),
-        "rotation": shape.rotation,
-    }

@@ -8,8 +8,8 @@ fixed element order and fixed number formatting.
 
 import math
 
-from .montecarlo import bounding_box
-from .planar import Circle, Ellipse, ExcisionPlan, Polygon, centroid
+from .planar import ExcisionPlan
+from .shapes import Ellipse, Hyperball, Hypercube
 
 _CANVAS = 560.0
 _PAD = 40.0
@@ -36,23 +36,26 @@ class _Frame:
 
 
 def _shape_element(shape, frame: _Frame, style: str) -> str:
-    if isinstance(shape, Polygon):
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (frame.point(v) for v in shape.vertices)
-        )
-        return f'<polygon points="{pts}" {style}/>'
-    if isinstance(shape, Circle):
+    if isinstance(shape, Hyperball):
         cx, cy = frame.point(shape.center)
         r = shape.radius * frame.scale
         return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {style}/>'
-    cx, cy = frame.point(shape.center)
-    rx = shape.semi_axes[0] * frame.scale
-    ry = shape.semi_axes[1] * frame.scale
-    angle = -math.degrees(shape.rotation)  # canvas y points down
-    return (
-        f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" ry="{_fmt(ry)}" '
-        f'transform="rotate({_fmt(angle)} {_fmt(cx)} {_fmt(cy)})" {style}/>'
-    )
+    if isinstance(shape, Ellipse):
+        cx, cy = frame.point(shape.center)
+        rx = shape.semi_axes[0] * frame.scale
+        ry = shape.semi_axes[1] * frame.scale
+        angle = -math.degrees(shape.rotation)  # canvas y points down
+        return (
+            f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" ry="{_fmt(ry)}" '
+            f'transform="rotate({_fmt(angle)} {_fmt(cx)} {_fmt(cy)})" {style}/>'
+        )
+    if isinstance(shape, Hypercube):
+        (x0, y0), (x1, y1) = shape.bbox()
+        vertices = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    else:  # polygons and triangles
+        vertices = shape.vertices
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (frame.point(v) for v in vertices))
+    return f'<polygon points="{pts}" {style}/>'
 
 
 def _labeled_point(p, label: str, frame: _Frame) -> str:
@@ -66,7 +69,7 @@ def _labeled_point(p, label: str, frame: _Frame) -> str:
 
 def render_plan(plan: ExcisionPlan) -> str:
     """SVG document for a 2-D excision plan."""
-    lo, hi = bounding_box(plan.shape)
+    lo, hi = plan.shape.bbox()
     frame = _Frame(lo, hi)
     chord = plan.chord
     o = frame.point(chord.tangent_point)
@@ -86,7 +89,7 @@ def render_plan(plan: ExcisionPlan) -> str:
         'stroke="#555555" stroke-width="0.8"/>',
         _labeled_point(chord.tangent_point, "O", frame),
         _labeled_point(chord.centroid, "C", frame),
-        _labeled_point(centroid(plan.cavity), "C&#8242;", frame),
+        _labeled_point(plan.cavity.centroid(), "C&#8242;", frame),
         _labeled_point(plan.balance_point, "P", frame),
         _labeled_point(chord.far_point, "Q", frame),
         "</svg>",
