@@ -14,16 +14,24 @@ protocol of ``edgebalance.shapes``: a dimension-generic ``Chord``, one
 ``composite_centroid`` and ``verify_balance``.  ``edgebalance.ndim`` only adds
 the k-dimensional way to pick a chord from a tangency point.
 
-The chord search is planar: it rotates the chord about the centroid and
-bisects on beta(theta), with ``_bisect_sign_change`` as the one bisection
-loop of the package.  Shapes are validated where they are built (see
-``edgebalance.shapes``), so nothing here re-checks their numbers.  Geometric
-predicates use absolute tolerances around 1e-12 and assume unit-scale
-coordinates; areas and centroids are computed relative to a vertex, so
-translating a shape far from the origin costs no accuracy.
+The chord search is planar and exact.  On a polygon, beta(theta) is a
+ratio of two linear forms in (cos theta, sin theta) between consecutive
+directions from the centroid to a vertex or away from one, so one sorted
+sweep over those 2n directions finds every root of beta(theta) - target in
+closed form, at most one per interval.  ``_bisect_sign_change``, the one
+bisection loop of the package, only takes over when rounding leaves a
+closed-form chord outside the tolerance.  Shapes are validated where they
+are built (see ``edgebalance.shapes``), so nothing here re-checks their
+numbers.  Geometric predicates use absolute tolerances around 1e-12 and
+assume unit-scale coordinates; areas and centroids are computed relative to
+a vertex, so translating a shape far from the origin costs no accuracy, but
+planning refuses a chord shorter than 1e9 times the rounding of its largest
+coordinate.
 """
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +58,7 @@ from .shapes import (  # the planar shape API is re-exported from here
 )
 
 _COLLINEAR_RTOL = 1e-12
+_BETA_ATOL = 1e-9  # how far a chord's beta may sit from the ratio of its points
 _BOUNDARY_RTOL = 1e-9
 _MIN_EXCISION_MARGIN = 1e-9  # scale ratios this close to 1 leave no usable cavity
 _BISECTION_STEPS = 256
@@ -62,6 +71,25 @@ def area(shape: Shape) -> float:
 
 def centroid(shape: Shape) -> Point:
     return shape.centroid()
+
+
+def _rounding_note(chord: "Chord") -> str:
+    """'' when the chord's coordinates resolve its length, else why they do not.
+
+    Rounding a coordinate of magnitude M moves it by up to about M * eps, so
+    ratios along a chord of length L are off by about M * eps / L; beyond
+    the tolerance ``Chord`` allows beta, rounding alone decides its checks.
+    """
+    magnitude = max(map(abs, chord.tangent_point + chord.far_point + chord.centroid))
+    rounding = magnitude * sys.float_info.epsilon
+    length = chord.length
+    if rounding <= _BETA_ATOL * length:
+        return ""
+    return (
+        f"; the chord is {length:.3g} long but coordinates reach {magnitude:.3g}, and "
+        f"rounding them ({rounding:.2g}) moves ratios along it by {rounding / length:.2g}: "
+        "translate the shape toward the origin"
+    )
 
 
 def _extent(shape: Shape) -> float:
@@ -99,11 +127,11 @@ class Chord:
         # rounding of coordinates as large as C's
         off_line = math.hypot(*[(z - a) - along * (b - a) for a, b, z in zip(o, q, c)])
         if off_line > _COLLINEAR_RTOL * max(d, *map(abs, c)):
-            raise ValueError("centroid is not on the chord line")
+            raise ValueError("centroid is not on the chord line" + _rounding_note(self))
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if abs(self.beta - along) > 1e-9:
-            raise ValueError("beta inconsistent with the stored points")
+        if abs(self.beta - along) > _BETA_ATOL:
+            raise ValueError("beta inconsistent with the stored points" + _rounding_note(self))
 
     @property
     def length(self) -> float:
@@ -170,30 +198,121 @@ def _chord_offset(shape: Shape2D, target: float):
     return g
 
 
-def _vertex_direction(shape: Shape2D) -> float:
-    """Direction from the centroid to vertex 0, where every search starts."""
-    c, v0 = shape.centroid(), shape.vertices[0]
-    return math.atan2(v0[1] - c[1], v0[0] - c[0])
+def _offset_sweep(
+    shape: Shape2D, target: float, turn: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """beta(theta) - target over [theta0, theta0 + turn], exactly, in one pass.
+
+    theta0 is the direction from the centroid C to vertex 0.  The breakpoints
+    are the directions from C to every vertex and their opposites; between
+    two of them the ray along u = (cos theta, sin theta) leaves through one
+    edge i and the ray along -u through one edge j.  With edge i written as
+    n_i . x = d_i relative to C (outward normal n_i),
+
+        beta = d_j (n_i . u) / (d_j (n_i . u) - d_i (n_j . u)),
+
+    a ratio of two linear forms in u: monotone on the interval, and equal
+    to ``target`` only where [(1 - target) d_j n_i + target d_i n_j] . u = 0.
+    Returns the breakpoint directions (theta0 first, theta0 + turn last),
+    beta - target there with the arithmetic of ``Polygon.exit_parameter``,
+    and each interval's closed-form root direction.
+    """
+    v = np.asarray(shape.vertices, dtype=float)
+    (x0, y0), (x1, y1), (x2, y2) = v[:3]
+    if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0:
+        v = np.concatenate((v[:1], v[:0:-1]))  # a clockwise simplex, walked counterclockwise
+    p = v - np.asarray(shape.centroid())
+    e = np.roll(v, -1, axis=0) - v
+    d = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]  # d_i, with n_i = (e_y, -e_x)
+    theta0 = math.atan2(p[0, 1], p[0, 0])
+    # vertex directions relative to theta0, increasing counterclockwise
+    r = np.mod(np.arctan2(p[:, 1], p[:, 0]) - theta0, 2.0 * math.pi)
+    r[0] = 0.0
+    s = np.sort(np.concatenate((r, np.mod(r + math.pi, 2.0 * math.pi))))
+    # distinct breakpoints (np.unique would import numpy.ma, ~10 ms, on first use)
+    s = np.append(s[(s < turn) & (np.diff(s, prepend=-1.0) > 0.0)], turn)
+    mid = 0.5 * (s[:-1] + s[1:])
+    i = np.searchsorted(r, mid, side="right") - 1
+    j = np.searchsorted(r, np.mod(mid + math.pi, 2.0 * math.pi), side="right") - 1
+    thetas = theta0 + s
+    # each breakpoint takes the edges of the interval after it, the last one those before it
+    ib, jb = np.append(i, i[-1]), np.append(j, j[-1])
+    ux, uy = np.cos(thetas), np.sin(thetas)
+    t_far = d[ib] / (ux * e[ib, 1] - uy * e[ib, 0])
+    t_back = d[jb] / (-ux * e[jb, 1] + uy * e[jb, 0])
+    g = t_back / (t_far + t_back) - target
+    # n = (e_y, -e_x), so the root u is parallel to the same combination of
+    # edge vectors; of its two orientations, take the one inside the interval
+    rx, ry = (((1.0 - target) * d[j])[:, None] * e[i] + (target * d[i])[:, None] * e[j]).T
+    mx, my = np.cos(theta0 + mid), np.sin(theta0 + mid)
+    along, across = mx * rx + my * ry, mx * ry - my * rx
+    side = np.where(along < 0.0, -1.0, 1.0)
+    roots = theta0 + mid + np.arctan2(side * across, side * along)
+    return thetas, g, np.clip(roots, thetas[:-1], thetas[1:])
+
+
+def _chords_with_offset(
+    shape: Shape2D, target: float, tol: float, turn: float
+) -> Iterator[Chord]:
+    """One chord per root of beta(theta) - target in [theta0, theta0 + turn), in order.
+
+    A breakpoint within tol/2 of the target is a root; a run of them (beta
+    constant at the target, as on an even regular polygon) counts once, at
+    its first breakpoint.  Otherwise each interval whose ends differ in sign
+    holds one root, in closed form.  Every chord is checked against ``tol``;
+    one that rounding left short is bisected on the interval from its
+    breakpoint, and a root no floating-point angle resolves within ``tol``
+    (beta can change faster than that between neighbouring angles on a very
+    thin polygon) is left out.  With no root at all, or none resolved,
+    raises ValueError; the first names the exact range of offsets.
+    """
+    thetas, g, roots = _offset_sweep(shape, target, turn)
+    hit = np.abs(g) <= 0.5 * tol
+    starts = np.flatnonzero(hit[:-1] & ~np.concatenate(([False], hit[:-2])))
+    crossings = np.flatnonzero(~hit[:-1] & ~hit[1:] & ((g[:-1] > 0.0) != (g[1:] > 0.0)))
+    if not len(starts) + len(crossings):
+        raise ValueError(
+            f"no chord with offset {target} exists; attainable offsets on this shape "
+            f"span [{float(g.min()) + target!r}, {float(g.max()) + target!r}]"
+        )
+    # each root with the interval that starts at or holds it
+    intervals = np.concatenate((starts, crossings))
+    directions = np.concatenate((thetas[starts], roots[crossings]))
+    resolved = False
+    for i in np.argsort(directions).tolist():
+        k = int(intervals[i])
+        chord = chord_through_centroid(shape, float(directions[i]))
+        if abs(chord.beta - target) > tol:
+            try:
+                chord = _bisect_sign_change(
+                    _chord_offset(shape, target), float(thetas[k]), float(thetas[k + 1]), float(g[k]), tol
+                )
+            except RuntimeError:
+                continue
+        resolved = True
+        yield chord
+    if not resolved:
+        raise ValueError(
+            f"no angle gives a chord with offset within {tol} of {target} on this shape: "
+            "beta changes by more than that between neighbouring floating-point angles"
+        )
 
 
 def find_balanced_chord(shape: Shape2D, tol: float = 1e-12) -> Chord:
-    """Chord with beta within ``tol`` of 1/2, found by rotating about the centroid.
+    """The first chord counterclockwise from vertex 0 with beta within ``tol`` of 1/2.
 
-    Reversing a chord complements beta, so beta - 1/2 changes sign somewhere
-    on any half-turn unless it is identically zero; bisection on the angle
-    then converges regardless of the kinks a polygon boundary puts into
-    beta(theta).  Centrally symmetric shapes return the horizontal chord.
+    Reversing a chord complements beta, so beta - 1/2 changes sign on any
+    half-turn unless it is zero there; the angular sweep about the centroid
+    finds the first root in [theta0, theta0 + pi), theta0 being the direction
+    of vertex 0, that some floating-point angle resolves within ``tol``
+    (ValueError if none does).  Centrally symmetric shapes return the
+    horizontal chord.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if shape.centrally_symmetric:
         return chord_through_centroid(shape, 0.0)
-    theta0 = _vertex_direction(shape)
-    g = _chord_offset(shape, 0.5)
-    first, g_lo = g(theta0)
-    if abs(g_lo) <= tol:
-        return first
-    return _bisect_sign_change(g, theta0, theta0 + math.pi, g_lo, tol)
+    return next(_chords_with_offset(shape, 0.5, tol, math.pi))
 
 
 def find_chord_with_beta(
@@ -201,12 +320,15 @@ def find_chord_with_beta(
 ) -> Chord:
     """Chord whose centroid offset matches ``beta_target`` within ``tol``.
 
-    Scans a full turn of chord directions (each geometric chord appears
-    twice, with complementary offsets) for a sign change of
-    beta(theta) - target and bisects it.  Raises ValueError when no chord
-    with the requested offset exists: convex planar bodies only admit
-    offsets in [1/3, 2/3] (the centroid cuts every chord through it no more
-    unevenly than 2:1), and round shapes admit an even narrower band.
+    Returns the first root of beta(theta) - target in [theta0, theta0 + 2 pi)
+    (each geometric chord appears twice there, with complementary offsets),
+    found by the exact angular sweep; ``samples`` is accepted and ignored.
+    Raises ValueError when no chord has the requested offset, naming the
+    exact range of offsets the shape attains: convex planar bodies only
+    admit offsets in [1/3, 2/3] (the centroid cuts every chord through it
+    no more unevenly than 2:1), and round shapes a narrower band.  Roots no
+    floating-point angle resolves within ``tol`` are passed over, as in
+    ``scan_balanced_chords``; if that leaves none, ValueError says so.
     """
     if not 0.0 < beta_target < 1.0:
         raise ValueError(f"beta target must be in (0, 1), got {beta_target}")
@@ -216,51 +338,25 @@ def find_chord_with_beta(
         if abs(beta_target - 0.5) <= tol:
             return chord_through_centroid(shape, 0.0)
         raise ValueError("centrally symmetric shapes only admit beta = 1/2")
-
-    theta0 = _vertex_direction(shape)
-    thetas = [theta0 + 2.0 * math.pi * i / samples for i in range(samples + 1)]
-    g = _chord_offset(shape, beta_target)
-    gs = [g(t)[1] for t in thetas]
-    for theta, value in zip(thetas, gs):
-        if abs(value) <= tol:
-            return chord_through_centroid(shape, theta)
-    for i in range(samples):
-        if (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            return _bisect_sign_change(g, thetas[i], thetas[i + 1], gs[i], tol)
-    raise ValueError(
-        f"no chord with offset {beta_target} found; attainable offsets on this "
-        f"shape span [{min(b + beta_target for b in gs):.4f}, "
-        f"{max(b + beta_target for b in gs):.4f}] on the sampled grid"
-    )
+    return next(_chords_with_offset(shape, beta_target, tol, 2.0 * math.pi))
 
 
 def scan_balanced_chords(
     shape: Shape2D, samples: int = 720, tol: float = 1e-12
 ) -> list[Chord]:
-    """All beta = 1/2 chords detected on a half-turn grid, each refined.
+    """Every beta = 1/2 chord, one per root in [theta0, theta0 + pi), by angle.
 
-    Complements mean a full turn carries the same chords twice, so the scan
-    covers [theta0, theta0 + pi).  For centrally symmetric shapes every
-    direction balances; the horizontal chord is returned alone.
+    Complements mean a full turn carries the same chords twice, so the
+    sweep covers a half-turn from the direction of vertex 0; ``samples`` is
+    accepted and ignored.  On very thin polygons beta can change by more
+    than ``tol`` between neighbouring floating-point angles; such roots are
+    left out, and ValueError is raised if every root is.  For centrally
+    symmetric shapes every direction balances; the horizontal chord is
+    returned alone.
     """
     if shape.centrally_symmetric:
         return [chord_through_centroid(shape, 0.0)]
-    theta0 = _vertex_direction(shape)
-    thetas = [theta0 + math.pi * i / samples for i in range(samples + 1)]
-    g = _chord_offset(shape, 0.5)
-    gs = [g(t)[1] for t in thetas]
-    found: list[Chord] = []
-    i = 0
-    while i <= samples:
-        if abs(gs[i]) <= tol:
-            found.append(chord_through_centroid(shape, thetas[i]))
-            while i <= samples and abs(gs[i]) <= tol:
-                i += 1
-            continue
-        if i < samples and abs(gs[i + 1]) > tol and (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            found.append(_bisect_sign_change(g, thetas[i], thetas[i + 1], gs[i], tol))
-        i += 1
-    return found
+    return list(_chords_with_offset(shape, 0.5, tol, math.pi))
 
 
 @dataclass(frozen=True)
@@ -331,6 +427,9 @@ def plan_excision(shape: Shape, chord: Chord, tol: float = 1e-12) -> ExcisionPla
 
 def _solve_excision(shape: Shape, chord: Chord, tol: float) -> ExcisionPlan:
     """``plan_excision`` for a chord already known to belong to the shape."""
+    note = _rounding_note(chord)
+    if note:
+        raise ValueError("chord too short to resolve at its coordinates" + note)
     k = shape.dim
     root = positive_root(BalanceProblem(k=k, beta=chord.beta), tol=tol)
     if not root.physical:

@@ -497,12 +497,20 @@ ShapeKd = Hyperball | Hypercube | Simplex
 Shape = Polygon | Ellipse | Hyperball | Hypercube | Simplex
 
 
+MAX_REGULAR_POLYGON_SIDES = 100_000  # bounds the time and memory one shape file can ask for
+
+
 def regular_polygon(
     n: int, circumradius: float, orientation: float = 0.0, center: Point = (0.0, 0.0)
 ) -> Polygon:
-    """Regular n-gon as an explicit vertex list, first vertex at ``orientation``."""
+    """Regular n-gon as an explicit vertex list, first vertex at ``orientation``.
+
+    ``n`` is capped at ``MAX_REGULAR_POLYGON_SIDES``.
+    """
     if n < 3:
         raise ValueError(f"need at least 3 sides, got {n}")
+    if n > MAX_REGULAR_POLYGON_SIDES:
+        raise ValueError(f"at most {MAX_REGULAR_POLYGON_SIDES} sides, got {n}")
     if not circumradius > 0.0:
         raise ValueError(f"circumradius must be positive, got {circumradius}")
     cx, cy = _as_point(center)
@@ -545,7 +553,7 @@ def shape_from_dict(data: dict) -> Shape:
         {"type": "simplex", "vertices": [[...], ...]}
 
     ``rotation`` and ``orientation`` default to 0.  Regular polygons load as
-    explicit vertex lists.
+    explicit vertex lists of at most ``MAX_REGULAR_POLYGON_SIDES`` vertices.
     """
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("shape dictionary needs a 'type' key")

@@ -27,6 +27,7 @@ from edgebalance.planar import (
     verify_balance,
 )
 from edgebalance.polynomials import PhysicalityError
+from edgebalance.shapes import Simplex
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -211,6 +212,19 @@ class TestBalancedChordSearch:
         chord = find_balanced_chord(hexagon, tol=1e-12)
         assert abs(chord.beta - 0.5) <= 1e-12
 
+    def test_regular_hexagon_has_one_balanced_chord(self):
+        # beta is 1/2 in every direction, which is one run of roots
+        chords = scan_balanced_chords(regular_polygon(6, 1.0))
+        assert len(chords) == 1
+        assert abs(chords[0].beta - 0.5) <= 1e-12
+
+    def test_clockwise_simplex_searches_like_the_same_triangle(self):
+        # a 2-D simplex may list its vertices clockwise; vertex 0 stays the start
+        simplex = Simplex(((0.0, 0.0), (1.0, 2.0), (3.0, 0.0)))
+        triangle = Polygon(((0.0, 0.0), (3.0, 0.0), (1.0, 2.0)))
+        for a, b in zip(scan_balanced_chords(simplex), scan_balanced_chords(triangle), strict=True):
+            assert a.far_point == pytest.approx(b.far_point, abs=1e-12)
+
     def test_random_polygons_all_find_balanced_chord(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -229,6 +243,26 @@ class TestBalancedChordSearch:
         for target in (0.4, 0.5, 0.6, 0.65):
             chord = find_chord_with_beta(tri, target, tol=1e-12)
             assert abs(chord.beta - target) <= 1e-12
+
+    def test_target_between_sampled_directions_is_found(self):
+        # a 256-direction scan saw no offset below 0.4580 on this 22-gon and
+        # refused the target, which the chord it was taken from attains
+        rng = np.random.default_rng(417)
+        poly = random_convex_polygon(int(rng.integers(3, 120)), rng)
+        target = chord_through_centroid(poly, float(rng.uniform(0.0, 2.0 * math.pi))).beta
+        assert len(poly.vertices) == 22 and target < 0.4573
+        chord = find_chord_with_beta(poly, target, tol=1e-12)
+        assert abs(chord.beta - target) <= 1e-12
+
+    def test_thin_polygon_leaves_out_roots_no_angle_resolves(self):
+        # near the long axis beta changes by more than 1e-12 between
+        # neighbouring angles, so some roots cannot be met (2 of 5 here); the
+        # search returns the others instead of failing
+        base = random_convex_polygon(12, np.random.default_rng(1))
+        thin = Polygon(tuple((x, 1e-5 * y) for x, y in base.vertices))
+        chords = scan_balanced_chords(thin)
+        assert chords and all(abs(ch.beta - 0.5) <= 1e-12 for ch in chords)
+        assert abs(find_balanced_chord(thin).beta - 0.5) <= 1e-12
 
     def test_targeted_offset_unattainable(self):
         # offsets below 1/3 do not exist on any convex planar body

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -21,8 +22,10 @@ from edgebalance.ndim import (
 )
 from edgebalance.planar import (
     Polygon,
+    _chords_with_offset,
     chord_through_centroid,
     find_balanced_chord,
+    find_chord_with_beta,
     plan_excision,
     random_convex_polygon,
     verify_balance,
@@ -94,6 +97,52 @@ def test_offset_and_ratio_are_similarity_invariant(seed, n, theta, phi, shift, e
 def test_every_random_polygon_balances(seed, n):
     poly = polygon(seed, n)
     assert verify_balance(plan_excision(poly, find_balanced_chord(poly)), tol=1e-10).passed
+
+
+def dense_offsets(poly: Polygon, thetas: np.ndarray) -> np.ndarray:
+    """beta along each direction by brute force: every edge tried, the nearest facing one kept."""
+    cx, cy = poly.centroid()
+    ux, uy = np.cos(thetas), np.sin(thetas)
+
+    def exit_parameter(ux, uy):
+        best = np.full(len(ux), np.inf)
+        for (ax, ay), (bx, by) in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]):
+            ex, ey = bx - ax, by - ay
+            denom = ux * ey - uy * ex
+            facing = denom > 0.0
+            t = ((ax - cx) * ey - (ay - cy) * ex) / np.where(facing, denom, 1.0)
+            best = np.where(facing, np.minimum(best, t), best)
+        return best
+
+    far, back = exit_parameter(ux, uy), exit_parameter(-ux, -uy)
+    return back / (far + back)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(seed=seeds, n=st.integers(3, 200), fraction=st.floats(0.0, 1.0))
+def test_exact_chord_search_matches_a_dense_scan(seed, n, fraction):
+    poly = polygon(seed, n)
+    with pytest.raises(ValueError, match="span") as refused:
+        find_chord_with_beta(poly, 0.1)  # below 1/3: no convex body attains it
+    lo, hi = map(float, re.search(r"span \[(.+), (.+)\]", str(refused.value)).groups())
+    (x0, y0), (cx, cy) = poly.vertices[0], poly.centroid()
+    theta0 = math.atan2(y0 - cy, x0 - cx)
+    steps = 20_000
+    betas = dense_offsets(poly, theta0 + np.linspace(0.0, 2.0 * math.pi, steps + 1))
+    assert lo - 1e-15 <= betas.min() and betas.max() <= hi + 1e-15
+
+    target = lo + fraction * (hi - lo)
+    chords = list(_chords_with_offset(poly, target, 1e-12, 2.0 * math.pi))
+    assert chords and find_chord_with_beta(poly, target) == chords[0]
+    assert all(abs(chord.beta - target) <= 1e-12 for chord in chords)
+    # grid position of each chord's direction, from theta0
+    found = np.array([
+        (math.atan2(q[1] - cy, q[0] - cx) - theta0) % (2.0 * math.pi) / (2.0 * math.pi) * steps
+        for q in (chord.far_point for chord in chords)
+    ])
+    for k in np.flatnonzero((betas[:-1] > target) != (betas[1:] > target)):
+        gap = np.abs((found - (k + 0.5) + steps / 2) % steps - steps / 2)
+        assert gap.min() <= 1.5, (k, found)
 
 
 @PROPERTY

@@ -3,6 +3,7 @@ bounded-memory membership, and one pipeline for every dimension."""
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from edgebalance.planar import (
     shape_from_dict,
     verify_balance,
 )
+from edgebalance.shapes import MAX_REGULAR_POLYGON_SIDES
 
 NAN, INF = float("nan"), float("inf")
 PENTAGRAM = [[math.cos(0.8 * math.pi * i), math.sin(0.8 * math.pi * i)] for i in range(5)]
@@ -54,6 +56,7 @@ BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
         (["excise-kd", "--o=-1,0,0", "--dir", "nan,0,0"], BALL3, "finite"),
         (["excise"], BALL3, "planar shape"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]}, "malformed"),
+        (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "at most 100000 sides"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
@@ -63,6 +66,19 @@ def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, mes
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
+
+
+def test_tolerance_below_angle_resolution_is_refused(tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(random_convex_polygon(12, np.random.default_rng(9)).to_dict()))
+    code = cli.main(["excise", "--shape", str(path), "--tol", "1e-17"])
+    assert code == 2
+    assert "no angle gives a chord with offset within 1e-17" in capsys.readouterr().err
+
+
+def test_regular_polygon_size_is_capped():
+    with pytest.raises(ValueError, match="at most 100000 sides"):
+        shape_from_dict({**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1})
 
 
 def test_pentagram_is_not_a_polygon():
@@ -88,6 +104,19 @@ class TestTranslatedPolygons:
         assert area(far) == pytest.approx(area(base), rel=1e-6)
         cx, cy = centroid(base)
         assert centroid(far) == pytest.approx((cx + 1e3, cy - 1e3), abs=1e-12)
+
+    def test_tiny_polygon_far_away_is_refused_with_the_reason(self, tmp_path, capsys):
+        # coordinates near 1e3 round by about 1e-13, a few 1e-7 of a 1e-6 chord
+        base = random_convex_polygon(7, np.random.default_rng(3), scale=1e-6)
+        far = Polygon(tuple((x + 1e3, y - 1e3) for x, y in base.vertices))
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(far.to_dict()))
+        code = cli.main(["excise", "--shape", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert re.search(r"the chord is [0-9.]+e-0[67] long but coordinates reach 1e\+03", err)
+        assert "translate the shape toward the origin" in err
 
 
 def test_polygon_membership_memory_is_linear_in_points():
