@@ -7,7 +7,9 @@ never asks which shape it holds:
 ``measure()``              exact area (k = 2) or volume
 ``centroid()``             exact centroid, as a tuple
 ``bbox()``                 (lower, upper) corners of the axis-aligned bounding box
-``contains(points)``       membership mask for an (m, k) float array, boundary inside
+``contains(points)``       membership mask for an (m, k) float array, boundary inside;
+                           it reads the array column by column, so column-major
+                           (Fortran-ordered) input is the fast layout
 ``on_boundary(p, tol)``    whether p lies within ``tol`` of the boundary
 ``exit_parameter(o, u)``   largest t with o + t*u in the body, for o in the body
 ``scaled_about(o, f)``     the image under the homothety about o with factor f
@@ -30,6 +32,14 @@ from typing import ClassVar
 import numpy as np
 
 from .polynomials import MAX_DIMENSION
+
+# Polygons with at least this many vertices screen points with two circles
+# about the centroid before the edge loop; below it the loop alone is cheaper.
+PREFILTER_MIN_VERTICES = 12
+# Width of the band, as a fraction of the polygon's diameter, that the circle
+# test leaves to the edge loop.  Rounding moves an edge test by about 1e-15
+# of the diameter, so a point decided by the circles lies far beyond it.
+PREFILTER_MARGIN = 1e-9
 
 Point = tuple[float, ...]
 
@@ -149,12 +159,47 @@ class Polygon(ConvexBody):
         v = np.asarray(self.vertices)
         return v.min(axis=0), v.max(axis=0)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _circles(self) -> tuple[float, float, float, float]:
+        """Centroid, and squared radii inside and outside of which the edge test is certain.
+
+        The inner circle is the inscribed one shrunk by the margin: its
+        points are at least the margin inside every edge line.  The outer
+        circle holds every point at most the margin outside every edge line:
+        that region's corners are the vertices pushed out by margin / cos(turn / 2).
+        """
+        cx, cy = self.centroid()
+        v = np.asarray(self.vertices) - (cx, cy)
+        e = np.roll(v, -1, axis=0) - v
+        length = np.hypot(e[:, 0], e[:, 1])
+        radius = np.hypot(v[:, 0], v[:, 1])
+        margin = PREFILTER_MARGIN * 2.0 * float(radius.max())  # 2 x radius >= diameter
+        inner = float(np.min((e[:, 1] * v[:, 0] - e[:, 0] * v[:, 1]) / length)) - margin
+        unit = e / length[:, None]
+        bisector = unit + np.roll(unit, 1, axis=0)  # its length is 2 cos(turn / 2)
+        with np.errstate(divide="ignore"):
+            miter = 2.0 * margin / np.hypot(bisector[:, 0], bisector[:, 1])
+        outer = float(np.max(radius + miter))
+        return cx, cy, inner * inner if inner > 0.0 else -1.0, outer * outer
+
+    def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one half-plane per edge keeps memory at O(m) for m points
-        x, y = points[:, 0], points[:, 1]
-        inside = np.ones(len(points), dtype=bool)
+        inside = np.ones(len(x), dtype=bool)
         for (ax, ay), (ex, ey) in self._edges:
             inside &= ex * (y - ay) - ey * (x - ax) >= 0.0
+        return inside
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        x, y = points[:, 0], points[:, 1]
+        if len(self.vertices) < PREFILTER_MIN_VERTICES:
+            return self._edge_test(x, y)
+        cx, cy, inner_sq, outer_sq = self._circles
+        dx = x - cx
+        dy = y - cy
+        d2 = dx * dx + dy * dy
+        inside = d2 <= inner_sq
+        ring = np.flatnonzero((d2 <= outer_sq) & ~inside)
+        inside[ring] = self._edge_test(x[ring], y[ring])
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:
@@ -248,8 +293,7 @@ class Ellipse(ConvexBody):
         return c - half, c + half
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        d = points - np.asarray(self.center)
-        ex, ey = self._frame(d[:, 0], d[:, 1])
+        ex, ey = self._frame(points[:, 0] - self.center[0], points[:, 1] - self.center[1])
         return ex * ex + ey * ey <= 1.0
 
     def on_boundary(self, p, tol: float) -> bool:
@@ -314,8 +358,11 @@ class Hyperball(ConvexBody):
         return c - self.radius, c + self.radius
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        d = points - np.asarray(self.center)
-        return np.einsum("ij,ij->i", d, d) <= self.radius**2
+        dist_sq = np.zeros(len(points))
+        for j, c in enumerate(self.center):
+            d = points[:, j] - c
+            dist_sq += d * d
+        return dist_sq <= self.radius**2
 
     def on_boundary(self, p, tol: float) -> bool:
         return abs(math.dist(p, self.center) - self.radius) <= tol
@@ -386,8 +433,11 @@ class Hypercube(ConvexBody):
         return lo, lo + self.side
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        lo, hi = self.bbox()
-        return np.all((points >= lo) & (points <= hi), axis=1)
+        inside = np.ones(len(points), dtype=bool)
+        for j, lo in enumerate(self.min_corner):
+            column = points[:, j]
+            inside &= (column >= lo) & (column <= lo + self.side)
+        return inside
 
     def on_boundary(self, p, tol: float) -> bool:
         lo, side = self.min_corner, self.side
@@ -463,11 +513,17 @@ class Simplex(ConvexBody):
         v = np.asarray(self.vertices)
         return v.min(axis=0), v.max(axis=0)
 
+    @cached_property
+    def _inverse_edges(self) -> np.ndarray:
+        return np.linalg.inv(self._edge_matrix())
+
     def contains(self, points: np.ndarray) -> np.ndarray:
-        lam = np.linalg.solve(
-            self._edge_matrix(), (points - np.asarray(self.vertices[0])).T
-        ).T
-        return np.all(lam >= 0.0, axis=1) & (lam.sum(axis=1) <= 1.0)
+        # offsets from vertex 0 as a (k, m) array, one row per coordinate
+        d = np.empty((self.dim, len(points)))
+        for j, v0 in enumerate(self.vertices[0]):
+            np.subtract(points[:, j], v0, out=d[j])
+        lam = self._inverse_edges @ d
+        return np.all(lam >= 0.0, axis=0) & (lam.sum(axis=0) <= 1.0)
 
     def on_boundary(self, p, tol: float) -> bool:
         lam = self.barycentric(p)
