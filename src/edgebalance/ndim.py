@@ -15,9 +15,10 @@ positive sizes, non-degenerate simplices, 1 <= k <= 64); the tangency point
 must lie on the boundary.
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
-has beta = 1/2.  Simplices are not; ``balanced_boundary_point`` finds a
-beta = 1/2 tangency for them by bisecting along a boundary path from a facet
-centroid (offset 1/(k+1)) to a vertex of that facet (offset k/(k+1)).  A
+has beta = 1/2.  Simplices are not; ``balanced_boundary_point`` gives them
+the closed-form tangency O = C + (V1 - V0)/(k+1), barycentric coordinates
+(0, 2, 1, ..., 1)/(k+1): its reflection 2C - O through the centroid C,
+(2, 0, 1, ..., 1)/(k+1), is on the boundary too, so beta is exactly 1/2.  A
 balanced-chord search for arbitrary k-dimensional convex bodies is not
 implemented.
 
@@ -30,7 +31,6 @@ import numpy as np
 from .planar import (
     Chord,
     ExcisionPlan,
-    _bisect_sign_change,
     _extent,
     _solve_excision,
     area,
@@ -114,14 +114,13 @@ def plan_excision_kd(
     return _solve_excision(shape, chord, tol)
 
 
-def balanced_boundary_point(shape: ShapeKd, tol: float = 1e-12) -> Point:
+def balanced_boundary_point(shape: ShapeKd) -> Point:
     """A tangency point whose centroid chord has offset 1/2.
 
     On a centrally symmetric body every boundary point works; the one
     returned is where the centroid ray along -x_0 leaves the body.  On a
-    simplex the offset varies from 1/(k+1) at a facet centroid to k/(k+1)
-    at a vertex; walking the boundary segment between those two and
-    bisecting on the measured offset lands on 1/2 (within ``tol``).
+    simplex it is C + (V1 - V0)/(k+1), on the facet opposite V0, whose
+    reflection through the centroid C lies on the facet opposite V1.
     """
     c = np.asarray(shape.centroid())
     if shape.centrally_symmetric:
@@ -129,15 +128,5 @@ def balanced_boundary_point(shape: ShapeKd, tol: float = 1e-12) -> Point:
         return _as_point(c + shape.exit_parameter(c, u) * u)
     if len(shape.vertices) != shape.dim + 1:
         raise ValueError("balanced_boundary_point needs a centrally symmetric body or a simplex")
-    facet_centroid = np.asarray(shape.vertices[1:]).mean(axis=0)  # facet opposite vertex 0
-    vertex = np.asarray(shape.vertices[1])  # stays on that facet
-
-    def offset(s: float) -> tuple[np.ndarray, float]:
-        o = facet_centroid + s * (vertex - facet_centroid)
-        oc = np.linalg.norm(c - o)
-        return o, oc / shape.exit_parameter(o, (c - o) / oc) - 0.5
-
-    o, g_lo = offset(0.0)  # = 1/(k+1) - 1/2 <= 0
-    if abs(g_lo) > tol:
-        o = _bisect_sign_change(offset, 0.0, 1.0, g_lo, tol)
-    return _as_point(o)
+    v0, v1 = np.asarray(shape.vertices[0]), np.asarray(shape.vertices[1])
+    return _as_point(c + (v1 - v0) / (shape.dim + 1))

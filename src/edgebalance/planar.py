@@ -18,11 +18,10 @@ The chord search is planar and exact.  On a polygon, beta(theta) is a
 ratio of two linear forms in (cos theta, sin theta) between consecutive
 directions from the centroid to a vertex or away from one, so one sorted
 sweep over those 2n directions finds every root of beta(theta) - target in
-closed form, at most one per interval.  ``_bisect_sign_change``, the one
-bisection loop of the package, only takes over when rounding leaves a
-closed-form chord outside the tolerance.  Shapes are validated where they
-are built (see ``edgebalance.shapes``), so nothing here re-checks their
-numbers.  Geometric predicates use absolute tolerances around 1e-12 and
+closed form, at most one per interval.  ``_bisect_chord`` only takes over
+when rounding leaves a closed-form chord outside the tolerance.  Shapes are
+validated where they are built (see ``edgebalance.shapes``), so nothing here
+re-checks their numbers.  Geometric predicates use absolute tolerances around 1e-12 and
 assume unit-scale coordinates; areas and centroids are computed relative to
 a vertex, so translating a shape far from the origin costs no accuracy, but
 planning refuses a chord shorter than 1e9 times the rounding of its largest
@@ -169,33 +168,29 @@ def beta_complement(shape: Shape2D, theta: float) -> tuple[float, float]:
     )
 
 
-def _bisect_sign_change(g, lo: float, hi: float, g_lo: float, tol: float):
-    """Bisect [lo, hi], across which ``g`` changes sign, until |g| <= tol.
+def _bisect_chord(
+    shape: Shape2D, target: float, lo: float, hi: float, g_lo: float, tol: float
+) -> Chord:
+    """Bisect directions [lo, hi], across which beta - target changes sign.
 
-    ``g(x)`` returns ``(result, value)``; the result at the first midpoint
-    whose value is within ``tol`` of zero is returned.  ``g_lo`` is the value
-    at ``lo`` and only its sign matters.
+    Returns the chord at the first midpoint whose offset is within ``tol``
+    of ``target``; ``g_lo`` is beta - target at ``lo`` and only its sign
+    matters.  Raises RuntimeError once the midpoint no longer falls strictly
+    between the ends (float spacing exhausted) or after 256 steps.
     """
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        result, g_mid = g(mid)
+        if not lo < mid < hi:
+            break
+        chord = chord_through_centroid(shape, mid)
+        g_mid = chord.beta - target
         if abs(g_mid) <= tol:
-            return result
+            return chord
         if (g_mid > 0.0) == (g_lo > 0.0):
             lo, g_lo = mid, g_mid
         else:
             hi = mid
     raise RuntimeError(f"bisection did not reach tolerance {tol} in [{lo!r}, {hi!r}]")
-
-
-def _chord_offset(shape: Shape2D, target: float):
-    """``g`` for ``_bisect_sign_change``: the chord at theta and its offset error."""
-
-    def g(theta: float) -> tuple[Chord, float]:
-        chord = chord_through_centroid(shape, theta)
-        return chord, chord.beta - target
-
-    return g
 
 
 def _offset_sweep(
@@ -284,8 +279,8 @@ def _chords_with_offset(
         chord = chord_through_centroid(shape, float(directions[i]))
         if abs(chord.beta - target) > tol:
             try:
-                chord = _bisect_sign_change(
-                    _chord_offset(shape, target), float(thetas[k]), float(thetas[k + 1]), float(g[k]), tol
+                chord = _bisect_chord(
+                    shape, target, float(thetas[k]), float(thetas[k + 1]), float(g[k]), tol
                 )
             except RuntimeError:
                 continue
@@ -315,18 +310,16 @@ def find_balanced_chord(shape: Shape2D, tol: float = 1e-12) -> Chord:
     return next(_chords_with_offset(shape, 0.5, tol, math.pi))
 
 
-def find_chord_with_beta(
-    shape: Shape2D, beta_target: float, tol: float = 1e-12, samples: int = 256
-) -> Chord:
+def find_chord_with_beta(shape: Shape2D, beta_target: float, tol: float = 1e-12) -> Chord:
     """Chord whose centroid offset matches ``beta_target`` within ``tol``.
 
     Returns the first root of beta(theta) - target in [theta0, theta0 + 2 pi)
     (each geometric chord appears twice there, with complementary offsets),
-    found by the exact angular sweep; ``samples`` is accepted and ignored.
-    Raises ValueError when no chord has the requested offset, naming the
-    exact range of offsets the shape attains: convex planar bodies only
-    admit offsets in [1/3, 2/3] (the centroid cuts every chord through it
-    no more unevenly than 2:1), and round shapes a narrower band.  Roots no
+    found by the exact angular sweep.  Raises ValueError when no chord has
+    the requested offset, naming the exact range of offsets the shape
+    attains: convex planar bodies only admit offsets in [1/3, 2/3] (the
+    centroid cuts every chord through it no more unevenly than 2:1), and
+    round shapes a narrower band.  Roots no
     floating-point angle resolves within ``tol`` are passed over, as in
     ``scan_balanced_chords``; if that leaves none, ValueError says so.
     """
@@ -341,18 +334,15 @@ def find_chord_with_beta(
     return next(_chords_with_offset(shape, beta_target, tol, 2.0 * math.pi))
 
 
-def scan_balanced_chords(
-    shape: Shape2D, samples: int = 720, tol: float = 1e-12
-) -> list[Chord]:
+def scan_balanced_chords(shape: Shape2D, *, tol: float = 1e-12) -> list[Chord]:
     """Every beta = 1/2 chord, one per root in [theta0, theta0 + pi), by angle.
 
     Complements mean a full turn carries the same chords twice, so the
-    sweep covers a half-turn from the direction of vertex 0; ``samples`` is
-    accepted and ignored.  On very thin polygons beta can change by more
-    than ``tol`` between neighbouring floating-point angles; such roots are
-    left out, and ValueError is raised if every root is.  For centrally
-    symmetric shapes every direction balances; the horizontal chord is
-    returned alone.
+    sweep covers a half-turn from the direction of vertex 0.  On very thin
+    polygons beta can change by more than ``tol`` between neighbouring
+    floating-point angles; such roots are left out, and ValueError is raised
+    if every root is.  For centrally symmetric shapes every direction
+    balances; the horizontal chord is returned alone.
     """
     if shape.centrally_symmetric:
         return [chord_through_centroid(shape, 0.0)]

@@ -179,7 +179,7 @@ def test_criterion_08_kdim_balance():
             simplex,
         ]
         for shape in shapes:
-            plan = plan_excision_kd(shape, balanced_boundary_point(shape, tol=1e-13))
+            plan = plan_excision_kd(shape, balanced_boundary_point(shape))
             report = verify_balance_kd(plan, tol=1e-10)
             worst_rel = max(worst_rel, report.relative_distance)
             worst_ratio_gap = max(worst_ratio_gap, abs(plan.scale_ratio - phi_k))

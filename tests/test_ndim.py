@@ -226,10 +226,26 @@ class TestBalancedBoundaryPoint:
         ]
         phi_k = knacci_constant(k).value
         for shape in shapes:
-            plan = plan_excision_kd(shape, balanced_boundary_point(shape, tol=1e-13))
+            plan = plan_excision_kd(shape, balanced_boundary_point(shape))
             assert abs(plan.beta - 0.5) <= 1e-12
             assert plan.scale_ratio == pytest.approx(phi_k, abs=1e-11)
             assert verify_balance_kd(plan, tol=1e-10).passed
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_simplex_tangency_is_exact(self, k):
+        # O = C + (V1 - V0)/(k+1) and its reflection 2C - O are both on the
+        # boundary, so the chord through them has beta = 1/2 exactly
+        simplex = random_simplex(k, np.random.default_rng(300 + k))
+        o = np.asarray(balanced_boundary_point(simplex))
+        expected = np.array([0.0, 2.0] + [1.0] * (k - 1)) / (k + 1)
+        assert np.max(np.abs(np.asarray(barycentric_coordinates(simplex, o)) - expected)) <= 1e-13
+        if k == 1:
+            return  # a segment's beta = 1/2 is not physical
+        plan = plan_excision_kd(simplex, o)
+        c = np.asarray(centroid_kd(simplex))
+        extent = float(np.ptp(np.asarray(simplex.vertices), axis=0).max())
+        assert np.max(np.abs(np.asarray(plan.far_point) - (2.0 * c - o))) <= 1e-13 * extent
+        assert abs(plan.beta - 0.5) <= 1e-13
 
     def test_segment_midpoint_offset(self):
         segment = Simplex(vertices=((0.0,), (2.0,)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from edgebalance import planar
 from edgebalance.planar import (
     Chord,
     Circle,
@@ -234,9 +235,15 @@ class TestBalancedChordSearch:
 
     def test_scan_finds_balanced_chords(self):
         tri = Polygon(((0.0, 0.0), (4.0, 0.0), (1.0, 2.0)))
-        chords = scan_balanced_chords(tri, samples=720, tol=1e-12)
+        chords = scan_balanced_chords(tri, tol=1e-12)
         assert len(chords) >= 1
         assert all(abs(ch.beta - 0.5) <= 1e-12 for ch in chords)
+
+    def test_scan_takes_tol_by_keyword_only(self):
+        # the second positional argument used to be a grid size; 720 must not
+        # become a tolerance
+        with pytest.raises(TypeError):
+            scan_balanced_chords(TRIANGLE, 720)
 
     def test_targeted_offset_search(self):
         tri = regular_polygon(3, 1.0)
@@ -263,6 +270,23 @@ class TestBalancedChordSearch:
         chords = scan_balanced_chords(thin)
         assert chords and all(abs(ch.beta - 0.5) <= 1e-12 for ch in chords)
         assert abs(find_balanced_chord(thin).beta - 0.5) <= 1e-12
+
+    def test_unresolvable_root_costs_few_chord_builds(self, monkeypatch):
+        # the fallback bisection stops once float spacing runs out instead of
+        # rebuilding the same chord until its step cap
+        base = random_convex_polygon(12, np.random.default_rng(1))
+        thin = Polygon(tuple((x, 1e-5 * y) for x, y in base.vertices))
+        calls = 0
+        build = planar.chord_through_centroid
+
+        def counted(shape, theta):
+            nonlocal calls
+            calls += 1
+            return build(shape, theta)
+
+        monkeypatch.setattr(planar, "chord_through_centroid", counted)
+        assert scan_balanced_chords(thin)
+        assert calls < 150
 
     def test_targeted_offset_unattainable(self):
         # offsets below 1/3 do not exist on any convex planar body
