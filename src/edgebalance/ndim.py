@@ -128,5 +128,5 @@ def balanced_boundary_point(shape: ShapeKd) -> Point:
         return _as_point(c + shape.exit_parameter(c, u) * u)
     if len(shape.vertices) != shape.dim + 1:
         raise ValueError("balanced_boundary_point needs a centrally symmetric body or a simplex")
-    v0, v1 = np.asarray(shape.vertices[0]), np.asarray(shape.vertices[1])
+    v0, v1 = shape.vertex_array[:2]
     return _as_point(c + (v1 - v0) / (shape.dim + 1))

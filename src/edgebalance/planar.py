@@ -14,18 +14,19 @@ protocol of ``edgebalance.shapes``: a dimension-generic ``Chord``, one
 ``composite_centroid`` and ``verify_balance``.  ``edgebalance.ndim`` only adds
 the k-dimensional way to pick a chord from a tangency point.
 
-The chord search is planar and exact.  On a polygon, beta(theta) is a
-ratio of two linear forms in (cos theta, sin theta) between consecutive
-directions from the centroid to a vertex or away from one, so one sorted
-sweep over those 2n directions finds every root of beta(theta) - target in
-closed form, at most one per interval.  ``_bisect_chord`` only takes over
-when rounding leaves a closed-form chord outside the tolerance.  Shapes are
-validated where they are built (see ``edgebalance.shapes``), so nothing here
-re-checks their numbers.  Geometric predicates use absolute tolerances around 1e-12 and
-assume unit-scale coordinates; areas and centroids are computed relative to
-a vertex, so translating a shape far from the origin costs no accuracy, but
-planning refuses a chord shorter than 1e9 times the rounding of its largest
-coordinate.
+The chord search is planar and exact.  On a polygon, beta(theta) is a ratio of
+two linear forms in (cos theta, sin theta) between consecutive directions from
+the centroid to a vertex or away from one, so one sorted sweep over those 2n
+directions finds every root of beta(theta) - target in closed form, at most
+one per interval.  ``_bisect_chord`` only takes over when rounding leaves a
+closed-form chord outside the tolerance.  Each chord is built from the two
+edges the sweep assigned to its interval, with no second scan of the edges.
+Shapes are validated where they are built (see ``edgebalance.shapes``), so
+nothing here re-checks their numbers.  Geometric predicates use absolute
+tolerances around 1e-12 and assume unit-scale coordinates; areas and centroids
+are computed relative to a vertex, so translating a shape far from the origin
+costs no accuracy, but planning refuses a chord shorter than 1e9 times the
+rounding of its largest coordinate.
 """
 
 import math
@@ -210,9 +211,10 @@ def _offset_sweep(
     to ``target`` only where [(1 - target) d_j n_i + target d_i n_j] . u = 0.
     Returns the breakpoint directions (theta0 first, theta0 + turn last),
     beta - target there with the arithmetic of ``Polygon.exit_parameter``,
-    and each interval's closed-form root direction.
+    each interval's closed-form root direction, and each interval's edges
+    as rows (d_i, e_i, d_j, e_j).
     """
-    v = np.asarray(shape.vertices, dtype=float)
+    v = shape.vertex_array
     (x0, y0), (x1, y1), (x2, y2) = v[:3]
     if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0:
         v = np.concatenate((v[:1], v[:0:-1]))  # a clockwise simplex, walked counterclockwise
@@ -243,7 +245,8 @@ def _offset_sweep(
     along, across = mx * rx + my * ry, mx * ry - my * rx
     side = np.where(along < 0.0, -1.0, 1.0)
     roots = theta0 + mid + np.arctan2(side * across, side * along)
-    return thetas, g, np.clip(roots, thetas[:-1], thetas[1:])
+    edges = np.column_stack((d[i], e[i], d[j], e[j]))
+    return thetas, g, np.clip(roots, thetas[:-1], thetas[1:]), edges
 
 
 def _chords_with_offset(
@@ -252,16 +255,17 @@ def _chords_with_offset(
     """One chord per root of beta(theta) - target in [theta0, theta0 + turn), in order.
 
     A breakpoint within tol/2 of the target is a root; a run of them (beta
-    constant at the target, as on an even regular polygon) counts once, at
-    its first breakpoint.  Otherwise each interval whose ends differ in sign
-    holds one root, in closed form.  Every chord is checked against ``tol``;
-    one that rounding left short is bisected on the interval from its
-    breakpoint, and a root no floating-point angle resolves within ``tol``
-    (beta can change faster than that between neighbouring angles on a very
-    thin polygon) is left out.  With no root at all, or none resolved,
+    constant at the target, as on an even regular polygon) counts once, at its
+    first breakpoint.  Otherwise each interval whose ends differ in sign holds
+    one root, in closed form.  Each chord is built from its interval's two
+    edges, with the arithmetic ``chord_through_centroid`` uses on a polygon, and
+    checked against ``tol``; one that rounding left short is bisected on the
+    interval from its breakpoint, and a root no floating-point angle resolves
+    within ``tol`` (beta can change faster than that between neighbouring angles
+    on a very thin polygon) is left out.  With no root at all, or none resolved,
     raises ValueError; the first names the exact range of offsets.
     """
-    thetas, g, roots = _offset_sweep(shape, target, turn)
+    thetas, g, roots, edges = _offset_sweep(shape, target, turn)
     hit = np.abs(g) <= 0.5 * tol
     starts = np.flatnonzero(hit[:-1] & ~np.concatenate(([False], hit[:-2])))
     crossings = np.flatnonzero(~hit[:-1] & ~hit[1:] & ((g[:-1] > 0.0) != (g[1:] > 0.0)))
@@ -274,9 +278,15 @@ def _chords_with_offset(
     intervals = np.concatenate((starts, crossings))
     directions = np.concatenate((thetas[starts], roots[crossings]))
     resolved = False
-    for i in np.argsort(directions).tolist():
-        k = int(intervals[i])
-        chord = chord_through_centroid(shape, float(directions[i]))
+    cx, cy = shape.centroid()
+    order = np.argsort(directions)
+    for k, theta in zip(intervals[order].tolist(), directions[order].tolist()):
+        ux, uy = math.cos(theta), math.sin(theta)
+        d_far, ex, ey, d_back, fx, fy = edges[k].tolist()
+        t_far = d_far / (ux * ey - uy * ex)
+        t_back = d_back / (-ux * fy + uy * fx)
+        chord = Chord((cx - t_back * ux, cy - t_back * uy), (cx + t_far * ux, cy + t_far * uy),
+                      (cx, cy), t_back / (t_far + t_back))
         if abs(chord.beta - target) > tol:
             try:
                 chord = _bisect_chord(
@@ -344,6 +354,8 @@ def scan_balanced_chords(shape: Shape2D, *, tol: float = 1e-12) -> list[Chord]:
     if every root is.  For centrally symmetric shapes every direction
     balances; the horizontal chord is returned alone.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if shape.centrally_symmetric:
         return [chord_through_centroid(shape, 0.0)]
     return list(_chords_with_offset(shape, 0.5, tol, math.pi))

@@ -17,11 +17,13 @@ never asks which shape it holds:
 ``centrally_symmetric``    True when every chord through the centroid has offset 1/2
 
 Bodies that are not centrally symmetric (polygons, simplices) are polytopes
-and also carry ``vertices``.
+and also carry ``vertices`` (tuples of floats) and ``vertex_array``, the same
+numbers as one read-only float64 array built once, which their methods read.
 
-Shapes are validated where they are built: every coordinate and size must be
-a finite number, sizes positive, polygons strictly convex, counterclockwise
-and winding exactly once, simplices non-degenerate, dimensions in 1..64.
+Shapes are validated where they are built, cavities included: every
+coordinate and size must be a finite number, sizes positive, polygons
+strictly convex, counterclockwise and winding exactly once (checked in
+vectorised form on the array), simplices non-degenerate, dimensions in 1..64.
 """
 
 import math
@@ -64,6 +66,23 @@ def _scale_point(p: Point, origin, factor: float) -> Point:
     return tuple(o + (x - o) * factor for x, o in zip(p, origin))
 
 
+def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
+    """Store ``body.vertices`` as tuples of floats and as the read-only (n, width)
+    float64 ``body.vertex_array``; ragged vertices raise ``shape_error``."""
+    try:
+        v = np.array(body.vertices, dtype=float)
+    except ValueError:  # ragged, or a value that float() refuses and _as_point names
+        v = [_as_point(p) for p in body.vertices]
+    if getattr(v, "shape", None) != (len(body.vertices), width):
+        raise ValueError(shape_error)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{body.kind} vertices must be finite numbers")
+    v.flags.writeable = False
+    object.__setattr__(body, "vertices", tuple(map(tuple, v.tolist())))
+    object.__setattr__(body, "vertex_array", v)
+    return v
+
+
 def _plain(value):
     """Tuples as JSON lists, recursively."""
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
@@ -93,26 +112,20 @@ class Polygon(ConvexBody):
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        vertices = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
-        n = len(vertices)
+        n = len(self.vertices)
         if n < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-        if any(len(v) != 2 for v in vertices):
-            raise ValueError("polygon vertices must be 2-D points")
-        _require_finite("polygon vertices", *(x for v in vertices for x in v))
-        turning = 0.0
-        for i in range(n):
-            (ax, ay), (bx, by), (cx, cy) = vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]
-            ex, ey, fx, fy = bx - ax, by - ay, cx - bx, cy - by
-            turn = ex * fy - ey * fx
-            if turn == 0.0:
-                raise ValueError(f"degenerate or collinear vertices around index {i}")
-            if turn < 0.0:
-                raise ValueError(
-                    "vertices must be strictly convex and wind counterclockwise"
-                )
-            turning += math.atan2(turn, ex * fx + ey * fy)
+        v = _vertex_array(self, 2, "polygon vertices must be 2-D points")
+        w = np.concatenate((v, v[:2]))
+        e, f = w[1:-1] - w[:-2], w[2:] - w[1:-1]  # edges i and i + 1, meeting at vertex i + 1
+        with np.errstate(over="ignore", invalid="ignore"):  # finite but huge coordinates
+            turn = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+            turning = float(np.arctan2(turn, e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1]).sum())
+        bad = turn <= 0.0
+        if bad.any() and turn[bad.argmax()] == 0.0:
+            raise ValueError(f"degenerate or collinear vertices around index {bad.argmax()}")
+        if bad.any():
+            raise ValueError("vertices must be strictly convex and wind counterclockwise")
         # every turn is a left turn, so the total is 2*pi times the winding number
         if not abs(turning - 2.0 * math.pi) < math.pi:
             raise ValueError(
@@ -156,7 +169,7 @@ class Polygon(ConvexBody):
         return self._moments[1]
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        v = np.asarray(self.vertices)
+        v = self.vertex_array
         return v.min(axis=0), v.max(axis=0)
 
     @cached_property
@@ -203,12 +216,11 @@ class Polygon(ConvexBody):
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:
-        best = math.inf
-        for (ax, ay), (ex, ey) in self._edges:
-            s = ((p[0] - ax) * ex + (p[1] - ay) * ey) / (ex * ex + ey * ey)
-            s = min(1.0, max(0.0, s))
-            best = min(best, math.hypot(p[0] - (ax + s * ex), p[1] - (ay + s * ey)))
-        return best <= tol
+        a = self.vertex_array
+        e = np.concatenate((a[1:], a[:1])) - a
+        s = ((p[0] - a[:, 0]) * e[:, 0] + (p[1] - a[:, 1]) * e[:, 1]) / (e * e).sum(axis=1)
+        q = a + np.minimum(1.0, np.maximum(0.0, s))[:, None] * e  # nearest point of each edge
+        return bool(np.hypot(p[0] - q[:, 0], p[1] - q[:, 1]).min() <= tol)
 
     def exit_parameter(self, origin, u) -> float:
         # the exit is the nearest crossing among the edges the ray faces
@@ -225,7 +237,7 @@ class Polygon(ConvexBody):
         return best
 
     def scaled_about(self, origin, factor: float) -> "Polygon":
-        return Polygon(tuple(_scale_point(v, origin, factor) for v in self.vertices))
+        return Polygon(np.add(origin, (self.vertex_array - origin) * factor))
 
     def boundary_points(self, count: int) -> list[Point]:
         """``count`` points spaced by arc length from vertex 0."""
@@ -475,13 +487,9 @@ class Simplex(ConvexBody):
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        vertices = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
-        k = len(vertices) - 1
+        k = len(self.vertices) - 1
         _check_dim(k)
-        if any(len(v) != k for v in vertices):
-            raise ValueError(f"a {k}-simplex needs {k + 1} vertices of dimension {k}")
-        _require_finite("simplex vertices", *(x for v in vertices for x in v))
+        _vertex_array(self, k, f"a {k}-simplex needs {k + 1} vertices of dimension {k}")
         edges = self._edge_matrix()
         scale = float(np.max(np.abs(edges))) or 1.0
         if not abs(np.linalg.det(edges / scale)) >= 1e-12:
@@ -492,13 +500,13 @@ class Simplex(ConvexBody):
         return len(self.vertices) - 1
 
     def _edge_matrix(self) -> np.ndarray:
-        v = np.asarray(self.vertices)
+        v = self.vertex_array
         return (v[1:] - v[0]).T  # columns are edges out of vertex 0
 
     def barycentric(self, p) -> np.ndarray:
         """All k+1 barycentric weights of ``p`` (sum to 1, inside iff all >= 0)."""
         lam = np.linalg.solve(
-            self._edge_matrix(), np.asarray(p, dtype=float) - np.asarray(self.vertices[0])
+            self._edge_matrix(), np.asarray(p, dtype=float) - self.vertex_array[0]
         )
         return np.concatenate(([1.0 - lam.sum()], lam))
 
@@ -507,10 +515,10 @@ class Simplex(ConvexBody):
         return abs(float(np.linalg.det(self._edge_matrix()))) / math.factorial(self.dim)
 
     def centroid(self) -> Point:
-        return _as_point(np.asarray(self.vertices).mean(axis=0))
+        return _as_point(self.vertex_array.mean(axis=0))
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        v = np.asarray(self.vertices)
+        v = self.vertex_array
         return v.min(axis=0), v.max(axis=0)
 
     @cached_property
@@ -545,7 +553,7 @@ class Simplex(ConvexBody):
         return float(best)
 
     def scaled_about(self, origin, factor: float) -> "Simplex":
-        return Simplex(vertices=tuple(_scale_point(v, origin, factor) for v in self.vertices))
+        return Simplex(vertices=np.add(origin, (self.vertex_array - origin) * factor))
 
 
 Shape2D = Polygon | Circle | Ellipse

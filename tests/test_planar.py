@@ -245,6 +245,20 @@ class TestBalancedChordSearch:
         with pytest.raises(TypeError):
             scan_balanced_chords(TRIANGLE, 720)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            find_balanced_chord,
+            lambda shape, tol: find_chord_with_beta(shape, 0.45, tol),
+            lambda shape, tol: scan_balanced_chords(shape, tol=tol),
+        ],
+        ids=["find_balanced_chord", "find_chord_with_beta", "scan_balanced_chords"],
+    )
+    def test_searches_refuse_a_tolerance_that_is_not_positive(self, search, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            search(Polygon(((0.0, 0.0), (4.0, 0.0), (1.0, 2.0))), tol)
+
     def test_targeted_offset_search(self):
         tri = regular_polygon(3, 1.0)
         for target in (0.4, 0.5, 0.6, 0.65):

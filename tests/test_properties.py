@@ -28,6 +28,7 @@ from edgebalance.planar import (
     find_chord_with_beta,
     plan_excision,
     random_convex_polygon,
+    scan_balanced_chords,
     verify_balance,
 )
 
@@ -143,6 +144,38 @@ def test_exact_chord_search_matches_a_dense_scan(seed, n, fraction):
     for k in np.flatnonzero((betas[:-1] > target) != (betas[1:] > target)):
         gap = np.abs((found - (k + 0.5) + steps / 2) % steps - steps / 2)
         assert gap.min() <= 1.5, (k, found)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 60), simplex=st.booleans(), clockwise=st.booleans(),
+       theta=angles)
+def test_sweep_chords_match_direct_chords(seed, n, simplex, clockwise, theta):
+    # the search builds each chord from the edges of its sweep interval; the
+    # chord rebuilt from the shape along the same direction must agree
+    if simplex:
+        v = np.random.default_rng(seed).normal(size=(3, 2))
+        if (np.linalg.det(v[1:] - v[0]) < 0.0) != clockwise:
+            v = v[::-1]
+        shape = Simplex(vertices=tuple(map(tuple, v)))
+    else:
+        shape = polygon(seed, n)
+    # on a thin shape a short chord's direction, and so its beta, is only known
+    # to rounding, and a simplex's barycentric exit parameter loses digits
+    lo, hi = shape.bbox()
+    assume(shape.measure() >= 0.05 * float(np.max(hi - lo)) ** 2)
+    target = chord_through_centroid(shape, theta).beta
+    chords = [
+        find_balanced_chord(shape),
+        find_chord_with_beta(shape, target),
+        *scan_balanced_chords(shape),
+    ]
+    cx, cy = shape.centroid()
+    for chord in chords:
+        q = chord.far_point
+        direct = chord_through_centroid(shape, math.atan2(q[1] - cy, q[0] - cx))
+        assert abs(chord.beta - direct.beta) <= 1e-14
+        assert math.dist(chord.tangent_point, direct.tangent_point) <= 1e-14
+        assert math.dist(chord.far_point, direct.far_point) <= 1e-14
 
 
 @PROPERTY

@@ -30,6 +30,7 @@ from edgebalance.shapes import MAX_REGULAR_POLYGON_SIDES
 
 NAN, INF = float("nan"), float("inf")
 PENTAGRAM = [[math.cos(0.8 * math.pi * i), math.sin(0.8 * math.pi * i)] for i in range(5)]
+HEPTAGRAM = [[math.cos(4.0 * math.pi * i / 7), math.sin(4.0 * math.pi * i / 7)] for i in range(7)]
 PENTAGON = {"type": "regular_polygon", "n": 5, "circumradius": 1.0}
 BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
 
@@ -57,6 +58,23 @@ BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
         (["excise"], BALL3, "planar shape"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]}, "malformed"),
         (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "at most 100000 sides"),
+        # each polygon check, with its own message
+        (["excise"], {"type": "polygon", "vertices": HEPTAGRAM}, "total turning is 12.566"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, INF]]}, "finite"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1, 2]]},
+         "polygon vertices must be 2-D points"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0]]},
+         "polygon vertices must be 2-D points"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0]]},
+         "polygon needs at least 3 vertices, got 2"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 2], [1, 2], [0, 2]]},
+         "degenerate or collinear vertices around index 2"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [0, 1], [1, 0]]},
+         "vertices must be strictly convex and wind counterclockwise"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [2, 0], [1, 0.5], [2, 2], [0, 2]]},
+         "vertices must be strictly convex and wind counterclockwise"),
+        (["excise-kd", "--o=0,0"], {"type": "simplex", "vertices": [[0, 0], [1, 0], [0, 1, 2]]},
+         "a 2-simplex needs 3 vertices of dimension 2"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
@@ -84,6 +102,28 @@ def test_regular_polygon_size_is_capped():
 def test_pentagram_is_not_a_polygon():
     with pytest.raises(ValueError, match="wind around once"):
         Polygon(tuple(map(tuple, PENTAGRAM)))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        random_convex_polygon(40, np.random.default_rng(5)),
+        Simplex(vertices=((0.0, 0.0), (3.0, 0.0), (1.0, 2.0))),
+        Simplex(vertices=tuple(map(tuple, np.random.default_rng(6).normal(size=(6, 5))))),
+    ],
+)
+def test_polytopes_carry_one_read_only_array(body):
+    assert all(type(x) is float for v in body.vertices for x in v)
+    assert np.array_equal(body.vertex_array, np.array(body.vertices))
+    assert body.vertex_array.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        body.vertex_array[0, 0] = 0.0
+    o, f = body.vertices[1], 1.0 / 3.0
+    cavity = body.scaled_about(o, f)
+    # the homothety keeps the element-wise arithmetic, bit for bit
+    assert cavity.vertices == tuple(tuple(a + (x - a) * f for x, a in zip(v, o)) for v in body.vertices)
+    assert all(type(x) is float for v in cavity.vertices for x in v)
+    assert not cavity.vertex_array.flags.writeable
 
 
 class TestTranslatedPolygons:
