@@ -10,19 +10,21 @@ Subcommands::
 
 Exit codes: 0 success/verified, 1 verification or physicality failure,
 2 usage or input errors.  stdout carries data; diagnostics go to stderr.
+Every command prints through :func:`_emit`, which applies the output rules
+of :mod:`edgebalance.report` for ``--format json|csv``; each command only
+lays out its own text.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import montecarlo, ndim, planar, sequences, svg
 from .polynomials import MAX_DIMENSION, PhysicalityError, knacci_constant
-from .report import RunReport, shape_digest
+from .report import RunReport, csv_text, shape_digest
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -96,29 +98,22 @@ def _check_order(k: int) -> None:
         raise ValueError(f"k must be in 1..{MAX_DIMENSION}, got {k}")
 
 
+def _emit(fmt: str, rows: list[dict], text, payload=None) -> None:
+    """Print a result: ``rows`` as CSV, ``payload`` (``rows`` if None) as JSON, or
+    ``text()``, a callable so that a long text is only built when it is printed."""
+    if fmt == "json":
+        print(json.dumps(rows if payload is None else payload))
+    elif fmt == "csv":
+        print(csv_text(rows), end="")
+    else:
+        print(text())
+
+
 def cmd_constant(args) -> int:
     _check_order(args.k)
     root = knacci_constant(args.k, tol=args.tol)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "k": args.k,
-                    "value": root.value,
-                    "residual": root.residual,
-                    "physical": root.physical,
-                }
-            )
-        )
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "value", "residual", "physical"])
-        writer.writerow([args.k, repr(root.value), repr(root.residual), root.physical])
-        print(buf.getvalue(), end="")
-    else:
-        print(repr(root.value))
-        print(f"residual {root.residual!r}")
+    row = {"k": args.k, "value": root.value, "residual": root.residual, "physical": root.physical}
+    _emit(args.format, [row], lambda: f"{root.value!r}\nresidual {root.residual!r}", row)
     return 0
 
 
@@ -137,24 +132,13 @@ def cmd_table(args) -> int:
                 "agreement_gap": abs(value - seq_ratio),
             }
         )
-    if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(
-                [row["k"]] + [repr(row[key]) for key in list(row)[1:]]
-            )
-        print(buf.getvalue(), end="")
-    else:
-        print(f"{'k':>3} {'value':>10} {'gap_to_two':>12} {'seq_ratio':>10} {'agreement':>11}")
-        for row in rows:
-            print(
-                f"{row['k']:>3} {row['value']:>10.4f} {row['gap_to_two']:>12.4e} "
-                f"{row['sequence_ratio']:>10.4f} {row['agreement_gap']:>11.4e}"
-            )
+    header = f"{'k':>3} {'value':>10} {'gap_to_two':>12} {'seq_ratio':>10} {'agreement':>11}"
+    lines = (
+        f"{row['k']:>3} {row['value']:>10.4f} {row['gap_to_two']:>12.4e} "
+        f"{row['sequence_ratio']:>10.4f} {row['agreement_gap']:>11.4e}"
+        for row in rows
+    )
+    _emit(args.format, rows, lambda: "\n".join([header, *lines]))
     return 0
 
 
@@ -167,6 +151,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_seq(args) -> int:
     _check_order(args.k)
+    if args.count > sequences.DEFAULT_MAX_TERMS:  # doubling terms make memory grow as count^2
+        raise ValueError(f"--count is capped at {sequences.DEFAULT_MAX_TERMS}, got {args.count}")
     doubling_span = None
     if args.seeds == "doubling":
         result = sequences.doubling_prefix(args.k, args.count)
@@ -179,21 +165,16 @@ def cmd_seq(args) -> int:
         terms[i] / terms[i - 1] if i >= 1 and terms[i - 1] != 0 else None
         for i in range(len(terms))
     ]
-    if args.format == "json":
-        payload = {"k": args.k, "terms": list(terms), "ratios": ratios}
-        if doubling_span is not None:
-            payload["doubling_span"] = list(doubling_span)
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["index", "term", "ratio"])
-        for i, term in enumerate(terms):
-            writer.writerow([i, term, "" if ratios[i] is None else repr(ratios[i])])
-        print(buf.getvalue(), end="")
-    else:
-        print(" ".join(str(t) for t in terms))
-        print(" ".join("-" if r is None else repr(r) for r in ratios))
+    payload = {"k": args.k, "terms": list(terms), "ratios": ratios}
+    if doubling_span is not None:
+        payload["doubling_span"] = list(doubling_span)
+    rows = [{"index": i, "term": t, "ratio": r} for i, (t, r) in enumerate(zip(terms, ratios))]
+
+    def text() -> str:
+        ratio_cells = ("-" if r is None else repr(r) for r in ratios)
+        return " ".join(map(str, terms)) + "\n" + " ".join(ratio_cells)
+
+    _emit(args.format, rows, text, payload)
     return 0
 
 
@@ -216,21 +197,6 @@ def _parse_vector(flag: str, text: str) -> tuple[float, ...]:
     if not all(math.isfinite(x) for x in vector):
         raise ValueError(f"{flag} expects finite numbers, got {text!r}")
     return vector
-
-
-def _emit_report(report: RunReport, fmt: str) -> None:
-    if fmt == "json":
-        print(report.to_json())
-    elif fmt == "csv":
-        print(report.to_csv(), end="")
-    else:
-        print(report.to_text())
-
-
-def _mc_agrees(estimate, target, std_error) -> bool:
-    return all(
-        abs(e - t) <= 4.0 * se for e, t, se in zip(estimate, target, std_error)
-    )
 
 
 def cmd_excise(args) -> int:
@@ -263,52 +229,51 @@ def cmd_excise_kd(args) -> int:
 
 def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, started: float) -> int:
     """Run the checks ``--verify`` asks for, then print the run report."""
-    passed = True
-    exact = None
+    fields = {
+        "command": " ".join(sys.argv[1:]) or args.command,
+        "shape_digest": shape_digest(shape_dict),
+        "dimension": plan.shape.dim,
+        "beta": plan.beta,
+        "scale_ratio": plan.scale_ratio,
+        "tolerance": args.tol,
+        "balance_point": plan.balance_point,
+        "polynomial_residual": planar.balance_residual(plan),
+        "passed": True,
+    }
     if args.verify in ("exact", "both"):
         exact = planar.verify_balance(plan, tol=max(args.tol, 1e-12))
-        passed &= exact.passed
-    estimate = None
+        fields["passed"] &= exact.passed
+        fields.update(
+            composite_centroid=exact.composite_centroid,
+            distance=exact.distance,
+            relative_distance=exact.relative_distance,
+        )
     if args.verify in ("mc", "both"):
-        estimate = montecarlo.sample_region_centroid(
-            plan.shape, plan.cavity, args.samples, args.seed
+        estimate = montecarlo.sample_region_centroid(plan.shape, plan.cavity, args.samples, args.seed)
+        # the estimate agrees when every coordinate is within 4 standard errors
+        fields["passed"] &= all(
+            abs(e - t) <= 4.0 * se
+            for e, t, se in zip(estimate.centroid_estimate, plan.balance_point, estimate.std_error)
         )
-        passed &= _mc_agrees(
-            estimate.centroid_estimate, plan.balance_point, estimate.std_error
+        fields.update(
+            seed=args.seed,
+            samples=args.samples,
+            mc_centroid=estimate.centroid_estimate,
+            mc_std_error=estimate.std_error,
+            mc_accepted=estimate.samples_accepted,
         )
-
-    report = RunReport(
-        command=" ".join(sys.argv[1:]) or args.command,
-        shape_digest=shape_digest(shape_dict),
-        dimension=plan.shape.dim,
-        beta=plan.beta,
-        scale_ratio=plan.scale_ratio,
-        tolerance=args.tol,
-        balance_point=plan.balance_point,
-        polynomial_residual=(
-            exact.polynomial_residual if exact is not None else planar.balance_residual(plan)
-        ),
-        passed=passed,
-        elapsed_seconds=time.perf_counter() - started,
-        composite_centroid=exact.composite_centroid if exact is not None else None,
-        distance=exact.distance if exact is not None else None,
-        relative_distance=exact.relative_distance if exact is not None else None,
-        seed=args.seed if estimate is not None else None,
-        samples=args.samples if estimate is not None else None,
-        mc_centroid=estimate.centroid_estimate if estimate is not None else None,
-        mc_std_error=estimate.std_error if estimate is not None else None,
-        mc_accepted=estimate.samples_accepted if estimate is not None else None,
-    )
+    report = RunReport(**fields, elapsed_seconds=time.perf_counter() - started)
     if args.svg is not None:
         try:
             with open(args.svg, "w") as handle:
                 handle.write(svg.render_plan(plan))
         except OSError as exc:
             raise ValueError(f"cannot write SVG figure {args.svg}: {exc}") from exc
-    _emit_report(report, args.format)
-    if not passed:
+    record = asdict(report)
+    _emit(args.format, [record], report.to_text, record)
+    if not report.passed:
         print("verification failed", file=sys.stderr)
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:

@@ -1,15 +1,37 @@
-"""Run reports with lossless JSON and CSV serialization.
+"""The output rules of every command, and the excision run report.
 
-Floats serialize through ``repr`` (the json module's default), which
-round-trips binary64 exactly; re-parsing a report's JSON reproduces an
-equal report.
+Every command prints JSON, CSV or text, and this module holds the rules
+they share.  JSON is ``json.dumps`` of plain values.  A CSV or text cell
+holds a float as its ``repr``, a tuple as its items' reprs joined by spaces,
+None as nothing, and anything else as ``str``.  :func:`csv_text` writes
+records that share one set of keys: a header line, then one line per
+record.  Floats go through ``repr`` in every format, which round-trips
+binary64 exactly; re-parsing a report's JSON reproduces an equal report.
 """
 
 import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+
+
+def _cell(value) -> str:
+    """One CSV or text cell."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return " ".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(rows: list[dict]) -> str:
+    """CSV of records with the same keys: the keys as header, then one line per record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(rows[0])
+    writer.writerows([_cell(value) for value in row.values()] for row in rows)
+    return buf.getvalue()
 
 
 def shape_digest(shape_dict: dict) -> str:
@@ -62,33 +84,10 @@ class RunReport:
 
     def to_csv(self) -> str:
         """Single-row CSV; vector fields are space-joined reprs."""
-        names = [f.name for f in fields(self)]
-        row = []
-        for name in names:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                row.append(" ".join(repr(x) for x in value))
-            elif isinstance(value, float):
-                row.append(repr(value))
-            elif value is None:
-                row.append("")
-            else:
-                row.append(str(value))
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(names)
-        writer.writerow(row)
-        return buf.getvalue()
+        return csv_text([asdict(self)])
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = " ".join(repr(x) for x in value)
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name} {value}")
-        return "\n".join(lines)
+        """One ``name value`` line per field that is not None."""
+        return "\n".join(
+            f"{name} {_cell(value)}" for name, value in asdict(self).items() if value is not None
+        )

@@ -19,6 +19,8 @@ never asks which shape it holds:
 Bodies that are not centrally symmetric (polygons, simplices) are polytopes
 and also carry ``vertices`` (tuples of floats) and ``vertex_array``, the same
 numbers as one read-only float64 array built once, which their methods read.
+A polygon also keeps the edges its validation forms as the read-only
+``edge_array``, row i being vertex i + 1 minus vertex i.
 
 Shapes are validated where they are built, cavities included: every
 coordinate and size must be a finite number, sizes positive, polygons
@@ -83,6 +85,13 @@ def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
     return v
 
 
+def _refuse_unread_keys(kind: str, data: dict, names) -> None:
+    """A key the loader does not read would otherwise be dropped without a word."""
+    unread = [key for key in data if key != "type" and key not in names]
+    if unread:
+        raise ValueError(f"{kind} shape does not take {', '.join(map(repr, unread))}")
+
+
 def _plain(value):
     """Tuples as JSON lists, recursively."""
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
@@ -99,6 +108,7 @@ class ConvexBody:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConvexBody":
+        _refuse_unread_keys(cls.kind, data, [f.name for f in fields(cls)])
         return cls(
             **{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING}
         )
@@ -116,8 +126,10 @@ class Polygon(ConvexBody):
         if n < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
         v = _vertex_array(self, 2, "polygon vertices must be 2-D points")
-        w = np.concatenate((v, v[:2]))
-        e, f = w[1:-1] - w[:-2], w[2:] - w[1:-1]  # edges i and i + 1, meeting at vertex i + 1
+        e = np.concatenate((v[1:], v[:1])) - v
+        e.flags.writeable = False
+        object.__setattr__(self, "edge_array", e)
+        f = np.concatenate((e[1:], e[:1]))  # edge i + 1, meeting edge i at vertex i + 1
         with np.errstate(over="ignore", invalid="ignore"):  # finite but huge coordinates
             turn = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
             turning = float(np.arctan2(turn, e[:, 0] * f[:, 0] + e[:, 1] * f[:, 1]).sum())
@@ -135,14 +147,6 @@ class Polygon(ConvexBody):
     @property
     def dim(self) -> int:
         return 2
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[Point, Point], ...]:
-        """(start vertex, edge vector) per edge."""
-        v = self.vertices
-        return tuple(
-            (a, (b[0] - a[0], b[1] - a[1])) for a, b in zip(v, v[1:] + v[:1])
-        )
 
     @cached_property
     def _moments(self) -> tuple[float, Point]:
@@ -198,7 +202,7 @@ class Polygon(ConvexBody):
     def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one half-plane per edge keeps memory at O(m) for m points
         inside = np.ones(len(x), dtype=bool)
-        for (ax, ay), (ex, ey) in self._edges:
+        for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
             inside &= ex * (y - ay) - ey * (x - ax) >= 0.0
         return inside
 
@@ -216,8 +220,7 @@ class Polygon(ConvexBody):
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:
-        a = self.vertex_array
-        e = np.concatenate((a[1:], a[:1])) - a
+        a, e = self.vertex_array, self.edge_array
         s = ((p[0] - a[:, 0]) * e[:, 0] + (p[1] - a[:, 1]) * e[:, 1]) / (e * e).sum(axis=1)
         q = a + np.minimum(1.0, np.maximum(0.0, s))[:, None] * e  # nearest point of each edge
         return bool(np.hypot(p[0] - q[:, 0], p[1] - q[:, 1]).min() <= tol)
@@ -226,7 +229,7 @@ class Polygon(ConvexBody):
         # the exit is the nearest crossing among the edges the ray faces
         ox, oy, ux, uy = origin[0], origin[1], u[0], u[1]
         best = math.inf
-        for (ax, ay), (ex, ey) in self._edges:
+        for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
             denom = ux * ey - uy * ex
             if denom > 0.0:
                 t = ((ax - ox) * ey - (ay - oy) * ex) / denom
@@ -241,7 +244,8 @@ class Polygon(ConvexBody):
 
     def boundary_points(self, count: int) -> list[Point]:
         """``count`` points spaced by arc length from vertex 0."""
-        lengths = [math.hypot(ex, ey) for _, (ex, ey) in self._edges]
+        edges = self.edge_array.tolist()
+        lengths = [math.hypot(ex, ey) for ex, ey in edges]
         perimeter = sum(lengths)
         pts = []
         edge = 0
@@ -252,7 +256,7 @@ class Polygon(ConvexBody):
                 start += lengths[edge]
                 edge += 1
             frac = (target - start) / lengths[edge]
-            (ax, ay), (ex, ey) = self._edges[edge]
+            (ax, ay), (ex, ey) = self.vertices[edge], edges[edge]
             pts.append((ax + ex * frac, ay + ey * frac))
         return pts
 
@@ -589,6 +593,7 @@ def regular_polygon(
 
 
 def _regular_polygon_from_dict(data: dict) -> Polygon:
+    _refuse_unread_keys("regular_polygon", data, ("n", "circumradius", "orientation"))
     return regular_polygon(
         n=data["n"], circumradius=data["circumradius"], orientation=data.get("orientation", 0.0)
     )
@@ -618,6 +623,7 @@ def shape_from_dict(data: dict) -> Shape:
 
     ``rotation`` and ``orientation`` default to 0.  Regular polygons load as
     explicit vertex lists of at most ``MAX_REGULAR_POLYGON_SIDES`` vertices.
+    A key that is not listed for the type is refused.
     """
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("shape dictionary needs a 'type' key")

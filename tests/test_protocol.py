@@ -75,6 +75,13 @@ BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
          "vertices must be strictly convex and wind counterclockwise"),
         (["excise-kd", "--o=0,0"], {"type": "simplex", "vertices": [[0, 0], [1, 0], [0, 1, 2]]},
          "a 2-simplex needs 3 vertices of dimension 2"),
+        # a key no loader reads would be dropped without a word: the pentagon
+        # would sit at the origin and the ellipse would not be rotated
+        (["excise"], {**PENTAGON, "center": [5, 5]}, "regular_polygon shape does not take 'center'"),
+        (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": [2, 1], "rotaton": 0.7},
+         "ellipse shape does not take 'rotaton'"),
+        (["excise"], {"type": "circle", "center": [0, 0], "radius": 1, "colour": "red"},
+         "circle shape does not take 'colour'"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
@@ -124,6 +131,14 @@ def test_polytopes_carry_one_read_only_array(body):
     assert cavity.vertices == tuple(tuple(a + (x - a) * f for x, a in zip(v, o)) for v in body.vertices)
     assert all(type(x) is float for v in cavity.vertices for x in v)
     assert not cavity.vertex_array.flags.writeable
+    if isinstance(body, Polygon):
+        # the edges validation forms, kept bit for bit and read-only
+        v = body.vertex_array
+        assert body.edge_array.dtype == np.float64
+        assert body.edge_array.tobytes() == (np.roll(v, -1, axis=0) - v).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            body.edge_array[0, 0] = 0.0
+        assert not cavity.edge_array.flags.writeable
 
 
 class TestTranslatedPolygons:

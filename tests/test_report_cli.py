@@ -91,6 +91,33 @@ class TestRunReport:
         assert "scale_ratio" in text
         assert "mc_centroid" not in text
 
+    def test_csv_bytes(self):
+        assert self.sample_report().to_csv() == (
+            "command,shape_digest,dimension,beta,scale_ratio,tolerance,balance_point,"
+            "polynomial_residual,passed,elapsed_seconds,composite_centroid,distance,"
+            "relative_distance,seed,samples,mc_centroid,mc_std_error,mc_accepted\r\n"
+            "excise --shape circle.json," + "ab" * 32 + ",2,0.5,1.618033988749895,1e-12,"
+            "0.2360679774997896 0.0,1.1e-16,True,0.0123,0.2360679774997897 -1e-17,1.3e-16,"
+            "6.5e-17,,,,,\r\n"
+        )
+
+    def test_text_bytes(self):
+        assert self.sample_report().to_text() == (
+            "command excise --shape circle.json\n"
+            "shape_digest " + "ab" * 32 + "\n"
+            "dimension 2\n"
+            "beta 0.5\n"
+            "scale_ratio 1.618033988749895\n"
+            "tolerance 1e-12\n"
+            "balance_point 0.2360679774997896 0.0\n"
+            "polynomial_residual 1.1e-16\n"
+            "passed True\n"
+            "elapsed_seconds 0.0123\n"
+            "composite_centroid 0.2360679774997897 -1e-17\n"
+            "distance 1.3e-16\n"
+            "relative_distance 6.5e-17"
+        )
+
     def test_digest_is_stable_under_key_order(self):
         a = {"type": "circle", "center": [0.0, 0.0], "radius": 1.0}
         b = {"radius": 1.0, "center": [0.0, 0.0], "type": "circle"}
@@ -167,12 +194,75 @@ class TestSeqCommand:
         code, _, _ = run_cli(capsys, "seq", "2", "--seeds", "1,x")
         assert code == 2
 
+    def test_count_above_the_term_limit_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "seq", "2", "--count", "10001")
+        assert code == 2
+        assert out == ""
+        assert "--count is capped at 10000, got 10001" in err
+
     def test_ratios_line(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "2", "--seeds", "1,1", "--count", "4")
         ratios = out.splitlines()[1].split()
         assert ratios[0] == "-"
         assert float(ratios[1]) == 1.0
         assert float(ratios[3]) == 1.5
+
+
+# stdout of the number commands, byte for byte, in each output format
+GOLDEN_STDOUT = {
+    ("constant 2", "text"): "1.618033988749895\nresidual 1.1102230246251565e-16\n",
+    ("constant 2", "csv"): (
+        "k,value,residual,physical\r\n2,1.618033988749895,1.1102230246251565e-16,True\r\n"
+    ),
+    ("constant 2", "json"): (
+        '{"k": 2, "value": 1.618033988749895, "residual": 1.1102230246251565e-16, '
+        '"physical": true}\n'
+    ),
+    ("table --k-max 3", "text"): (
+        "  k      value   gap_to_two  seq_ratio   agreement\n"
+        "  1     1.0000   1.0000e+00     1.0000  0.0000e+00\n"
+        "  2     1.6180   3.8197e-01     1.6180  9.4147e-14\n"
+        "  3     1.8393   1.6071e-01     1.8393  1.3167e-13\n"
+    ),
+    ("table --k-max 3", "csv"): (
+        "k,value,gap_to_two,sequence_ratio,agreement_gap\r\n"
+        "1,1.0,1.0,1.0,0.0\r\n"
+        "2,1.618033988749895,0.3819660112501051,1.618033988749989,9.414691248821327e-14\r\n"
+        "3,1.8392867552141612,0.16071324478583882,1.8392867552142929,1.3167245072054357e-13\r\n"
+    ),
+    ("table --k-max 3", "json"): (
+        '[{"k": 1, "value": 1.0, "gap_to_two": 1.0, "sequence_ratio": 1.0, "agreement_gap": 0.0}, '
+        '{"k": 2, "value": 1.618033988749895, "gap_to_two": 0.3819660112501051, '
+        '"sequence_ratio": 1.618033988749989, "agreement_gap": 9.414691248821327e-14}, '
+        '{"k": 3, "value": 1.8392867552141612, "gap_to_two": 0.16071324478583882, '
+        '"sequence_ratio": 1.8392867552142929, "agreement_gap": 1.3167245072054357e-13}]\n'
+    ),
+    ("seq 3 --count 6", "text"): "1 1 1 3 5 9\n- 1.0 1.0 3.0 1.6666666666666667 1.8\n",
+    ("seq 3 --count 6", "csv"): (
+        "index,term,ratio\r\n0,1,\r\n1,1,1.0\r\n2,1,1.0\r\n3,3,3.0\r\n"
+        "4,5,1.6666666666666667\r\n5,9,1.8\r\n"
+    ),
+    ("seq 3 --count 6", "json"): (
+        '{"k": 3, "terms": [1, 1, 1, 3, 5, 9], '
+        '"ratios": [null, 1.0, 1.0, 3.0, 1.6666666666666667, 1.8]}\n'
+    ),
+    ("seq 4 --seeds doubling --count 6", "text"): "0 0 0 1 1 2\n- - - - 1.0 2.0\n",
+    ("seq 4 --seeds doubling --count 6", "csv"): (
+        "index,term,ratio\r\n0,0,\r\n1,0,\r\n2,0,\r\n3,1,\r\n4,1,1.0\r\n5,2,2.0\r\n"
+    ),
+    ("seq 4 --seeds doubling --count 6", "json"): (
+        '{"k": 4, "terms": [0, 0, 0, 1, 1, 2], "ratios": [null, null, null, null, 1.0, 2.0], '
+        '"doubling_span": [5, 5]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(GOLDEN_STDOUT))
+def test_number_commands_print_golden_bytes(capsys, command, fmt):
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert err == ""
+    assert out == GOLDEN_STDOUT[command, fmt]
 
 
 class TestExciseCommand:
