@@ -153,21 +153,21 @@ def cmd_seq(args) -> int:
     _check_order(args.k)
     if args.count > sequences.DEFAULT_MAX_TERMS:  # doubling terms make memory grow as count^2
         raise ValueError(f"--count is capped at {sequences.DEFAULT_MAX_TERMS}, got {args.count}")
-    doubling_span = None
     if args.seeds == "doubling":
         result = sequences.doubling_prefix(args.k, args.count)
-        terms = result.terms
-        doubling_span = result.doubling_span
     else:
         seeds = [1] * args.k if args.seeds is None else _parse_seeds(args.seeds)
-        terms = sequences.generate(args.k, seeds, args.count).terms
-    ratios = [
-        terms[i] / terms[i - 1] if i >= 1 and terms[i - 1] != 0 else None
-        for i in range(len(terms))
-    ]
+        result = sequences.generate(args.k, seeds, args.count)
+    terms = result.terms
+    ratios = [None]
+    for i in range(1, len(terms)):
+        try:
+            ratios.append(terms[i] / terms[i - 1] if terms[i - 1] != 0 else None)
+        except OverflowError:  # a huge seed: the exact quotient is beyond any float
+            raise ValueError(f"term {i} divided by term {i - 1} overflows a float") from None
     payload = {"k": args.k, "terms": list(terms), "ratios": ratios}
-    if doubling_span is not None:
-        payload["doubling_span"] = list(doubling_span)
+    if getattr(result, "doubling_span", None) is not None:
+        payload["doubling_span"] = list(result.doubling_span)
     rows = [{"index": i, "term": t, "ratio": r} for i, (t, r) in enumerate(zip(terms, ratios))]
 
     def text() -> str:

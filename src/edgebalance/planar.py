@@ -16,11 +16,12 @@ the k-dimensional way to pick a chord from a tangency point.
 
 The chord search is planar and exact.  On a polygon, beta(theta) is a ratio of
 two linear forms in (cos theta, sin theta) between consecutive directions from
-the centroid to a vertex or away from one, so one sorted sweep over those 2n
-directions finds every root of beta(theta) - target in closed form, at most
-one per interval.  ``_bisect_chord`` only takes over when rounding leaves a
-closed-form chord outside the tolerance.  Each chord is built from the two
-edges the sweep assigned to its interval, with no second scan of the edges.
+the centroid to a vertex or away from one.  The sweep frame (the 2n sorted
+directions, beta at each, each interval's edges: 10 floats per breakpoint) does
+not depend on the target; it is built on a shape's first search and kept with
+it, and each search solves only its own roots in closed form, at most one per
+interval.  ``_bisect_chord`` only takes over when rounding leaves a closed-form
+chord outside the tolerance.
 Shapes are validated where they are built (see ``edgebalance.shapes``), so
 nothing here re-checks their numbers.  Geometric predicates use absolute
 tolerances around 1e-12 and assume unit-scale coordinates; areas and centroids
@@ -194,10 +195,8 @@ def _bisect_chord(
     raise RuntimeError(f"bisection did not reach tolerance {tol} in [{lo!r}, {hi!r}]")
 
 
-def _offset_sweep(
-    shape: Shape2D, target: float, turn: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """beta(theta) - target over [theta0, theta0 + turn], exactly, in one pass.
+def _sweep_frame(shape: Shape2D) -> tuple:
+    """The target-independent part of the offset sweep, over a full turn from theta0.
 
     theta0 is the direction from the centroid C to vertex 0.  The breakpoints
     are the directions from C to every vertex and their opposites; between
@@ -208,64 +207,70 @@ def _offset_sweep(
         beta = d_j (n_i . u) / (d_j (n_i . u) - d_i (n_j . u)),
 
     a ratio of two linear forms in u: monotone on the interval, and equal
-    to ``target`` only where [(1 - target) d_j n_i + target d_i n_j] . u = 0.
-    Returns the breakpoint directions (theta0 first, theta0 + turn last),
-    beta - target there with the arithmetic of ``Polygon.exit_parameter``,
-    each interval's closed-form root direction, and each interval's edges
-    as rows (d_i, e_i, d_j, e_j).
+    to a target only where [(1 - target) d_j n_i + target d_i n_j] . u = 0.
+    Returns the breakpoint directions (theta0 first, theta0 + 2 pi last), beta at
+    both ends of each interval by its edges (as ``Polygon.exit_parameter`` reckons),
+    each interval's mid-direction and edges as rows (d_i, e_i, d_j, e_j), and the
+    index of theta0 + pi, where a half turn ends: 10 read-only floats a breakpoint,
+    kept in the shape's instance dict from its first search.
     """
-    v = shape.vertex_array
-    (x0, y0), (x1, y1), (x2, y2) = v[:3]
-    if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0:
-        v = np.concatenate((v[:1], v[:0:-1]))  # a clockwise simplex, walked counterclockwise
+    if "_sweep_frame" in shape.__dict__:
+        return shape.__dict__["_sweep_frame"]
+    v, e = shape.vertex_array, getattr(shape, "edge_array", None)
+    if e is None:  # a 2-D simplex forms its own edges, walked counterclockwise
+        v = v[[0, 2, 1]] if np.linalg.det(v[1:] - v[0]) < 0.0 else v
+        e = np.concatenate((v[1:], v[:1])) - v
     p = v - np.asarray(shape.centroid())
-    e = np.roll(v, -1, axis=0) - v
     d = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]  # d_i, with n_i = (e_y, -e_x)
     theta0 = math.atan2(p[0, 1], p[0, 0])
     # vertex directions relative to theta0, increasing counterclockwise
     r = np.mod(np.arctan2(p[:, 1], p[:, 0]) - theta0, 2.0 * math.pi)
-    r[0] = 0.0
+    r[0] = 0.0  # so pi, opposite vertex 0, is a breakpoint
     s = np.sort(np.concatenate((r, np.mod(r + math.pi, 2.0 * math.pi))))
     # distinct breakpoints (np.unique would import numpy.ma, ~10 ms, on first use)
-    s = np.append(s[(s < turn) & (np.diff(s, prepend=-1.0) > 0.0)], turn)
+    keep = np.concatenate(([True], s[1:] > s[:-1])) & (s < 2.0 * math.pi)
+    s = np.concatenate((s[keep], [2.0 * math.pi]))
     mid = 0.5 * (s[:-1] + s[1:])
     i = np.searchsorted(r, mid, side="right") - 1
     j = np.searchsorted(r, np.mod(mid + math.pi, 2.0 * math.pi), side="right") - 1
     thetas = theta0 + s
-    # each breakpoint takes the edges of the interval after it, the last one those before it
-    ib, jb = np.append(i, i[-1]), np.append(j, j[-1])
-    ux, uy = np.cos(thetas), np.sin(thetas)
-    t_far = d[ib] / (ux * e[ib, 1] - uy * e[ib, 0])
-    t_back = d[jb] / (-ux * e[jb, 1] + uy * e[jb, 0])
-    g = t_back / (t_far + t_back) - target
-    # n = (e_y, -e_x), so the root u is parallel to the same combination of
-    # edge vectors; of its two orientations, take the one inside the interval
-    rx, ry = (((1.0 - target) * d[j])[:, None] * e[i] + (target * d[i])[:, None] * e[j]).T
-    mx, my = np.cos(theta0 + mid), np.sin(theta0 + mid)
-    along, across = mx * rx + my * ry, mx * ry - my * rx
-    side = np.where(along < 0.0, -1.0, 1.0)
-    roots = theta0 + mid + np.arctan2(side * across, side * along)
-    edges = np.column_stack((d[i], e[i], d[j], e[j]))
-    return thetas, g, np.clip(roots, thetas[:-1], thetas[1:]), edges
+    # beta at the start (row 0) and end (row 1) of each interval, by its own edges
+    ux, uy = (np.stack((w[:-1], w[1:])) for w in (np.cos(thetas), np.sin(thetas)))
+    t_far = d[i] / (ux * e[i, 1] - uy * e[i, 0])
+    t_back = d[j] / (-ux * e[j, 1] + uy * e[j, 0])
+    arrays = (thetas, t_back / (t_far + t_back), theta0 + mid,
+              np.column_stack((d[i], e[i], d[j], e[j])))
+    for a in arrays:
+        a.flags.writeable = False
+    return shape.__dict__.setdefault("_sweep_frame", (*arrays, int(np.searchsorted(s, math.pi))))
 
 
-def _chords_with_offset(
-    shape: Shape2D, target: float, tol: float, turn: float
-) -> Iterator[Chord]:
+def _chords_with_offset(shape: Shape2D, target: float, tol: float, turn: float) -> Iterator[Chord]:
     """One chord per root of beta(theta) - target in [theta0, theta0 + turn), in order.
 
+    ``turn`` is pi or 2 pi; a half turn is a prefix of the shape's ``_sweep_frame``.
     A breakpoint within tol/2 of the target is a root; a run of them (beta
     constant at the target, as on an even regular polygon) counts once, at its
     first breakpoint.  Otherwise each interval whose ends differ in sign holds
-    one root, in closed form.  Each chord is built from its interval's two
-    edges, with the arithmetic ``chord_through_centroid`` uses on a polygon, and
-    checked against ``tol``; one that rounding left short is bisected on the
-    interval from its breakpoint, and a root no floating-point angle resolves
-    within ``tol`` (beta can change faster than that between neighbouring angles
-    on a very thin polygon) is left out.  With no root at all, or none resolved,
-    raises ValueError; the first names the exact range of offsets.
+    one root, in closed form.  Each chord is built from its interval's two edges
+    as ``chord_through_centroid`` builds it on a polygon, and checked against
+    ``tol``; one that rounding left short is bisected on its interval, and a root
+    no floating-point angle resolves within ``tol`` (beta can change faster than
+    that between neighbouring angles on a very thin polygon) is left out.  With
+    no root at all, or none resolved, raises ValueError; the first names the
+    exact range of offsets.  Centrally symmetric shapes yield the horizontal chord.
     """
-    thetas, g, roots, edges = _offset_sweep(shape, target, turn)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if shape.centrally_symmetric:
+        if abs(target - 0.5) > tol:
+            raise ValueError("centrally symmetric shapes only admit beta = 1/2")
+        yield chord_through_centroid(shape, 0.0)
+        return
+    thetas, ends, mids, edges, half = _sweep_frame(shape)
+    m = half if turn < 2.0 * math.pi else len(mids)  # the intervals swept
+    # each breakpoint reads the interval after it, the last one the interval before
+    thetas, g = thetas[:m + 1], np.concatenate((ends[0, :m], ends[1, m - 1:m])) - target
     hit = np.abs(g) <= 0.5 * tol
     starts = np.flatnonzero(hit[:-1] & ~np.concatenate(([False], hit[:-2])))
     crossings = np.flatnonzero(~hit[:-1] & ~hit[1:] & ((g[:-1] > 0.0) != (g[1:] > 0.0)))
@@ -274,9 +279,19 @@ def _chords_with_offset(
             f"no chord with offset {target} exists; attainable offsets on this shape "
             f"span [{float(g.min()) + target!r}, {float(g.max()) + target!r}]"
         )
+    # n = (e_y, -e_x), so the root u is parallel to the same combination of
+    # edge vectors; of its two orientations, take the one inside the interval
+    d_i, eix, eiy, d_j, ejx, ejy = edges[crossings].T
+    rx, ry = (1.0 - target) * d_j * (eix, eiy) + target * d_i * (ejx, ejy)
+    mid = mids[crossings]
+    mx, my = np.cos(mid), np.sin(mid)
+    along, across = mx * rx + my * ry, mx * ry - my * rx
+    side = np.where(along < 0.0, -1.0, 1.0)
+    roots = np.clip(mid + np.arctan2(side * across, side * along),
+                    thetas[crossings], thetas[crossings + 1])
     # each root with the interval that starts at or holds it
     intervals = np.concatenate((starts, crossings))
-    directions = np.concatenate((thetas[starts], roots[crossings]))
+    directions = np.concatenate((thetas[starts], roots))
     resolved = False
     cx, cy = shape.centroid()
     order = np.argsort(directions)
@@ -289,9 +304,8 @@ def _chords_with_offset(
                       (cx, cy), t_back / (t_far + t_back))
         if abs(chord.beta - target) > tol:
             try:
-                chord = _bisect_chord(
-                    shape, target, float(thetas[k]), float(thetas[k + 1]), float(g[k]), tol
-                )
+                chord = _bisect_chord(shape, target, float(thetas[k]), float(thetas[k + 1]),
+                                      float(g[k]), tol)
             except RuntimeError:
                 continue
         resolved = True
@@ -313,10 +327,6 @@ def find_balanced_chord(shape: Shape2D, tol: float = 1e-12) -> Chord:
     (ValueError if none does).  Centrally symmetric shapes return the
     horizontal chord.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if shape.centrally_symmetric:
-        return chord_through_centroid(shape, 0.0)
     return next(_chords_with_offset(shape, 0.5, tol, math.pi))
 
 
@@ -335,12 +345,6 @@ def find_chord_with_beta(shape: Shape2D, beta_target: float, tol: float = 1e-12)
     """
     if not 0.0 < beta_target < 1.0:
         raise ValueError(f"beta target must be in (0, 1), got {beta_target}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if shape.centrally_symmetric:
-        if abs(beta_target - 0.5) <= tol:
-            return chord_through_centroid(shape, 0.0)
-        raise ValueError("centrally symmetric shapes only admit beta = 1/2")
     return next(_chords_with_offset(shape, beta_target, tol, 2.0 * math.pi))
 
 
@@ -354,10 +358,6 @@ def scan_balanced_chords(shape: Shape2D, *, tol: float = 1e-12) -> list[Chord]:
     if every root is.  For centrally symmetric shapes every direction
     balances; the horizontal chord is returned alone.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if shape.centrally_symmetric:
-        return [chord_through_centroid(shape, 0.0)]
     return list(_chords_with_offset(shape, 0.5, tol, math.pi))
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from edgebalance import cli
+from edgebalance import cli, planar
 from edgebalance.ndim import (
     Hyperball,
     Hypercube,
@@ -176,6 +176,72 @@ def test_sweep_chords_match_direct_chords(seed, n, simplex, clockwise, theta):
         assert abs(chord.beta - direct.beta) <= 1e-14
         assert math.dist(chord.tangent_point, direct.tangent_point) <= 1e-14
         assert math.dist(chord.far_point, direct.far_point) <= 1e-14
+
+
+def fresh_copy(shape):
+    """An equal shape that has never been searched."""
+    return type(shape)(vertices=shape.vertices)
+
+
+def outcome(search, shape) -> str:
+    try:
+        return repr(search(shape))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 60), simplex=st.booleans(), clockwise=st.booleans(),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), data=st.data())
+def test_reused_sweep_frame_changes_no_result(seed, n, simplex, clockwise, fractions, data):
+    # the sweep frame is built on a shape's first search and kept with it; every
+    # later search on that shape must give what the same search gives on a fresh copy
+    if simplex:
+        v = np.random.default_rng(seed).normal(size=(3, 2))
+        if (np.linalg.det(v[1:] - v[0]) < 0.0) != clockwise:
+            v = v[::-1]
+        shape = Simplex(vertices=tuple(map(tuple, v)))
+    else:
+        shape = polygon(seed, n)
+    with pytest.raises(ValueError, match="span") as refused:
+        find_chord_with_beta(fresh_copy(shape), 0.1)
+    lo, hi = map(float, re.search(r"span \[(.+), (.+)\]", str(refused.value)).groups())
+    searches = [
+        *(lambda s, t=lo + f * (hi - lo): find_chord_with_beta(s, t) for f in fractions),
+        find_balanced_chord,
+        scan_balanced_chords,
+    ]
+    for search in data.draw(st.permutations(searches)):
+        assert outcome(search, shape) == outcome(search, fresh_copy(shape))
+    frame = planar._sweep_frame(shape)
+    assert frame is planar._sweep_frame(shape)
+    for array in frame[:4]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    twin = fresh_copy(shape)
+    assert shape == twin and hash(shape) == hash(twin) and shape.to_dict() == twin.to_dict()
+
+
+def test_warm_sweep_frame_keeps_the_bisection_fallback(monkeypatch):
+    # on a 1e-5-thin 12-gon some closed-form chords miss the tolerance and are
+    # bisected; a search on a warm frame must bisect the same way
+    base = random_convex_polygon(12, np.random.default_rng(1))
+    thin = Polygon(tuple((x, 1e-5 * y) for x, y in base.vertices))
+    cold = outcome(scan_balanced_chords, fresh_copy(thin))
+    for search in (find_balanced_chord, lambda s: find_chord_with_beta(s, 0.45)):
+        outcome(search, thin)
+    bisections = 0
+    bisect = planar._bisect_chord
+
+    def counted(*args):
+        nonlocal bisections
+        bisections += 1
+        return bisect(*args)
+
+    monkeypatch.setattr(planar, "_bisect_chord", counted)
+    assert outcome(scan_balanced_chords, thin) == cold
+    assert bisections > 0
 
 
 @PROPERTY

@@ -200,6 +200,14 @@ class TestSeqCommand:
         assert out == ""
         assert "--count is capped at 10000, got 10001" in err
 
+    def test_ratio_beyond_a_float_exits_two(self, capsys):
+        # term 2 over term 1 is (10**309 + 1) / 1, an exact quotient beyond any float
+        seeds = "1" + "0" * 309 + ",1"
+        code, out, err = run_cli(capsys, "seq", "2", "--seeds", seeds, "--count", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: term 2 divided by term 1 overflows a float\n"
+
     def test_ratios_line(self, capsys):
         code, out, _ = run_cli(capsys, "seq", "2", "--seeds", "1,1", "--count", "4")
         ratios = out.splitlines()[1].split()
