@@ -29,6 +29,7 @@ from 2 in binary64 and the geometry adds nothing.
 import numpy as np
 
 from .planar import (
+    _BOUNDARY_RTOL,
     Chord,
     ExcisionPlan,
     _extent,
@@ -90,7 +91,7 @@ def plan_excision_kd(
     if len(tangent_point) != k:
         raise ValueError(f"tangency point has dimension {len(tangent_point)}, shape has {k}")
     scale = max(_extent(shape), 1.0)
-    if not shape.on_boundary(tangent_point, 1e-9 * scale):
+    if not shape.on_boundary(tangent_point, _BOUNDARY_RTOL * scale):
         raise ValueError(f"tangency point {tangent_point} is not on the shape boundary")
     o = np.asarray(tangent_point)
     c = np.asarray(shape.centroid())

@@ -16,12 +16,9 @@ the k-dimensional way to pick a chord from a tangency point.
 
 The chord search is planar and exact.  On a polygon, beta(theta) is a ratio of
 two linear forms in (cos theta, sin theta) between consecutive directions from
-the centroid to a vertex or away from one.  The sweep frame (the 2n sorted
-directions, beta at each, each interval's edges: 10 floats per breakpoint) does
-not depend on the target; it is built on a shape's first search and kept with
-it, and each search solves only its own roots in closed form, at most one per
-interval.  ``_bisect_chord`` only takes over when rounding leaves a closed-form
-chord outside the tolerance.
+the centroid to a vertex or away from one.  The sweep frame of these intervals is
+kept with the shape; a search solves each root in closed form and reads its chord,
+or a fallback bisection, off the edges of its interval and the two beside it.
 Shapes are validated where they are built (see ``edgebalance.shapes``), so
 nothing here re-checks their numbers.  Geometric predicates use absolute
 tolerances around 1e-12 and assume unit-scale coordinates; areas and centroids
@@ -170,29 +167,35 @@ def beta_complement(shape: Shape2D, theta: float) -> tuple[float, float]:
     )
 
 
-def _bisect_chord(
-    shape: Shape2D, target: float, lo: float, hi: float, g_lo: float, tol: float
-) -> Chord:
-    """Bisect directions [lo, hi], across which beta - target changes sign.
-
-    Returns the chord at the first midpoint whose offset is within ``tol``
-    of ``target``; ``g_lo`` is beta - target at ``lo`` and only its sign
-    matters.  Raises RuntimeError once the midpoint no longer falls strictly
-    between the ends (float spacing exhausted) or after 256 steps.
+def _bisect_chord(rows: list, target: float, lo: float, hi: float, g_lo: float, tol: float) -> float:
+    """The first midpoint of the sweep interval [lo, hi], across which beta - target
+    changes sign (only that of ``g_lo``, at ``lo``, is read), whose beta by
+    ``_exit_distances`` on the interval's ``rows`` is within ``tol`` of ``target``.
+    Raises RuntimeError once the midpoint no longer falls strictly between the
+    ends (float spacing exhausted) or after 256 steps.
     """
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        chord = chord_through_centroid(shape, mid)
-        g_mid = chord.beta - target
+        _, _, t_far, t_back = _exit_distances(rows, mid)
+        g_mid = t_back / (t_far + t_back) - target
         if abs(g_mid) <= tol:
-            return chord
+            return mid
         if (g_mid > 0.0) == (g_lo > 0.0):
             lo, g_lo = mid, g_mid
         else:
             hi = mid
     raise RuntimeError(f"bisection did not reach tolerance {tol} in [{lo!r}, {hi!r}]")
+
+
+def _exit_distances(rows: list, theta: float) -> tuple[float, float, float, float]:
+    """(u_x, u_y, t_far, t_back) along theta: the nearest crossings along +u and -u of
+    the edges in the sweep ``rows`` that face each way, as ``exit_parameter`` takes them."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    far = [d / f for d, ex, ey, *_ in rows if (f := ux * ey - uy * ex) > 0.0]
+    back = [d / f for *_, d, fx, fy in rows if (f := -ux * fy + uy * fx) > 0.0]
+    return ux, uy, min(far, default=math.inf), min(back, default=math.inf)
 
 
 def _sweep_frame(shape: Shape2D) -> tuple:
@@ -209,10 +212,9 @@ def _sweep_frame(shape: Shape2D) -> tuple:
     a ratio of two linear forms in u: monotone on the interval, and equal
     to a target only where [(1 - target) d_j n_i + target d_i n_j] . u = 0.
     Returns the breakpoint directions (theta0 first, theta0 + 2 pi last), beta at
-    both ends of each interval by its edges (as ``Polygon.exit_parameter`` reckons),
-    each interval's mid-direction and edges as rows (d_i, e_i, d_j, e_j), and the
-    index of theta0 + pi, where a half turn ends: 10 read-only floats a breakpoint,
-    kept in the shape's instance dict from its first search.
+    both ends of each interval by its edges, each interval's mid-direction and edges
+    as rows (d_i, e_i, d_j, e_j), and the index of theta0 + pi, where a half turn
+    ends: 10 read-only floats a breakpoint, kept with the shape from its first search.
     """
     if "_sweep_frame" in shape.__dict__:
         return shape.__dict__["_sweep_frame"]
@@ -251,14 +253,16 @@ def _chords_with_offset(shape: Shape2D, target: float, tol: float, turn: float) 
     ``turn`` is pi or 2 pi; a half turn is a prefix of the shape's ``_sweep_frame``.
     A breakpoint within tol/2 of the target is a root; a run of them (beta
     constant at the target, as on an even regular polygon) counts once, at its
-    first breakpoint.  Otherwise each interval whose ends differ in sign holds
-    one root, in closed form.  Each chord is built from its interval's two edges
-    as ``chord_through_centroid`` builds it on a polygon, and checked against
-    ``tol``; one that rounding left short is bisected on its interval, and a root
-    no floating-point angle resolves within ``tol`` (beta can change faster than
-    that between neighbouring angles on a very thin polygon) is left out.  With
-    no root at all, or none resolved, raises ValueError; the first names the
-    exact range of offsets.  Centrally symmetric shapes yield the horizontal chord.
+    first breakpoint.  Otherwise each interval whose ends differ in sign holds one
+    root, in closed form and clipped into it; no interval does both, so interval
+    order is angular order.  ``_exit_distances`` reads each chord off the rows of its
+    interval and the two beside it, since within rounding of a breakpoint the exit
+    edge may be a neighbour's.  A chord rounding left outside ``tol`` is bisected
+    on those rows; a root no floating-point angle resolves (beta can change faster
+    than ``tol`` between neighbouring angles on a very thin polygon) is left out.
+    With no root at all, or none resolved, raises ValueError; the first names the
+    offsets at the breakpoints a chord can start from.  Centrally symmetric shapes
+    yield the horizontal chord.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -272,44 +276,40 @@ def _chords_with_offset(shape: Shape2D, target: float, tol: float, turn: float) 
     # each breakpoint reads the interval after it, the last one the interval before
     thetas, g = thetas[:m + 1], np.concatenate((ends[0, :m], ends[1, m - 1:m])) - target
     hit = np.abs(g) <= 0.5 * tol
-    starts = np.flatnonzero(hit[:-1] & ~np.concatenate(([False], hit[:-2])))
-    crossings = np.flatnonzero(~hit[:-1] & ~hit[1:] & ((g[:-1] > 0.0) != (g[1:] > 0.0)))
-    if not len(starts) + len(crossings):
+    begins = hit[:-1] & ~np.concatenate(([False], hit[:-2]))
+    crosses = ~hit[:-1] & ~hit[1:] & ((g[:-1] > 0.0) != (g[1:] > 0.0))
+    candidates = np.flatnonzero(begins | crosses).tolist()
+    if not candidates:
         raise ValueError(
             f"no chord with offset {target} exists; attainable offsets on this shape "
-            f"span [{float(g.min()) + target!r}, {float(g.max()) + target!r}]"
+            f"span [{float(g[:-1].min()) + target!r}, {float(g[:-1].max()) + target!r}]"
         )
-    # n = (e_y, -e_x), so the root u is parallel to the same combination of
-    # edge vectors; of its two orientations, take the one inside the interval
-    d_i, eix, eiy, d_j, ejx, ejy = edges[crossings].T
-    rx, ry = (1.0 - target) * d_j * (eix, eiy) + target * d_i * (ejx, ejy)
-    mid = mids[crossings]
-    mx, my = np.cos(mid), np.sin(mid)
-    along, across = mx * rx + my * ry, mx * ry - my * rx
-    side = np.where(along < 0.0, -1.0, 1.0)
-    roots = np.clip(mid + np.arctan2(side * across, side * along),
-                    thetas[crossings], thetas[crossings + 1])
-    # each root with the interval that starts at or holds it
-    intervals = np.concatenate((starts, crossings))
-    directions = np.concatenate((thetas[starts], roots))
     resolved = False
     cx, cy = shape.centroid()
-    order = np.argsort(directions)
-    for k, theta in zip(intervals[order].tolist(), directions[order].tolist()):
-        ux, uy = math.cos(theta), math.sin(theta)
-        d_far, ex, ey, d_back, fx, fy = edges[k].tolist()
-        t_far = d_far / (ux * ey - uy * ex)
-        t_back = d_back / (-ux * fy + uy * fx)
-        chord = Chord((cx - t_back * ux, cy - t_back * uy), (cx + t_far * ux, cy + t_far * uy),
-                      (cx, cy), t_back / (t_far + t_back))
-        if abs(chord.beta - target) > tol:
+    for k in candidates:
+        rows = [edges[i].tolist() for i in (k - 1, k, (k + 1) % len(edges))]
+        (lo, hi), mid = thetas[k:k + 2].tolist(), float(mids[k])
+        theta = lo
+        if not hit[k]:
+            # n = (e_y, -e_x), so the root u is parallel to the same combination
+            # of edge vectors; of its two orientations, take the one inside the interval
+            d_i, eix, eiy, d_j, ejx, ejy = rows[1]
+            rx = (1.0 - target) * d_j * eix + target * d_i * ejx
+            ry = (1.0 - target) * d_j * eiy + target * d_i * ejy
+            mx, my = math.cos(mid), math.sin(mid)
+            along, across = mx * rx + my * ry, mx * ry - my * rx
+            side = -1.0 if along < 0.0 else 1.0
+            theta = min(max(mid + float(np.arctan2(side * across, side * along)), lo), hi)
+        ux, uy, t_far, t_back = _exit_distances(rows, theta)
+        if not abs(t_back / (t_far + t_back) - target) <= tol:
             try:
-                chord = _bisect_chord(shape, target, float(thetas[k]), float(thetas[k + 1]),
-                                      float(g[k]), tol)
+                theta = _bisect_chord(rows, target, lo, hi, float(g[k]), tol)
             except RuntimeError:
                 continue
+            ux, uy, t_far, t_back = _exit_distances(rows, theta)
         resolved = True
-        yield chord
+        yield Chord((cx - t_back * ux, cy - t_back * uy), (cx + t_far * ux, cy + t_far * uy),
+                    (cx, cy), t_back / (t_far + t_back))
     if not resolved:
         raise ValueError(
             f"no angle gives a chord with offset within {tol} of {target} on this shape: "

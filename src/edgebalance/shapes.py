@@ -186,8 +186,7 @@ class Polygon(ConvexBody):
         that region's corners are the vertices pushed out by margin / cos(turn / 2).
         """
         cx, cy = self.centroid()
-        v = np.asarray(self.vertices) - (cx, cy)
-        e = np.roll(v, -1, axis=0) - v
+        v, e = self.vertex_array - (cx, cy), self.edge_array
         length = np.hypot(e[:, 0], e[:, 1])
         radius = np.hypot(v[:, 0], v[:, 1])
         margin = PREFILTER_MARGIN * 2.0 * float(radius.max())  # 2 x radius >= diameter

@@ -302,6 +302,29 @@ class TestBalancedChordSearch:
         assert scan_balanced_chords(thin)
         assert calls < 150
 
+    @pytest.mark.parametrize(
+        "search",
+        [scan_balanced_chords, find_balanced_chord, lambda s: find_chord_with_beta(s, 0.53)],
+        ids=["scan", "balanced", "beta"],
+    )
+    def test_search_builds_no_chord_through_the_shape(self, monkeypatch, search):
+        # every chord and every fallback bisection step is read off the sweep
+        # rows of its interval and the two beside it, never found by walking the boundary
+        base = random_convex_polygon(12, np.random.default_rng(1))
+        thin = Polygon(tuple((x, 1e-5 * y) for x, y in base.vertices))
+        calls = 0
+        for cls in (Polygon, Simplex):
+            exit_parameter = cls.exit_parameter
+
+            def counted(self, origin, u, exit_parameter=exit_parameter):
+                nonlocal calls
+                calls += 1
+                return exit_parameter(self, origin, u)
+
+            monkeypatch.setattr(cls, "exit_parameter", counted)
+        assert search(thin)
+        assert calls == 0
+
     def test_targeted_offset_unattainable(self):
         # offsets below 1/3 do not exist on any convex planar body
         with pytest.raises(ValueError, match="offset"):

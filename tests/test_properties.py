@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -221,6 +222,57 @@ def test_reused_sweep_frame_changes_no_result(seed, n, simplex, clockwise, fract
             array[0] = 0.0
     twin = fresh_copy(shape)
     assert shape == twin and hash(shape) == hash(twin) and shape.to_dict() == twin.to_dict()
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 60), simplex=st.booleans(), clockwise=st.booleans(),
+       exponent=st.floats(-7.0, -3.0), fraction=st.floats(0.0, 1.0))
+def test_thin_shape_searches_return_ordered_chords_on_the_shape(
+    seed, n, simplex, clockwise, exponent, fraction
+):
+    # beta can change by more than tol between neighbouring floating-point angles
+    # on a thin shape: a search may pass such a root over, but every chord it
+    # returns must be on target, on the boundary and in angular order
+    if simplex:
+        v = np.random.default_rng(seed).normal(size=(3, 2))
+        if (np.linalg.det(v[1:] - v[0]) < 0.0) != clockwise:
+            v = v[::-1]
+    else:
+        v = polygon(seed, n).vertex_array.copy()
+    v[:, 1] *= 10.0**exponent
+    try:
+        shape = Simplex(vertices=tuple(map(tuple, v))) if simplex else Polygon(v)
+    except ValueError:
+        assume(False)  # rounding made a nearly straight vertex collinear
+    with pytest.raises(ValueError, match="span") as refused:
+        find_chord_with_beta(shape, 0.1)
+    lo, hi = map(float, re.search(r"span \[(.+), (.+)\]", str(refused.value)).groups())
+    target = lo + fraction * (hi - lo)
+    extent = planar._extent(shape)
+    (x0, y0), (cx, cy) = shape.vertices[0], shape.centroid()
+    theta0 = math.atan2(y0 - cy, x0 - cx)
+    for search, goal, turn in [
+        (find_balanced_chord, 0.5, math.pi),
+        (scan_balanced_chords, 0.5, math.pi),
+        (lambda s: find_chord_with_beta(s, target), target, 2.0 * math.pi),
+    ]:
+        try:
+            found = search(shape)
+        except ValueError as exc:
+            assert str(exc).startswith("no angle gives a chord"), exc
+            continue
+        chords = found if isinstance(found, list) else [found]
+        previous = -math.inf
+        for chord in chords:
+            assert abs(chord.beta - goal) <= 1e-12
+            assert all(shape.on_boundary(p, 1e-9 * extent)
+                       for p in (chord.tangent_point, chord.far_point))
+            # the chord's direction from theta0, to the precision its ends give it
+            (ox, oy), (qx, qy) = chord.tangent_point, chord.far_point
+            slack = 4.0 * sys.float_info.epsilon * max(map(abs, (ox, oy, qx, qy))) / chord.length
+            direction = (math.atan2(qy - oy, qx - ox) - theta0 + slack) % (2.0 * math.pi) - slack
+            assert previous < direction <= turn + slack
+            previous = direction
 
 
 def test_warm_sweep_frame_keeps_the_bisection_fallback(monkeypatch):
