@@ -118,7 +118,14 @@ def sample_region_centroid(
             pts += lo
             accept = shape.contains(pts)
             if cavity is not None:
-                accept &= ~cavity.contains(pts)
+                # The cavity can only reject points the body accepted.  Test
+                # just those when they are few; gathering most of the chunk
+                # costs more than the test it saves.
+                if 4 * np.count_nonzero(accept) < accept.size:
+                    inside = np.flatnonzero(accept)
+                    accept[inside] = ~cavity.contains(pts[inside])
+                else:
+                    accept &= ~cavity.contains(pts)
             accepted += int(np.count_nonzero(accept))
             for j in range(dim):
                 d = pts[:, j][accept] - centre[j]

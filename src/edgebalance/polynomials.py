@@ -9,9 +9,11 @@ at which the body centroid sits.  For ``beta = 1/2`` the roots are the
 golden ratio and its higher-order relatives (tribonacci constant,
 tetranacci constant, ...), here called the k-nacci constants.
 
-All numeric work is plain binary64.  Roots are simple in the physical
-regime, so a certified bisection bracket followed by a Newton polish gives
-full double precision.
+All numeric work is plain binary64.  The positive root is simple, and the
+polynomial divided by ``x^k`` is increasing and concave for ``x > 0``, so
+Newton's method on that form climbs to the root in a few steps without
+bisecting; the signs of the polynomial at the two ends of a narrow bracket
+about the result certify it.
 """
 
 import math
@@ -22,7 +24,7 @@ MAX_DIMENSION = 64
 
 
 class RootSolverError(RuntimeError):
-    """The bracketing root solver could not certify a root."""
+    """The root solver could not certify a root by a sign change."""
 
 
 class PhysicalityError(ValueError):
@@ -107,15 +109,6 @@ def evaluate(poly: BalancePolynomial, x: float) -> float:
     return acc
 
 
-def _evaluate_with_derivative(coefficients: tuple[float, ...], x: float) -> tuple[float, float]:
-    acc = 0.0
-    dacc = 0.0
-    for c in coefficients:
-        dacc = dacc * x + acc
-        acc = acc * x + c
-    return acc, dacc
-
-
 @dataclass(frozen=True)
 class RootResult:
     """The unique positive root of a balance polynomial.
@@ -127,6 +120,8 @@ class RootResult:
     root, so accuracy guarantees live in the bracket, not the residual.
     ``physical`` is true exactly when ``beta < k/(k+1)``, the condition for
     the root to exceed 1 (a cavity strictly smaller than the body).
+    ``iterations`` counts the steps that moved the value (Newton steps and
+    the closing gap step of ``positive_root``) plus the bracket widenings.
     """
 
     value: float
@@ -136,114 +131,106 @@ class RootResult:
     iterations: int
 
 
-_BISECT_WIDTH = 1e-13
-_MAX_BISECT = 300
-_MAX_NEWTON = 16
+_BRACKET_WIDTH = 1e-13
+_MAX_NEWTON = 100
 
 
-def _linear_root(problem: BalanceProblem, poly: BalancePolynomial) -> RootResult:
-    # degree 1 solves in closed form: beta*x + (beta - 1) = 0
-    beta = problem.beta
-    value = (1.0 - beta) / beta
-    lo = math.nextafter(value, 0.0)
-    hi = math.nextafter(value, math.inf)
-    widenings = 0
-    while evaluate(poly, lo) >= 0.0 and widenings < 64:
-        lo = value - (value - lo) * 2.0
-        widenings += 1
-    while evaluate(poly, hi) <= 0.0 and widenings < 128:
-        hi = value + (hi - value) * 2.0
-        widenings += 1
-    return RootResult(
-        value=value,
-        residual=abs(evaluate(poly, value)),
-        bracket=(lo, hi),
-        physical=beta < physicality_threshold(1),
-        iterations=widenings,
-    )
+def _concave_step(beta: float, k: int, x: float) -> float:
+    """Newton step ``q(x) / q'(x)`` on ``q(x) = p(x) / x^k``.
+
+    ``q = beta - (1 - beta) * S`` with ``S = sum_{j=1..k} y^j`` and
+    ``y = 1/x``.  ``S`` and ``dS/dy`` are built by Horner in ``y``, so no
+    power of ``x`` is formed: for ``x <= 1/beta`` the step stays finite
+    where ``p`` and ``p'`` overflow.
+    """
+    y = 1.0 / x
+    s = ds = 0.0
+    for _ in range(k):
+        ds = ds * y + s + 1.0
+        s = (s + 1.0) * y
+    return (beta - (1.0 - beta) * s) * x * x / ((1.0 - beta) * ds)
 
 
 def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
     """Find the unique positive root of the balance polynomial.
 
     The coefficient signs (one positive, then ``k`` negatives) give exactly
-    one positive root.  For ``beta = 1/2`` and ``k >= 2`` it lies in (1, 2)
-    and the bracket starts there; otherwise the upper end is found by
-    doubling from 1.  Bisection certifies the bracket down to width
-    ``min(tol, 1e-13)`` (scale relative), then Newton steps polish the
-    midpoint without ever leaving the bracket.
+    one positive root.  Times ``x - 1`` the polynomial is ``beta x^(k+1) -
+    x^k + (1 - beta)``, so the root obeys the gap identity ``1/beta - x =
+    (1 - beta) x^(-k) / beta``: it lies below ``1/beta``, and above 1 when
+    physical, else above ``(1 - beta)^(1/k)``, where ``p`` is negative.
 
-    Raises RootSolverError if a sign-changing bracket cannot be certified
-    or the iteration caps are exhausted before reaching the width target.
+    Degree 1 is solved in closed form; otherwise in three stages:
+
+    1. Newton's method on ``q(x) = p(x) / x^k``, increasing and concave on
+       ``x > 0`` (see ``_concave_step``): every step lands left of the
+       root, and from there the steps climb to it monotonically.  The first
+       step is taken from ``1/beta``; the climb starts from the larger of
+       where it lands and the lower bound, and stops when a step no longer
+       increases ``x``.
+    2. One more Newton step, ``p / (p' - k p / x)`` with ``p`` and ``p'`` by
+       Horner in ``x``, resolves the root to about the float spacing.  It
+       is skipped where ``p`` or ``p'`` overflows, which happens only where
+       the root is far within a float of ``1/beta``.
+    3. Where the gap identity contracts strongly (``8 k gap <= x``), ``x =
+       1/beta - gap``: one common ``1/beta`` less a gap that shrinks with
+       ``k`` keeps the roots in order of ``k`` where they are within a
+       float of each other.
+
+    The value is certified by the signs of ``evaluate`` at the ends of a
+    bracket about it, ``min(tol, 1e-13) * value / 4`` wide or, only if the
+    signs do not differ there, twice that; never narrower than eight floats,
+    which keeps it wider than the rounding noise in ``evaluate``.
+    Raises RootSolverError if neither shows the sign change, or if
+    ``1/beta`` overflows.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     poly = build_general(problem)
-    if problem.k == 1:
-        return _linear_root(problem, poly)
-
-    beta = problem.beta
-    k = problem.k
+    beta, k = problem.beta, problem.k
+    ceiling = 1.0 / beta
+    if ceiling == math.inf:
+        raise RootSolverError(f"the root for beta={beta!r}, just below 1/beta, overflows a float")
+    physical = beta < physicality_threshold(k)
     iterations = 0
-
-    if beta == 0.5:
-        lo, hi = 1.0 + 1e-15, 2.0
+    if k == 1:
+        x = (1.0 - beta) / beta
     else:
-        lo, hi = 1e-15, 1.0
-        while evaluate(poly, hi) <= 0.0:
-            hi *= 2.0
-            iterations += 1
-            if iterations > 1100:
-                raise RootSolverError("no sign change found while doubling the bracket")
-    flo = evaluate(poly, lo)
-    fhi = evaluate(poly, hi)
-    if fhi == 0.0:
-        # landed on the root exactly; widen one ulp to keep a signed bracket
-        hi = math.nextafter(hi, math.inf)
-        fhi = evaluate(poly, hi)
-    if not (flo < 0.0 < fhi):
-        raise RootSolverError(
-            f"bracket ({lo}, {hi}) does not straddle a sign change for k={k}, beta={beta}"
-        )
-
-    width_goal = min(tol, _BISECT_WIDTH)
-    while hi - lo > width_goal * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # float spacing exhausted
-        iterations += 1
-        if iterations > _MAX_BISECT:
-            raise RootSolverError(
-                f"bisection failed to reach width {width_goal} within {_MAX_BISECT} steps"
-            )
-        if evaluate(poly, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    bracket = (lo, hi)
-
-    x = 0.5 * (lo + hi)
-    coeffs = poly.coefficients
-    for _ in range(_MAX_NEWTON):
-        fx, dfx = _evaluate_with_derivative(coeffs, x)
-        if dfx == 0.0 or fx == 0.0:
-            break
-        step = fx / dfx
-        x_next = x - step
-        if not bracket[0] <= x_next <= bracket[1]:
-            break  # never trust a step outside the certified bracket
-        iterations += 1
-        if abs(step) <= 2.0 * math.ulp(x):
+        lower = 1.0 if physical else (1.0 - beta) ** (1.0 / k)
+        x = max(lower, ceiling - _concave_step(beta, k, ceiling))
+        iterations = 1
+        while iterations < _MAX_NEWTON:
+            x_next = x - _concave_step(beta, k, x)
+            if not x_next > x:
+                break
             x = x_next
+            iterations += 1
+        fx = dfx = 0.0
+        for c in poly.coefficients:
+            dfx = dfx * x + fx
+            fx = fx * x + c
+        slope = dfx - k * fx / x
+        if 0.0 < slope < math.inf:
+            x -= fx / slope
+            iterations += 1
+        gap = (1.0 - beta) * x**-k / beta
+        if 8.0 * k * gap <= x:
+            x = ceiling - gap
+            iterations += 1
+    half = max(min(tol, _BRACKET_WIDTH) * x / 8.0, 4.0 * math.ulp(x))
+    for widenings in range(2):
+        lo, hi = x - half, x + half
+        if evaluate(poly, lo) < 0.0 < evaluate(poly, hi):
             break
-        x = x_next
-
+        half *= 2.0
+    else:
+        raise RootSolverError(f"p changes sign nowhere within {half / 2.0!r} of {x!r}")
     return RootResult(
         value=x,
         residual=abs(evaluate(poly, x)),
-        bracket=bracket,
-        physical=beta < physicality_threshold(k),
-        iterations=iterations,
+        bracket=(lo, hi),
+        physical=physical,
+        iterations=iterations + widenings,
     )
 
 
@@ -253,6 +240,7 @@ def knacci_constant(k: int, tol: float = 1e-12) -> RootResult:
     This is the asymptotic term ratio of the order-k generalized Fibonacci
     sequence: the golden ratio at k=2, the tribonacci constant at k=3, and
     so on, rising toward 2 as k grows.  k=1 degenerates to exactly 1.
-    In binary64 the constants saturate one ulp below 2 around k=53.
+    In binary64 they reach one float below 2 at k=52 and 53; from k=54 on
+    the root is less than half a float below 2 and rounds to 2.0.
     """
     return positive_root(BalanceProblem(k=k, beta=0.5), tol=tol)

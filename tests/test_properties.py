@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ from edgebalance.planar import (
     random_convex_polygon,
     scan_balanced_chords,
     verify_balance,
+)
+from edgebalance.polynomials import (
+    MAX_DIMENSION,
+    BalanceProblem,
+    RootSolverError,
+    physicality_threshold,
+    positive_root,
 )
 
 # derandomized so that every run of the suite checks the same examples
@@ -357,3 +365,74 @@ def test_fuzzed_shape_json_exits_cleanly(data, tangent):
             json.dump(data, handle)
         for argv in (["excise", "--shape", path], ["excise-kd", "--shape", path, tangent]):
             assert cli.main(argv) in (0, 1, 2)
+
+
+def exact_balance_value(k: int, beta: float, x: float) -> Fraction:
+    """The balance polynomial at ``x`` in exact rational arithmetic."""
+    beta, x = Fraction(beta), Fraction(x)
+    acc = beta
+    for _ in range(k):
+        acc = acc * x + (beta - 1)
+    return acc
+
+
+@st.composite
+def balance_problems(draw) -> tuple[int, float]:
+    """A dimension and an offset: any float in (0, 1), the extremes, or near the threshold."""
+    k = draw(st.integers(1, MAX_DIMENSION))
+    threshold = k / (k + 1)
+    beta = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([1e-6, 0.999999]),
+        st.floats(-1e-9, 1e-9).map(lambda d: threshold + d),
+        st.floats(-1e-3, 1e-3).map(lambda d: threshold + d),
+    ))
+    return k, beta
+
+
+@settings(PROPERTY, max_examples=200)
+@given(problem=balance_problems(), tol=st.sampled_from([1e-12, 1e-14]))
+def test_root_bracket_is_certified_in_exact_arithmetic(problem, tol):
+    # the solver certifies with binary64 signs; rational arithmetic it does
+    # not use must agree that the bracket straddles the root
+    k, beta = problem
+    if 1.0 / beta == math.inf:
+        with pytest.raises(RootSolverError):
+            positive_root(BalanceProblem(k=k, beta=beta), tol=tol)
+        return
+    result = positive_root(BalanceProblem(k=k, beta=beta), tol=tol)
+    lo, hi = result.bracket
+    assert exact_balance_value(k, beta, lo) < 0 < exact_balance_value(k, beta, hi)
+    assert lo <= result.value <= hi
+    assert hi - lo <= min(tol, 1e-13) * max(1.0, lo)
+
+
+@pytest.mark.parametrize(
+    ("k", "beta"),
+    [(54, 1e-6), (64, 1e-6), (33, 1e-10), (64, 1e-10), (64, 2.0**-20), (2, 1e-20), (64, 1e-100)],
+)
+def test_roots_at_one_over_beta_are_within_a_float(k, beta):
+    # p and p' overflow near these roots, far within a float of 1/beta;
+    # the root must lie between the floats either side of the value
+    x = positive_root(BalanceProblem(k=k, beta=beta)).value
+    below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+    assert exact_balance_value(k, beta, below) < 0 < exact_balance_value(k, beta, above)
+
+
+@PROPERTY
+@given(k=st.integers(1, MAX_DIMENSION - 1),
+       beta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.sampled_from([1e-6, 0.25, 0.5])))
+def test_roots_climb_with_dimension_toward_one_over_beta(k, beta):
+    # the paper's ladder: 1/beta - x_k = (1 - beta) x_k^(-k) / beta shrinks
+    # as k grows, so x_k <= x_(k+1) <= 1/beta
+    assume(beta < physicality_threshold(k) and 1.0 / beta < math.inf)
+    ceiling = 1.0 / beta
+    x = positive_root(BalanceProblem(k=k, beta=beta)).value
+    x_next = positive_root(BalanceProblem(k=k + 1, beta=beta)).value
+    gap = (1.0 - beta) * x**-k / beta
+    gap_next = (1.0 - beta) * x_next ** -(k + 1) / beta
+    assert x <= x_next <= ceiling
+    if x == x_next:  # only where the two roots are within a float of each other
+        assert gap - gap_next <= 2.0 * math.ulp(x)
+    assert abs((ceiling - x) - gap) <= 4.0 * math.ulp(ceiling)
