@@ -13,7 +13,13 @@ Exit codes: 0 success/verified, 1 verification or physicality failure,
 Every command prints through :func:`_emit`, which applies the output rules
 of :mod:`edgebalance.report` for ``--format json|csv``; each command only
 lays out its own text.
+
+``constant``, ``table`` and ``seq`` are pure Python and never import numpy;
+the geometry (``planar``, ``ndim``, ``montecarlo``, ``svg``) is imported by
+the ``excise`` and ``excise-kd`` handlers that use it.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
@@ -21,10 +27,14 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import montecarlo, ndim, planar, sequences, svg
+from . import sequences
 from .polynomials import MAX_DIMENSION, PhysicalityError, knacci_constant
 from .report import RunReport, csv_text, shape_digest
+
+if TYPE_CHECKING:
+    from . import planar
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -179,6 +189,8 @@ def cmd_seq(args) -> int:
 
 
 def _load_shape(path: str) -> tuple[dict, planar.Shape]:
+    from . import planar
+
     try:
         with open(path) as handle:
             shape_dict = json.load(handle)
@@ -200,6 +212,8 @@ def _parse_vector(flag: str, text: str) -> tuple[float, ...]:
 
 
 def cmd_excise(args) -> int:
+    from . import planar
+
     started = time.perf_counter()
     shape_dict, shape = _load_shape(args.shape)
     if shape.dim != 2:
@@ -219,6 +233,8 @@ def cmd_excise(args) -> int:
 
 
 def cmd_excise_kd(args) -> int:
+    from . import ndim
+
     started = time.perf_counter()
     shape_dict, shape = _load_shape(args.shape)
     tangent = _parse_vector("--o", args.tangent)
@@ -229,6 +245,8 @@ def cmd_excise_kd(args) -> int:
 
 def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, started: float) -> int:
     """Run the checks ``--verify`` asks for, then print the run report."""
+    from . import montecarlo, planar, svg
+
     fields = {
         "command": " ".join(sys.argv[1:]) or args.command,
         "shape_digest": shape_digest(shape_dict),

@@ -33,10 +33,12 @@ class PhysicalityError(ValueError):
 
 
 def physicality_threshold(k: int) -> float:
-    """Largest centroid offset ``beta`` admitting a scale ratio above 1.
+    """Float nearest ``k/(k + 1)``, the bound on offsets with a scale ratio above 1.
 
     The balance polynomial evaluates to ``(k + 1)*beta - k`` at ``x = 1``,
     so a root greater than 1 exists exactly when ``beta < k/(k + 1)``.
+    The float itself may lie on either side; ``positive_root`` decides it
+    exactly.
     """
     if k < 1:
         raise ValueError(f"dimension must be a positive integer, got {k}")
@@ -50,7 +52,7 @@ class BalanceProblem:
     ``beta`` is the ratio of the centroid's distance from the tangency end
     of the chord to the full chord length; it must lie strictly between
     0 and 1.  Rational inputs (``fractions.Fraction``) are accepted and
-    converted to float.
+    converted to the nearest float on their own side of ``k/(k+1)``.
     """
 
     k: int
@@ -66,7 +68,14 @@ class BalanceProblem:
                 f"dimension capped at {MAX_DIMENSION}; beyond that the root is "
                 f"indistinguishable from its limit in binary64"
             )
-        beta = float(self.beta) if isinstance(self.beta, Fraction) else self.beta
+        beta = self.beta
+        if isinstance(beta, Fraction):
+            # round to the float on the rational's side of k/(k+1), so that the
+            # root's ``physical`` flag describes the offset as given
+            physical = beta * (self.k + 1) < self.k
+            beta = float(beta)
+            if (Fraction(beta) * (self.k + 1) < self.k) != physical:
+                beta = math.nextafter(beta, 0.0 if physical else 1.0)
         if not isinstance(beta, (int, float)):
             raise TypeError(f"beta must be a real number, got {self.beta!r}")
         beta = float(beta)
@@ -118,8 +127,10 @@ class RootResult:
     ``value``; for steep high-degree cases it is floored by the polynomial's
     coefficient scale times machine epsilon even at the best representable
     root, so accuracy guarantees live in the bracket, not the residual.
-    ``physical`` is true exactly when ``beta < k/(k+1)``, the condition for
-    the root to exceed 1 (a cavity strictly smaller than the body).
+    ``physical`` is true exactly when ``beta < k/(k+1)`` in exact arithmetic,
+    the condition for the root to exceed 1 (a cavity strictly smaller than
+    the body); at the float nearest ``k/(k+1)`` such a root may still round
+    to 1.0.
     ``iterations`` counts the steps that moved the value (Newton steps and
     the closing gap step of ``positive_root``) plus the bracket widenings.
     """
@@ -191,7 +202,9 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
     ceiling = 1.0 / beta
     if ceiling == math.inf:
         raise RootSolverError(f"the root for beta={beta!r}, just below 1/beta, overflows a float")
-    physical = beta < physicality_threshold(k)
+    # beta == threshold is the float nearest k/(k+1): physical if it lies below
+    threshold = physicality_threshold(k)
+    physical = beta < threshold or (beta == threshold and Fraction(threshold) * (k + 1) < k)
     iterations = 0
     if k == 1:
         x = (1.0 - beta) / beta

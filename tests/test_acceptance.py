@@ -6,6 +6,7 @@ print.  Tolerances and runtime budgets are pinned here, not configurable.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,7 +152,8 @@ def test_criterion_07_physicality_boundary():
         for delta in np.linspace(-1e-3, 1e-3, 41):
             beta = thr + float(delta)
             result = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-12)
-            expected_physical = beta < thr
+            # exact: thr is only the float nearest k/(k+1)
+            expected_physical = Fraction(beta) * (k + 1) < k
             ok &= result.physical == expected_physical
             if abs(delta) > 1e-9:
                 ok &= (result.value > 1.0) == expected_physical

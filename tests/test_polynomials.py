@@ -195,6 +195,21 @@ class TestPhysicalityThreshold:
         assert below.physical and below.value > 1.0
         assert not above.physical and above.value < 1.0
 
+    @pytest.mark.parametrize("k", range(1, MAX_DIMENSION + 1))
+    def test_flag_is_exact_at_the_threshold_floats(self, k):
+        # the threshold float rounds k/(k+1) up or down; the flag follows the exact value
+        beta = physicality_threshold(k)
+        for _ in range(6):
+            beta = math.nextafter(beta, 0.0)
+        for _ in range(13):
+            result = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-12)
+            assert result.physical == (Fraction(beta) * (k + 1) < k), beta
+            assert result.physical or result.value <= 1.0, beta
+            beta = math.nextafter(beta, 1.0)
+        # a rational beta keeps its side of k/(k+1) when it is rounded to a float
+        result = positive_root(BalanceProblem(k=k, beta=Fraction(k, k + 1)), tol=1e-12)
+        assert not result.physical and result.value <= 1.0
+
 
 class TestRootSigns:
     @pytest.mark.parametrize("beta", BETA_GRID)
