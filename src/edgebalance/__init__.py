@@ -14,6 +14,7 @@ numpy and is imported on first use of any of its names.
 """
 
 import importlib
+import types
 
 from .polynomials import (
     MAX_DIMENSION,
@@ -114,69 +115,9 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY, *_GEOMETRY})
 
 
-__all__ = [
-    "BalancePolynomial",
-    "BalanceProblem",
-    "BalanceReport",
-    "Chord",
-    "Circle",
-    "ConvergenceError",
-    "DoublingSequence",
-    "Ellipse",
-    "ExcisionPlan",
-    "ExcisionPlanKd",
-    "Hyperball",
-    "Hypercube",
-    "KnacciSequence",
-    "MAX_DIMENSION",
-    "McEstimate",
-    "PhysicalityError",
-    "Polygon",
-    "RootResult",
-    "RootSolverError",
-    "RunReport",
-    "Shape2D",
-    "ShapeKd",
-    "Simplex",
-    "area",
-    "balanced_boundary_point",
-    "barycentric_coordinates",
-    "beta_complement",
-    "boundary_points",
-    "bounding_box",
-    "build_general",
-    "centroid",
-    "centroid_kd",
-    "chord_through_centroid",
-    "composite_centroid",
-    "composite_centroid_kd",
-    "contains",
-    "converged_ratio",
-    "doubling_prefix",
-    "evaluate",
-    "excision_with_ratio",
-    "excision_with_ratio_kd",
-    "find_balanced_chord",
-    "find_chord_with_beta",
-    "generate",
-    "knacci_constant",
-    "physicality_threshold",
-    "plan_excision",
-    "plan_excision_kd",
-    "point_in_shape",
-    "positive_root",
-    "random_convex_polygon",
-    "ratio",
-    "regular_polygon",
-    "regular_polygon_betas",
-    "sample_region_centroid",
-    "scan_balanced_chords",
-    "shape_digest",
-    "shape_from_dict",
-    "shape_kd_from_dict",
-    "shape_kd_to_dict",
-    "shape_to_dict",
-    "verify_balance",
-    "verify_balance_kd",
-    "volume_kd",
-]
+# every public name: the eager imports above, less the modules they bind, and the geometry
+__all__ = sorted(
+    {name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    | _LAZY.keys()
+)

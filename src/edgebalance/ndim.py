@@ -61,11 +61,6 @@ shape_kd_to_dict = shape_to_dict
 barycentric_coordinates = Simplex.barycentric
 
 
-def _exit_parameter(shape: ShapeKd, origin, u) -> float:
-    """Largest t with origin + t*u still in the shape, for unit u pointing inward."""
-    return shape.exit_parameter(origin, u)
-
-
 def excision_with_ratio_kd(
     shape: ShapeKd, tangent_point, far_point, scale_ratio: float
 ) -> ExcisionPlan:

@@ -10,17 +10,26 @@ never asks which shape it holds:
 ``contains(points)``       membership mask for an (m, k) float array, boundary inside;
                            it reads the array column by column, so column-major
                            (Fortran-ordered) input is the fast layout
-``on_boundary(p, tol)``    whether p lies within ``tol`` of the boundary
+``on_boundary(p, tol)``    whether p lies within distance ``tol`` of the boundary
 ``exit_parameter(o, u)``   largest t with o + t*u in the body, for o in the body
 ``scaled_about(o, f)``     the image under the homothety about o with factor f
 ``to_dict()``              the JSON form that ``shape_from_dict`` reads back
 ``centrally_symmetric``    True when every chord through the centroid has offset 1/2
 
-Bodies that are not centrally symmetric (polygons, simplices) are polytopes
-and also carry ``vertices`` (tuples of floats) and ``vertex_array``, the same
-numbers as one read-only float64 array built once, which their methods read.
-A polygon also keeps the edges its validation forms as the read-only
-``edge_array``, row i being vertex i + 1 minus vertex i.
+The tolerance of ``on_boundary`` is a distance for every body.  Polygons and
+balls test the exact distance to the boundary.  Simplices and cubes test the
+nearest facet's distance (no facet farther than ``tol`` outside, one within
+``tol``), which is the exact distance except beyond a vertex or edge, where
+it is looser.  An ellipse tests ``tol / min(semi_axes)`` in normalised radius,
+a distance only up to the axis ratio.
+
+Polygons, simplices and cubes are polytopes: one half-space base gives them
+``exit_parameter`` and the facet test from each facet's distance and rate.
+Polygons and simplices also carry ``vertices`` (tuples of floats) and
+``vertex_array``, the same numbers as one read-only float64 array built
+once, which their methods read.  A polygon also keeps the edges its
+validation forms as the read-only ``edge_array``, row i being vertex i + 1
+minus vertex i.
 
 Shapes are validated where they are built, cavities included: every
 coordinate and size must be a finite number, sizes positive, polygons
@@ -114,8 +123,42 @@ class ConvexBody:
         )
 
 
+class _Polytope(ConvexBody):
+    """Base of the bodies cut out by finitely many half-spaces (facets).
+
+    A subclass gives ``_facet_distances(p)``, how far p lies inside each
+    facet (negative outside), and ``_facet_rates(u)``, how fast those
+    distances change along u; exit and boundary tests follow from them.  The
+    vertex polytopes (polygons, simplices) share ``bbox`` and ``scaled_about``
+    over their ``vertex_array``; the cube keeps its own.
+    """
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        v = self.vertex_array
+        return v.min(axis=0), v.max(axis=0)
+
+    def scaled_about(self, origin, factor: float) -> "_Polytope":
+        return type(self)(np.add(origin, (self.vertex_array - origin) * factor))
+
+    def on_boundary(self, p, tol: float) -> bool:
+        # no facet distance below -tol, and one within tol: exact along a facet,
+        # looser than the true distance only beyond a vertex or edge
+        return bool(abs(self._facet_distances(p).min()) <= tol)
+
+    def exit_parameter(self, origin, u) -> float:
+        # the exit is the nearest crossing among the facets the ray faces
+        rate = self._facet_rates(u)
+        leaving = rate < 0.0
+        with np.errstate(over="ignore"):  # a facet the ray nearly runs along
+            t = -self._facet_distances(origin)[leaving] / rate[leaving]
+        best = float(t.min(initial=math.inf))
+        if not (math.isfinite(best) and best > 0.0):
+            raise ValueError(f"ray has no finite positive exit from the {self.kind}")
+        return best
+
+
 @dataclass(frozen=True)
-class Polygon(ConvexBody):
+class Polygon(_Polytope):
     """Strictly convex polygon, vertices ordered counterclockwise."""
 
     kind = "polygon"
@@ -172,9 +215,18 @@ class Polygon(ConvexBody):
     def centroid(self) -> Point:
         return self._moments[1]
 
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        v = self.vertex_array
-        return v.min(axis=0), v.max(axis=0)
+    @cached_property
+    def _edge_lengths(self) -> np.ndarray:
+        e = self.edge_array
+        return np.hypot(e[:, 0], e[:, 1])
+
+    def _facet_distances(self, p) -> np.ndarray:
+        a, e = self.vertex_array, self.edge_array
+        return (e[:, 0] * (p[1] - a[:, 1]) - e[:, 1] * (p[0] - a[:, 0])) / self._edge_lengths
+
+    def _facet_rates(self, u) -> np.ndarray:
+        e = self.edge_array
+        return (e[:, 0] * u[1] - e[:, 1] * u[0]) / self._edge_lengths
 
     @cached_property
     def _circles(self) -> tuple[float, float, float, float]:
@@ -186,8 +238,7 @@ class Polygon(ConvexBody):
         that region's corners are the vertices pushed out by margin / cos(turn / 2).
         """
         cx, cy = self.centroid()
-        v, e = self.vertex_array - (cx, cy), self.edge_array
-        length = np.hypot(e[:, 0], e[:, 1])
+        v, e, length = self.vertex_array - (cx, cy), self.edge_array, self._edge_lengths
         radius = np.hypot(v[:, 0], v[:, 1])
         margin = PREFILTER_MARGIN * 2.0 * float(radius.max())  # 2 x radius >= diameter
         inner = float(np.min((e[:, 1] * v[:, 0] - e[:, 0] * v[:, 1]) / length)) - margin
@@ -219,27 +270,12 @@ class Polygon(ConvexBody):
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:
+        # the exact distance to the nearest edge: the facet test would accept
+        # points up to tol / sin(half the vertex angle) beyond a sharp vertex
         a, e = self.vertex_array, self.edge_array
         s = ((p[0] - a[:, 0]) * e[:, 0] + (p[1] - a[:, 1]) * e[:, 1]) / (e * e).sum(axis=1)
         q = a + np.minimum(1.0, np.maximum(0.0, s))[:, None] * e  # nearest point of each edge
         return bool(np.hypot(p[0] - q[:, 0], p[1] - q[:, 1]).min() <= tol)
-
-    def exit_parameter(self, origin, u) -> float:
-        # the exit is the nearest crossing among the edges the ray faces
-        ox, oy, ux, uy = origin[0], origin[1], u[0], u[1]
-        best = math.inf
-        for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
-            denom = ux * ey - uy * ex
-            if denom > 0.0:
-                t = ((ax - ox) * ey - (ay - oy) * ex) / denom
-                if t < best:
-                    best = t
-        if not math.isfinite(best):
-            raise ValueError("ray never leaves the polygon")
-        return best
-
-    def scaled_about(self, origin, factor: float) -> "Polygon":
-        return Polygon(np.add(origin, (self.vertex_array - origin) * factor))
 
     def boundary_points(self, count: int) -> list[Point]:
         """``count`` points spaced by arc length from vertex 0."""
@@ -312,6 +348,8 @@ class Ellipse(ConvexBody):
         return ex * ex + ey * ey <= 1.0
 
     def on_boundary(self, p, tol: float) -> bool:
+        # in normalised radius: every point within tol of the boundary passes,
+        # and so do some up to tol * max(semi_axes) / min(semi_axes) away
         q = math.hypot(*self._frame(p[0] - self.center[0], p[1] - self.center[1]))
         return abs(q - 1.0) <= tol / min(self.semi_axes)
 
@@ -418,7 +456,7 @@ class Circle(Hyperball):
 
 
 @dataclass(frozen=True)
-class Hypercube(ConvexBody):
+class Hypercube(_Polytope):
     kind = "hypercube"
     centrally_symmetric = True
     min_corner: Point
@@ -454,26 +492,14 @@ class Hypercube(ConvexBody):
             inside &= (column >= lo) & (column <= lo + self.side)
         return inside
 
-    def on_boundary(self, p, tol: float) -> bool:
-        lo, side = self.min_corner, self.side
-        inside = all(lo[i] - tol <= p[i] <= lo[i] + side + tol for i in range(self.dim))
-        on_face = any(
-            abs(p[i] - lo[i]) <= tol or abs(p[i] - lo[i] - side) <= tol
-            for i in range(self.dim)
-        )
-        return inside and on_face
-
-    def exit_parameter(self, origin, u) -> float:
+    def _facet_distances(self, p) -> np.ndarray:
         lo, hi = self.bbox()
-        best = math.inf
-        for i in range(self.dim):
-            if u[i] > 0.0:
-                best = min(best, (hi[i] - origin[i]) / u[i])
-            elif u[i] < 0.0:
-                best = min(best, (lo[i] - origin[i]) / u[i])
-        if not math.isfinite(best) or best <= 0.0:
-            raise ValueError("ray exits the cube immediately")
-        return float(best)
+        p = np.asarray(p, dtype=float)
+        return np.concatenate((p - lo, hi - p))
+
+    def _facet_rates(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return np.concatenate((u, -u))
 
     def scaled_about(self, origin, factor: float) -> "Hypercube":
         # positive scaling keeps the box axis-aligned with the same min corner ordering
@@ -483,7 +509,7 @@ class Hypercube(ConvexBody):
 
 
 @dataclass(frozen=True)
-class Simplex(ConvexBody):
+class Simplex(_Polytope):
     """k+1 affinely independent vertices in k dimensions."""
 
     kind = "simplex"
@@ -520,13 +546,24 @@ class Simplex(ConvexBody):
     def centroid(self) -> Point:
         return _as_point(self.vertex_array.mean(axis=0))
 
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        v = self.vertex_array
-        return v.min(axis=0), v.max(axis=0)
-
     @cached_property
     def _inverse_edges(self) -> np.ndarray:
         return np.linalg.inv(self._edge_matrix())
+
+    @cached_property
+    def _heights(self) -> np.ndarray:
+        """Distance from each vertex to its opposite facet, 1 / |grad lambda_i|:
+        the rows of ``_inverse_edges`` are the gradients of lambda_1..lambda_k,
+        and minus their sum is that of lambda_0."""
+        g = self._inverse_edges
+        return 1.0 / np.linalg.norm(np.vstack((g.sum(axis=0), g)), axis=1)
+
+    def _facet_distances(self, p) -> np.ndarray:
+        return self.barycentric(p) * self._heights
+
+    def _facet_rates(self, u) -> np.ndarray:
+        rate = self._inverse_edges @ np.asarray(u, dtype=float)
+        return np.concatenate(([-rate.sum()], rate)) * self._heights
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         # offsets from vertex 0 as a (k, m) array, one row per coordinate
@@ -535,28 +572,6 @@ class Simplex(ConvexBody):
             np.subtract(points[:, j], v0, out=d[j])
         lam = self._inverse_edges @ d
         return np.all(lam >= 0.0, axis=0) & (lam.sum(axis=0) <= 1.0)
-
-    def on_boundary(self, p, tol: float) -> bool:
-        lam = self.barycentric(p)
-        slack = max(tol, 1e-12 * max(1.0, float(np.max(np.abs(lam)))))
-        return bool(np.all(lam >= -slack) and np.min(lam) <= slack)
-
-    def exit_parameter(self, origin, u) -> float:
-        origin = np.asarray(origin, dtype=float)
-        lam0 = self.barycentric(origin)
-        dlam = self.barycentric(origin + u) - lam0
-        best = math.inf
-        for li, dli in zip(lam0, dlam):
-            if dli < 0.0:
-                t = -li / dli
-                if t > 1e-12:
-                    best = min(best, t)
-        if not math.isfinite(best):
-            raise ValueError("ray never leaves the simplex")
-        return float(best)
-
-    def scaled_about(self, origin, factor: float) -> "Simplex":
-        return Simplex(vertices=np.add(origin, (self.vertex_array - origin) * factor))
 
 
 Shape2D = Polygon | Circle | Ellipse

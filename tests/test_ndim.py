@@ -256,10 +256,8 @@ class TestBalancedBoundaryPoint:
 def plan_offset(shape, o):
     c = np.asarray(centroid_kd(shape))
     o = np.asarray(o)
-    from edgebalance.ndim import _exit_parameter
-
     oc = np.linalg.norm(c - o)
-    return oc / _exit_parameter(shape, o, (c - o) / oc)
+    return oc / shape.exit_parameter(o, (c - o) / oc)
 
 
 class TestShapeJson:

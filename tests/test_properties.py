@@ -109,22 +109,24 @@ def test_every_random_polygon_balances(seed, n):
     assert verify_balance(plan_excision(poly, find_balanced_chord(poly)), tol=1e-10).passed
 
 
-def dense_offsets(poly: Polygon, thetas: np.ndarray) -> np.ndarray:
-    """beta along each direction by brute force: every edge tried, the nearest facing one kept."""
+def edge_exits(poly: Polygon, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Exit parameters from the centroid along each (ux, uy) by brute force:
+    every edge tried, the nearest facing one kept."""
     cx, cy = poly.centroid()
+    best = np.full(len(ux), np.inf)
+    for (ax, ay), (bx, by) in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]):
+        ex, ey = bx - ax, by - ay
+        denom = ux * ey - uy * ex
+        facing = denom > 0.0
+        t = ((ax - cx) * ey - (ay - cy) * ex) / np.where(facing, denom, 1.0)
+        best = np.where(facing, np.minimum(best, t), best)
+    return best
+
+
+def dense_offsets(poly: Polygon, thetas: np.ndarray) -> np.ndarray:
+    """beta along each direction by brute force."""
     ux, uy = np.cos(thetas), np.sin(thetas)
-
-    def exit_parameter(ux, uy):
-        best = np.full(len(ux), np.inf)
-        for (ax, ay), (bx, by) in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]):
-            ex, ey = bx - ax, by - ay
-            denom = ux * ey - uy * ex
-            facing = denom > 0.0
-            t = ((ax - cx) * ey - (ay - cy) * ex) / np.where(facing, denom, 1.0)
-            best = np.where(facing, np.minimum(best, t), best)
-        return best
-
-    far, back = exit_parameter(ux, uy), exit_parameter(-ux, -uy)
+    far, back = edge_exits(poly, ux, uy), edge_exits(poly, -ux, -uy)
     return back / (far + back)
 
 
@@ -281,6 +283,80 @@ def test_thin_shape_searches_return_ordered_chords_on_the_shape(
             direction = (math.atan2(qy - oy, qx - ox) - theta0 + slack) % (2.0 * math.pi) - slack
             assert previous < direction <= turn + slack
             previous = direction
+
+
+@PROPERTY
+@given(seed=seeds, exponent=st.one_of(st.floats(-7.0, -3.0), st.floats(-3.0, 0.0)),
+       clockwise=st.booleans(), edge=st.integers(0, 2), along=st.floats(0.1, 0.9),
+       tol_exponent=st.floats(-6.0, -2.0), inside=st.booleans(), theta=angles,
+       ratio=st.one_of(st.floats(0.0, 0.5), st.floats(2.0, 4.0)))
+def test_polytopes_agree_on_facet_distances_and_exits(
+    seed, exponent, clockwise, edge, along, tol_exponent, ratio, inside, theta
+):
+    # a point at signed distance s from an edge's interior is within tol of the
+    # boundary exactly when |s| <= tol, as a polygon and as a simplex alike
+    v = np.random.default_rng(seed).normal(size=(3, 2))
+    v[:, 1] *= 10.0**exponent
+    if np.linalg.det(v[1:] - v[0]) < 0.0:
+        v = v[::-1]
+    try:
+        poly = Polygon(v)
+    except ValueError:
+        assume(False)  # rounding made the thin triangle collinear
+    simplex = Simplex(vertices=tuple(map(tuple, v[::-1] if clockwise else v)))
+    e = np.roll(v, -1, axis=0) - v
+    length = np.hypot(e[:, 0], e[:, 1])
+    extent = float(np.max(np.ptp(v, axis=0)))
+    heights = abs(np.linalg.det(v[1:] - v[0])) / length  # vertex to opposite edge
+    tol = 10.0**tol_exponent * float(heights.min())
+    assume(tol >= 1e-13 * extent)  # so |s| clears tol by far more than rounding
+    # the foot is at least 0.1 of the smallest height (10 tols) from the other
+    # edges, and p at most 4 tols from the foot
+    normal = np.array([-e[edge, 1], e[edge, 0]]) / length[edge]
+    s = ratio * tol if inside else -ratio * tol
+    p = tuple(v[edge] + along * e[edge] + s * normal)
+    assert poly.on_boundary(p, tol) == simplex.on_boundary(p, tol) == (ratio <= 0.5)
+
+    # exits from the centroid: the facets the two classes cross are the same
+    # lines, known to rounding, which moves a crossing at angle a by about
+    # eps * extent / sin(a)
+    c = simplex.centroid()
+    u = (math.cos(theta), math.sin(theta))
+    t_poly, t_simplex = poly.exit_parameter(c, u), simplex.exit_parameter(c, u)
+    w = np.add(c, np.multiply(t_poly, u)) - v  # the exit point from each vertex
+    crossed = np.argmin(np.abs(e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / length)
+    sine = abs(e[crossed, 0] * u[1] - e[crossed, 1] * u[0]) / length[crossed]
+    assert abs(t_poly - t_simplex) * sine <= 8.0 * sys.float_info.epsilon * extent
+
+    # the same square as a polygon and as a cube
+    corner, side = v[0], float(length.max())
+    square = Polygon((corner, corner + (side, 0.0), corner + (side, side), corner + (0.0, side)))
+    cube = Hypercube(min_corner=tuple(corner), side=side)
+    c = cube.centroid()
+    assert math.isclose(square.exit_parameter(c, u), cube.exit_parameter(c, u), rel_tol=1e-12)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 60), k=st.integers(1, MAX_DIMENSION), theta=angles)
+def test_polytope_exits_match_the_facet_loops(seed, n, k, theta):
+    # a polygon's exit divides the edge loop's numerator and denominator by the
+    # edge length, two roundings more; a cube's takes the loop's very operations
+    poly = polygon(seed, n)
+    u = (math.cos(theta), math.sin(theta))
+    reference = float(edge_exits(poly, np.array(u[:1]), np.array(u[1:]))[0])
+    gap = abs(poly.exit_parameter(poly.centroid(), u) - reference)
+    assert gap <= 4.0 * sys.float_info.epsilon * reference
+
+    rng = np.random.default_rng(seed)
+    corner, side = tuple(rng.uniform(-1.0, 1.0, size=k)), float(rng.uniform(0.5, 2.0))
+    cube = Hypercube(min_corner=corner, side=side)
+    lo, hi = cube.bbox()
+    o = lo + rng.uniform(0.0, 1.0, size=k) * cube.side
+    u = rng.normal(size=k) * (rng.uniform(size=k) < 0.8)  # some axes the ray runs along
+    assume(u.any())
+    u /= np.linalg.norm(u)
+    exits = [((hi[i] if u[i] > 0.0 else lo[i]) - o[i]) / u[i] for i in range(k) if u[i] != 0.0]
+    assert cube.exit_parameter(o, u) == min(exits)
 
 
 def test_warm_sweep_frame_keeps_the_bisection_fallback(monkeypatch):

@@ -141,6 +141,33 @@ def test_polytopes_carry_one_read_only_array(body):
         assert not cavity.edge_array.flags.writeable
 
 
+def test_on_boundary_tolerance_is_a_distance_on_every_polytope():
+    # (0.5, -1e-12) lies 1e-12 below the long edge of a 1e-7-thin triangle, with
+    # barycentric weight -1e-5: the tolerance must read as a distance either way
+    thin = ((0.0, 0.0), (1.0, 0.0), (0.4, 1e-7))
+    square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    cube = Hypercube(min_corner=(0.0, 0.0), side=1.0)
+    for body in (Polygon(thin), Simplex(vertices=thin), square, cube):
+        assert body.on_boundary((0.5, -1e-12), 1e-9)
+        assert not body.on_boundary((0.5, -2e-9), 1e-9)
+        assert not body.on_boundary((0.5, 2e-9), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
+        Simplex(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+        Hypercube(min_corner=(0.0, 0.0), side=1.0),
+    ],
+)
+def test_a_ray_leaving_through_its_own_facet_has_no_exit(body):
+    # from a point on the facet y = 0, inward crosses the body and outward does not
+    assert body.exit_parameter((0.25, 0.0), (0.0, 1.0)) >= 0.75
+    with pytest.raises(ValueError, match="no finite positive exit"):
+        body.exit_parameter((0.25, 0.0), (0.0, -1.0))
+
+
 class TestTranslatedPolygons:
     def test_balance_verifies_far_from_the_origin(self):
         rng = np.random.default_rng(31)
