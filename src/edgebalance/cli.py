@@ -8,8 +8,11 @@ Subcommands::
     excise              plan and verify a 2-D excision from a shape file
     excise-kd           plan and verify a k-dimensional excision
 
-Exit codes: 0 success/verified, 1 verification or physicality failure,
-2 usage or input errors.  stdout carries data; diagnostics go to stderr.
+Each command takes only the flags it reads: ``--format`` everywhere, ``--tol``
+on ``table`` and the excise commands (exit 2 unless finite and positive),
+``--seed`` and ``--samples`` on the excise commands.  Exit codes: 0 success/verified,
+1 verification or physicality failure, 2 usage or input errors.  stdout carries
+data; diagnostics go to stderr.
 Every command prints through :func:`_emit`, which applies the output rules
 of :mod:`edgebalance.report` for ``--format json|csv``; each command only
 lays out its own text.
@@ -37,17 +40,11 @@ if TYPE_CHECKING:
     from . import planar
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance")
-    common.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text", help="output format"
-    )
-    common.add_argument("--seed", type=int, default=42, help="Monte Carlo seed")
-    common.add_argument(
-        "--samples", type=int, default=1_000_000, help="Monte Carlo sample count"
-    )
-    return common
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,17 +54,25 @@ def build_parser() -> argparse.ArgumentParser:
         "self-similar excisions verified exactly and by Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=_tolerance, default=1e-12, help="numeric tolerance")
+    excision = argparse.ArgumentParser(add_help=False, parents=[output, tolerance])
+    excision.add_argument("--shape", required=True, help="shape JSON file")
+    excision.add_argument("--verify", choices=("exact", "mc", "both"), default="exact")
+    excision.add_argument("--seed", type=int, default=42, help="Monte Carlo seed")
+    excision.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count")
 
-    p = sub.add_parser("constant", parents=[common], help="order-k balance constant")
+    p = sub.add_parser("constant", parents=[output], help="order-k balance constant")
     p.add_argument("k", type=int)
     p.set_defaults(func=cmd_constant)
 
-    p = sub.add_parser("table", parents=[common], help="constants table with cross-checks")
+    p = sub.add_parser("table", parents=[output, tolerance], help="constants table with cross-checks")
     p.add_argument("--k-max", type=int, default=10, dest="k_max")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("seq", parents=[common], help="generalized Fibonacci sequence")
+    p = sub.add_parser("seq", parents=[output], help="generalized Fibonacci sequence")
     p.add_argument("k", type=int)
     p.add_argument(
         "--seeds",
@@ -77,19 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=12)
     p.set_defaults(func=cmd_seq)
 
-    p = sub.add_parser("excise", parents=[common], help="plan and verify a 2-D excision")
-    p.add_argument("--shape", required=True, help="shape JSON file")
+    p = sub.add_parser("excise", parents=[excision], help="plan and verify a 2-D excision")
     p.add_argument(
         "--theta", default="auto", help="chord direction in radians, or 'auto' for beta=1/2"
     )
-    p.add_argument("--verify", choices=("exact", "mc", "both"), default="exact")
     p.add_argument("--svg", default=None, help="write an SVG figure to this path")
     p.set_defaults(func=cmd_excise)
 
     p = sub.add_parser(
-        "excise-kd", parents=[common], help="plan and verify a k-dimensional excision"
+        "excise-kd", parents=[excision], help="plan and verify a k-dimensional excision"
     )
-    p.add_argument("--shape", required=True, help="shape JSON file")
     p.add_argument(
         "--o",
         required=True,
@@ -97,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tangency point, comma-separated (use --o=-1,0,0 for negative leads)",
     )
     p.add_argument("--dir", default=None, dest="direction", help="chord direction (optional)")
-    p.add_argument("--verify", choices=("exact", "mc"), default="exact")
     p.set_defaults(func=cmd_excise_kd, svg=None)
 
     return parser
@@ -121,7 +122,7 @@ def _emit(fmt: str, rows: list[dict], text, payload=None) -> None:
 
 def cmd_constant(args) -> int:
     _check_order(args.k)
-    root = knacci_constant(args.k, tol=args.tol)
+    root = knacci_constant(args.k)
     row = {"k": args.k, "value": root.value, "residual": root.residual, "physical": root.physical}
     _emit(args.format, [row], lambda: f"{root.value!r}\nresidual {root.residual!r}", row)
     return 0
@@ -131,7 +132,7 @@ def cmd_table(args) -> int:
     _check_order(args.k_max)
     rows = []
     for k in range(1, args.k_max + 1):
-        value = knacci_constant(k, tol=args.tol).value
+        value = knacci_constant(k).value
         seq_ratio = sequences.converged_ratio(k, tol=max(args.tol, 1e-13))
         rows.append(
             {
@@ -228,7 +229,7 @@ def cmd_excise(args) -> int:
         if not math.isfinite(theta):
             raise ValueError(f"--theta must be 'auto' or a finite number, got {args.theta!r}")
         chord = planar.chord_through_centroid(shape, theta)
-    plan = planar.plan_excision(shape, chord, tol=args.tol)
+    plan = planar.plan_excision(shape, chord)
     return _verify_and_report(args, shape_dict, plan, started)
 
 
@@ -239,7 +240,7 @@ def cmd_excise_kd(args) -> int:
     shape_dict, shape = _load_shape(args.shape)
     tangent = _parse_vector("--o", args.tangent)
     direction = _parse_vector("--dir", args.direction) if args.direction is not None else None
-    plan = ndim.plan_excision_kd(shape, tangent, direction, tol=args.tol)
+    plan = ndim.plan_excision_kd(shape, tangent, direction)
     return _verify_and_report(args, shape_dict, plan, started)
 
 

@@ -71,15 +71,15 @@ def excision_with_ratio_kd(
     return excision_with_ratio(shape, Chord(o, q, c, beta), scale_ratio)
 
 
-def plan_excision_kd(
-    shape: ShapeKd, tangent_point, direction=None, tol: float = 1e-12
-) -> ExcisionPlan:
+def plan_excision_kd(shape: ShapeKd, tangent_point, direction=None) -> ExcisionPlan:
     """Excision tangent at a boundary point, chord through the centroid.
 
     The chord direction is forced by the construction (it must contain the
     centroid); a ``direction`` argument, when given, is only checked for
-    agreement.  Requires ``beta < k/(k+1)``, otherwise the balance root does
-    not exceed 1 and PhysicalityError is raised.
+    agreement.  As in ``plan_excision``, the scale ratio is the
+    ``positive_root`` value for ``k`` and the chord's beta.  Requires ``beta <
+    k/(k+1)``, otherwise the balance root does not exceed 1 and
+    PhysicalityError is raised.
     """
     k = shape.dim
     tangent_point = _as_point(tangent_point)
@@ -107,7 +107,7 @@ def plan_excision_kd(
     if t_exit <= oc:
         raise ValueError("centroid chord leaves the body before the centroid")
     chord = Chord(tangent_point=o, far_point=o + t_exit * u, centroid=c, beta=float(oc / t_exit))
-    return _solve_excision(shape, chord, tol)
+    return _solve_excision(shape, chord)
 
 
 def balanced_boundary_point(shape: ShapeKd) -> Point:

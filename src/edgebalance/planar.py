@@ -411,12 +411,13 @@ def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> Excis
     )
 
 
-def plan_excision(shape: Shape, chord: Chord, tol: float = 1e-12) -> ExcisionPlan:
+def plan_excision(shape: Shape, chord: Chord) -> ExcisionPlan:
     """Solve the balance equation for the chord and build the excision.
 
-    Requires ``chord.beta < k/(k+1)`` (2/3 in the plane); at or above that
-    threshold the balance root does not exceed 1 and no physical cavity
-    exists.
+    The scale ratio is the ``positive_root`` value for ``k`` and ``chord.beta``,
+    which no tolerance moves.  Requires ``chord.beta < k/(k+1)`` (2/3 in the
+    plane); at or above that threshold the balance root does not exceed 1 and
+    no physical cavity exists.
     """
     scale = max(_extent(shape), 1.0)
     if math.dist(chord.centroid, shape.centroid()) > _BOUNDARY_RTOL * scale:
@@ -424,16 +425,16 @@ def plan_excision(shape: Shape, chord: Chord, tol: float = 1e-12) -> ExcisionPla
     for p in (chord.tangent_point, chord.far_point):
         if not shape.on_boundary(p, _BOUNDARY_RTOL * scale):
             raise ValueError(f"chord endpoint {p} is not on the shape boundary")
-    return _solve_excision(shape, chord, tol)
+    return _solve_excision(shape, chord)
 
 
-def _solve_excision(shape: Shape, chord: Chord, tol: float) -> ExcisionPlan:
+def _solve_excision(shape: Shape, chord: Chord) -> ExcisionPlan:
     """``plan_excision`` for a chord already known to belong to the shape."""
     note = _rounding_note(chord)
     if note:
         raise ValueError("chord too short to resolve at its coordinates" + note)
     k = shape.dim
-    root = positive_root(BalanceProblem(k=k, beta=chord.beta), tol=tol)
+    root = positive_root(BalanceProblem(k=k, beta=chord.beta))
     if not root.physical:
         raise PhysicalityError(
             f"beta = {chord.beta} at dimension {k} is at or above "
@@ -472,7 +473,10 @@ class BalanceReport:
     polynomial_residual: float
     composite_centroid: tuple[float, ...]
     balance_point: tuple[float, ...]
-    dimension: int = 2
+
+    @property
+    def dimension(self) -> int:
+        return len(self.balance_point)
 
 
 def balance_residual(plan: ExcisionPlan) -> float:
@@ -496,7 +500,6 @@ def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
         polynomial_residual=balance_residual(plan),
         composite_centroid=com,
         balance_point=plan.balance_point,
-        dimension=plan.shape.dim,
     )
 
 

@@ -483,6 +483,21 @@ def test_root_bracket_is_certified_in_exact_arithmetic(problem, tol):
     assert hi - lo <= min(tol, 1e-13) * max(1.0, lo)
 
 
+@settings(PROPERTY, max_examples=200)
+@given(problem=balance_problems())
+def test_root_value_does_not_depend_on_tol(problem):
+    # tol only sets the width of the certified bracket, so a plan, which keeps
+    # the value and drops the bracket, needs no tolerance
+    k, beta = problem
+    assume(1.0 / beta < math.inf)
+    results = [positive_root(BalanceProblem(k=k, beta=beta), tol=tol)
+               for tol in (1e-300, 1e-15, 1e-13, 1e-12, 1e-6, 0.5)]
+    assert len({result.value.hex() for result in results}) == 1
+    for result in results:
+        lo, hi = result.bracket
+        assert lo <= result.value <= hi
+
+
 @pytest.mark.parametrize(
     ("k", "beta"),
     [(54, 1e-6), (64, 1e-6), (33, 1e-10), (64, 1e-10), (64, 2.0**-20), (2, 1e-20), (64, 1e-100)],

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +394,56 @@ class TestExciseKdCommand:
         )
         assert code == 0
         assert RunReport.from_json(out).mc_accepted > 0
+
+    def test_both_verification_modes(self, capsys, tmp_path):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({"type": "hyperball", "center": [0, 0, 0], "radius": 1.0}))
+        code, out, _ = run_cli(
+            capsys, "excise-kd", "--shape", str(path), "--o=-1,0,0",
+            "--verify", "both", "--samples", "200000", "--format", "json",
+        )
+        assert code == 0
+        report = RunReport.from_json(out)
+        assert report.passed
+        assert report.relative_distance < 1e-12
+        assert report.composite_centroid is not None
+        assert len(report.mc_centroid) == len(report.mc_std_error) == 3
+        assert report.mc_accepted > 0
+        assert (report.seed, report.samples) == (42, 200000)
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["constant", "3", "--seed", "1"], ["table", "--samples", "5"], ["seq", "2", "--tol", "1e-3"]],
+    )
+    def test_a_flag_the_command_does_not_read_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["table"], ["excise"], ["excise", "--theta", "0.3"], ["excise-kd", "--o=-1,0"]]
+    )
+    def test_tol_that_is_not_finite_and_positive_exits_two(self, capsys, circle_file, command, tol):
+        shape = [] if command == ["table"] else ["--shape", circle_file]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, *shape, "--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol: must be finite and > 0" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [words for words in lines if words]
+        assert commands
+        parser = cli.build_parser()
+        for words in commands:
+            assert words[0] == "edgebalance"
+            parser.parse_args(words[1:])
 
 
 class TestSvg:
