@@ -10,12 +10,16 @@ size, so estimates are bit-identical across runs and independent of how
 batches might be distributed over workers.  Within a batch the draws are
 taken in chunks of ``CHUNK_ROWS`` points; the generator fills rows in
 order, so the chunks consume the same numbers as one whole-batch draw and
-every accept/reject decision is the same.  Each chunk is laid out column by
-column for the membership kernels, and working memory is a few chunks
-(about ``16 * CHUNK_ROWS * k`` bytes), whatever ``n``.  Counts, sums and
-sums of squares are taken per chunk about the centre of the box, which
-keeps the variance free of cancellation far from the origin, and merged
-with exactly rounded summation, which makes the merge order irrelevant.
+every accept/reject decision is the same.  A call allocates three chunk
+buffers once and reuses them for every chunk: the draws, the coordinates
+(one row per coordinate, the membership kernels' fast layout) and the kept
+points.  The points a test keeps are gathered by index, once per test, and
+the cavity tests only the points the body kept.  Working memory is those
+buffers, ``24 * CHUNK_ROWS * k`` bytes (7.9 MB at k = 10), plus one
+chunk's kernel temporaries, whatever ``n``.  Counts, sums and sums of
+squares are taken per chunk about the centre of the box, which keeps the
+variance free of cancellation far from the origin, and merged with exactly
+rounded summation, which makes the merge order irrelevant.
 
 Rejection from the bounding box degrades with dimension (the ball fills
 fewer than 0.25% of its box at k = 10), so treat k <= 10 as the practical
@@ -30,7 +34,7 @@ import numpy as np
 from .shapes import Shape
 
 BATCH_SIZE = 1_000_000
-CHUNK_ROWS = 1 << 16  # points per chunk: a chunk's columns stay in cache
+CHUNK_ROWS = 1 << 15  # points per chunk: the fastest of 2^13..2^16 on the mc_oracle benchmark
 
 
 def bounding_box(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
@@ -38,14 +42,33 @@ def bounding_box(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     return shape.bbox()
 
 
+def _dimension_error(shape: Shape, pts: np.ndarray, ndim: int) -> ValueError:
+    got = f"dimension {pts.shape[-1]}" if pts.ndim == ndim else f"an array of shape {pts.shape}"
+    k = shape.dim
+    return ValueError(f"a {k}-D {shape.kind} takes points of dimension {k}, got {got}")
+
+
 def contains(shape: Shape, points: np.ndarray) -> np.ndarray:
-    """Vectorized closed-region membership for an (n, dim) point array."""
-    return shape.contains(np.asarray(points, dtype=float))
+    """Vectorized closed-region membership for an (n, dim) point array.
+
+    Raises ValueError for points of another dimension: the body kernels
+    read only the first ``dim`` columns and would not notice.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != shape.dim:
+        raise _dimension_error(shape, pts, 2)
+    return shape.contains(pts)
 
 
 def point_in_shape(shape: Shape, p) -> bool:
-    """Exact membership of a single point (boundary counts as inside)."""
-    return bool(contains(shape, np.asarray(p, dtype=float)[None, :])[0])
+    """Exact membership of a single point (boundary counts as inside).
+
+    Raises ValueError for a point of another dimension.
+    """
+    pts = np.asarray(p, dtype=float)
+    if pts.shape != (shape.dim,):
+        raise _dimension_error(shape, pts, 1)
+    return bool(shape.contains(pts[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -77,6 +100,17 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
+def _compact(pts: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The columns of ``pts`` that ``keep`` marks, gathered by index into the
+    front of the flat buffer ``out``; ``pts`` itself when it keeps them all."""
+    idx = np.flatnonzero(keep)
+    if idx.size == keep.size:
+        return pts
+    kept = out[: pts.shape[0] * idx.size].reshape(pts.shape[0], idx.size)
+    # a C-contiguous out and mode "clip" let take write in place, with no hidden copy
+    return np.take(pts, idx, axis=1, out=kept, mode="clip")
+
+
 def sample_region_centroid(
     shape: Shape, cavity: Shape | None, n: int, seed: int
 ) -> McEstimate:
@@ -84,17 +118,19 @@ def sample_region_centroid(
 
     ``cavity`` may be None to sample the full shape.  Points are accepted
     when inside the shape and not inside the cavity.  Raises ValueError for
-    an ``n`` that is not an integer of at least 1000, a negative seed, a
-    cavity of another dimension, and when nothing is accepted (cavity
-    covering the body, or hopeless acceptance).
+    an ``n`` that is not an integer of at least 1000, a seed that is not a
+    non-negative integer (numpy integers count as integers), a cavity of
+    another dimension, and when nothing is accepted (cavity covering the
+    body, or hopeless acceptance).
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"sample count must be an integer, got {n!r}")
     n = int(n)
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for a meaningful error bar, got {n}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     if cavity is not None and cavity.dim != shape.dim:
         raise ValueError(
             f"cavity dimension {cavity.dim} differs from the body's dimension {shape.dim}"
@@ -105,6 +141,9 @@ def sample_region_centroid(
     dim = lo.size
     box_volume = float(np.prod(span))
 
+    # draws, columns and kept points: one chunk each, reused by every chunk
+    size = min(CHUNK_ROWS, n) * dim
+    draws, cols, kept = np.empty(size), np.empty(size), np.empty(size)
     accepted = 0
     sums: list[list[float]] = [[] for _ in range(dim)]
     sq_sums: list[list[float]] = [[] for _ in range(dim)]
@@ -112,23 +151,20 @@ def sample_region_centroid(
         rng = _batch_rng(seed, index)
         batch = min(BATCH_SIZE, n - start)
         for offset in range(0, batch, CHUNK_ROWS):
-            # rows in generator order, stored column by column
-            pts = np.asfortranarray(rng.random((min(CHUNK_ROWS, batch - offset), dim)))
-            pts *= span
-            pts += lo
-            accept = shape.contains(pts)
+            m = min(CHUNK_ROWS, batch - offset)
+            rows = draws[: m * dim].reshape(m, dim)
+            rng.random(out=rows)  # rows in generator order
+            pts = cols[: m * dim].reshape(dim, m)  # one row per coordinate
+            np.multiply(rows.T, span[:, None], out=pts)
+            pts += lo[:, None]
+            pts = _compact(pts, shape.contains(pts.T), kept)
             if cavity is not None:
-                # The cavity can only reject points the body accepted.  Test
-                # just those when they are few; gathering most of the chunk
-                # costs more than the test it saves.
-                if 4 * np.count_nonzero(accept) < accept.size:
-                    inside = np.flatnonzero(accept)
-                    accept[inside] = ~cavity.contains(pts[inside])
-                else:
-                    accept &= ~cavity.contains(pts)
-            accepted += int(np.count_nonzero(accept))
-            for j in range(dim):
-                d = pts[:, j][accept] - centre[j]
+                in_cavity = cavity.contains(pts.T)
+                # the draws are spent, and pts lies in cols or kept
+                pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), draws)
+            accepted += pts.shape[1]
+            pts -= centre[:, None]
+            for j, d in enumerate(pts):
                 sums[j].append(float(d.sum()))
                 sq_sums[j].append(float(np.dot(d, d)))
 

@@ -250,10 +250,17 @@ class Polygon(_Polytope):
         return cx, cy, inner * inner if inner > 0.0 else -1.0, outer * outer
 
     def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # one half-plane per edge keeps memory at O(m) for m points
+        # one half-plane per edge, ex * (y - ay) - ey * (x - ax) >= 0, worked
+        # in place in two buffers: memory stays at O(m) for m points
         inside = np.ones(len(x), dtype=bool)
+        cross, term, ok = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=bool)
         for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
-            inside &= ex * (y - ay) - ey * (x - ax) >= 0.0
+            np.subtract(y, ay, out=cross)
+            cross *= ex
+            np.subtract(x, ax, out=term)
+            term *= ey
+            cross -= term
+            inside &= np.greater_equal(cross, 0.0, out=ok)
         return inside
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -261,9 +268,11 @@ class Polygon(_Polytope):
         if len(self.vertices) < PREFILTER_MIN_VERTICES:
             return self._edge_test(x, y)
         cx, cy, inner_sq, outer_sq = self._circles
-        dx = x - cx
-        dy = y - cy
-        d2 = dx * dx + dy * dy
+        d2 = np.subtract(x, cx)
+        d2 *= d2
+        dy = np.subtract(y, cy)
+        dy *= dy
+        d2 += dy
         inside = d2 <= inner_sq
         ring = np.flatnonzero((d2 <= outer_sq) & ~inside)
         inside[ring] = self._edge_test(x[ring], y[ring])
@@ -344,8 +353,23 @@ class Ellipse(ConvexBody):
         return c - half, c + half
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        ex, ey = self._frame(points[:, 0] - self.center[0], points[:, 1] - self.center[1])
-        return ex * ex + ey * ey <= 1.0
+        # _frame's arithmetic in place, operation for operation
+        cr, sr = math.cos(self.rotation), math.sin(self.rotation)
+        a, b = self.semi_axes
+        dx = np.subtract(points[:, 0], self.center[0])
+        dy = np.subtract(points[:, 1], self.center[1])
+        ex = np.multiply(dx, cr)
+        term = np.multiply(dy, sr)
+        ex += term
+        ex /= a
+        ey = np.multiply(dx, -sr, out=dx)
+        dy *= cr
+        ey += dy
+        ey /= b
+        ex *= ex
+        ey *= ey
+        ex += ey
+        return ex <= 1.0
 
     def on_boundary(self, p, tol: float) -> bool:
         # in normalised radius: every point within tol of the boundary passes,
@@ -411,10 +435,11 @@ class Hyperball(ConvexBody):
         return c - self.radius, c + self.radius
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        dist_sq = np.zeros(len(points))
+        dist_sq, d = np.zeros(len(points)), np.empty(len(points))
         for j, c in enumerate(self.center):
-            d = points[:, j] - c
-            dist_sq += d * d
+            np.subtract(points[:, j], c, out=d)
+            d *= d
+            dist_sq += d
         return dist_sq <= self.radius**2
 
     def on_boundary(self, p, tol: float) -> bool:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from edgebalance import montecarlo
 from edgebalance.montecarlo import (
     bounding_box,
     contains,
@@ -67,6 +68,36 @@ class TestMembership:
         cube = Hypercube(min_corner=(0.0, 0.0), side=2.0)
         assert point_in_shape(cube, (1.0, 2.0))
         assert not point_in_shape(cube, (2.1, 1.0))
+
+    @pytest.mark.parametrize(
+        "shape, point, got",
+        [
+            (UNIT_SQUARE, (0.5, 0.5, 99.0), "dimension 3"),
+            (UNIT_SQUARE, (0.5,), "dimension 1"),
+            (Hyperball(center=(0.0, 0.0, 0.0), radius=1.0), (0.0, 0.0, 0.0, 0.0), "dimension 4"),
+            (SIMPLEX_3, (0.1, 0.1), "dimension 2"),
+            (UNIT_SQUARE, 0.5, r"an array of shape \(\)"),
+        ],
+        ids=["square-long", "square-short", "ball3-long", "simplex3-short", "scalar"],
+    )
+    def test_point_of_another_dimension_is_refused(self, shape, point, got):
+        k = shape.dim
+        with pytest.raises(ValueError, match=f"{k}-D {shape.kind} takes points of dimension {k}, got {got}"):
+            point_in_shape(shape, point)
+
+    @pytest.mark.parametrize(
+        "shape, points, got",
+        [
+            (UNIT_SQUARE, np.full((4, 3), 0.5), "dimension 3"),
+            (Hyperball(center=(0.0,) * 4, radius=1.0), np.zeros((4, 3)), "dimension 3"),
+            (UNIT_SQUARE, np.full(2, 0.5), r"an array of shape \(2,\)"),
+        ],
+        ids=["square-long", "ball4-short", "flat"],
+    )
+    def test_points_of_another_dimension_are_refused(self, shape, points, got):
+        k = shape.dim
+        with pytest.raises(ValueError, match=f"{k}-D {shape.kind} takes points of dimension {k}, got {got}"):
+            contains(shape, points)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -189,6 +220,7 @@ def _needle(width, scale=1.0):
 POLY_5 = random_convex_polygon(5, np.random.default_rng(5))
 POLY_50 = random_convex_polygon(50, np.random.default_rng(50))
 POLY_100 = random_convex_polygon(100, np.random.default_rng(100))
+ELLIPSE = Ellipse(center=(0.3, -0.2), semi_axes=(1.5, 0.7), rotation=0.4)
 
 
 def _all_edges(poly, pts):
@@ -250,7 +282,7 @@ class TestChunkedStream:
             (*_with_cavity(POLY_5), 150_000),
             (*_with_cavity(POLY_50), 150_000),
             (POLY_100, None, 150_000),
-            (*_with_cavity(Ellipse(center=(0.3, -0.2), semi_axes=(1.5, 0.7), rotation=0.4)), 150_000),
+            (*_with_cavity(ELLIPSE), 150_000),
             (*_with_cavity(Hyperball(center=(0.2, -0.1, 0.4), radius=1.3)), 150_000),
             (*_with_cavity(Hypercube(min_corner=(-0.5, 0.1, 0.2, 0.0, 1.0), side=1.5)), 150_000),
             (*_with_cavity(SIMPLEX_3), 150_000),
@@ -264,6 +296,34 @@ class TestChunkedStream:
         accepted, centroid = _whole_batch_reference(shape, cavity, n, 9)
         assert est.samples_accepted == accepted
         assert est.centroid_estimate == pytest.approx(tuple(centroid), rel=1e-12, abs=1e-12)
+
+
+class TestChunkSize:
+    """The chunk size changes only how the sums round, never which points count."""
+
+    @pytest.mark.parametrize(
+        "shape, cavity",
+        [
+            _with_cavity(POLY_5),
+            _with_cavity(ELLIPSE),
+            _with_cavity(Hyperball(center=(0.2, -0.1, 0.4), radius=1.3)),
+            # the body fills its box, so only the cavity compacts the chunk
+            _with_cavity(Hypercube(min_corner=(-0.5, 0.1, 0.2, 0.0, 1.0), side=1.5)),
+        ],
+        ids=["polygon5", "ellipse", "ball3", "cube5"],
+    )
+    @pytest.mark.parametrize("n", [2_500, 100_003], ids=["below-one-chunk", "ragged"])
+    def test_estimate_does_not_depend_on_the_chunk_size(self, monkeypatch, shape, cavity, n):
+        estimates = []
+        for rows in (1000, 4096, 1 << 16):
+            monkeypatch.setattr(montecarlo, "CHUNK_ROWS", rows)
+            estimates.append(sample_region_centroid(shape, cavity, n, seed=17))
+        first, *rest = estimates
+        assert 0 < first.samples_accepted < n
+        for est in rest:
+            assert est.samples_accepted == first.samples_accepted
+            assert est.centroid_estimate == pytest.approx(first.centroid_estimate, rel=1e-14)
+            assert est.std_error == pytest.approx(first.std_error, rel=1e-12)
 
 
 class TestBadArguments:
@@ -285,6 +345,16 @@ class TestBadArguments:
     def test_numpy_integer_count_is_accepted(self):
         est = sample_region_centroid(UNIT_SQUARE, None, np.int64(5000), seed=1)
         assert est.samples_total == 5000 and isinstance(est.samples_total, int)
+
+    @pytest.mark.parametrize("seed", [True, -1, np.int64(-1), 5.0, np.float64(5.0), "5"])
+    def test_bad_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_region_centroid(UNIT_SQUARE, None, 5000, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        est = sample_region_centroid(UNIT_SQUARE, None, 5000, seed=np.int64(5))
+        assert est.seed == 5 and isinstance(est.seed, int)
+        assert est == sample_region_centroid(UNIT_SQUARE, None, 5000, seed=5)
 
 
 class TestFarFromOrigin:
@@ -389,14 +459,30 @@ class TestKernels:
             assert np.array_equal(poly.contains(layout), expected)
 
 
-def test_sampler_memory_is_bounded():
-    ball = Hyperball(center=(0.0,) * 10, radius=1.0)
-    cavity = plan_excision_kd(ball, balanced_boundary_point(ball)).cavity
+def _traced_peak(body):
+    cavity = _with_cavity(body)[1]
     tracemalloc.start()
     try:
-        est = sample_region_centroid(ball, cavity, 1_000_000, seed=5)
+        est = sample_region_centroid(body, cavity, 1_000_000, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert est.samples_accepted > 0
-    assert peak < 32_000_000
+    return peak
+
+
+# Working memory is three (k, CHUNK_ROWS) buffers, 24 * 32768 * k bytes, plus
+# one chunk's kernel temporaries: 7.9 + 0.6 MB at k = 10, 1.6 + 1.1 MB at k = 2.
+
+
+def test_sampler_memory_is_bounded():
+    assert _traced_peak(Hyperball(center=(0.0,) * 10, radius=1.0)) < 12_000_000
+
+
+@pytest.mark.parametrize(
+    "body",
+    [POLY_50, ELLIPSE],
+    ids=["polygon50", "ellipse"],
+)
+def test_sampler_memory_is_bounded_in_the_plane(body):
+    assert _traced_peak(body) < 3_500_000
