@@ -11,7 +11,8 @@ Subcommands::
 Each command takes only the flags it reads: ``--format`` everywhere, ``--tol``
 on ``table`` and the excise commands (exit 2 unless finite and positive),
 ``--seed`` and ``--samples`` on the excise commands.  Exit codes: 0 success/verified,
-1 verification or physicality failure, 2 usage or input errors.  stdout carries
+1 verification or physicality failure or an inconclusive Monte Carlo check,
+2 usage or input errors.  stdout carries
 data; diagnostics go to stderr.
 Every command prints through :func:`_emit`, which applies the output rules
 of :mod:`edgebalance.report` for ``--format json|csv``; each command only
@@ -132,13 +133,14 @@ def cmd_table(args) -> int:
     _check_order(args.k_max)
     rows = []
     for k in range(1, args.k_max + 1):
-        value = knacci_constant(k).value
+        root = knacci_constant(k)
+        value = root.value
         seq_ratio = sequences.converged_ratio(k, tol=max(args.tol, 1e-13))
         rows.append(
             {
                 "k": k,
                 "value": value,
-                "gap_to_two": 2.0 - value,
+                "gap_to_two": root.gap,
                 "sequence_ratio": seq_ratio,
                 "agreement_gap": abs(value - seq_ratio),
             }
@@ -244,8 +246,27 @@ def cmd_excise_kd(args) -> int:
     return _verify_and_report(args, shape_dict, plan, started)
 
 
+MC_MIN_ACCEPTED = 1000  # accepted points below which a Monte Carlo run shows nothing
+
+
+def _mc_bound(k: int) -> float:
+    """Standard errors by which one of ``k`` centroid coordinates may miss.
+
+    4 in the plane; above it a Bonferroni split (Dunn 1961) of the plane's
+    family-wise false-alarm rate, ``2 * P(|Z| > 4)``, over the ``k``
+    coordinates, so that the rate does not grow with ``k``.
+    """
+    from statistics import NormalDist
+
+    normal = NormalDist()
+    return max(4.0, -normal.inv_cdf(normal.cdf(-4.0) * 2.0 / k))
+
+
 def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, started: float) -> int:
-    """Run the checks ``--verify`` asks for, then print the run report."""
+    """Run the checks ``--verify`` asks for, then print the run report.
+
+    A Monte Carlo run that accepts fewer than ``MC_MIN_ACCEPTED`` points is
+    inconclusive: it never passes, and it exits 1."""
     from . import montecarlo, planar, svg
 
     fields = {
@@ -257,11 +278,11 @@ def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, starte
         "tolerance": args.tol,
         "balance_point": plan.balance_point,
         "polynomial_residual": planar.balance_residual(plan),
-        "passed": True,
     }
+    passed, inconclusive = True, None
     if args.verify in ("exact", "both"):
         exact = planar.verify_balance(plan, tol=max(args.tol, 1e-12))
-        fields["passed"] &= exact.passed
+        passed &= exact.passed
         fields.update(
             composite_centroid=exact.composite_centroid,
             distance=exact.distance,
@@ -269,11 +290,17 @@ def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, starte
         )
     if args.verify in ("mc", "both"):
         estimate = montecarlo.sample_region_centroid(plan.shape, plan.cavity, args.samples, args.seed)
-        # the estimate agrees when every coordinate is within 4 standard errors
-        fields["passed"] &= all(
-            abs(e - t) <= 4.0 * se
-            for e, t, se in zip(estimate.centroid_estimate, plan.balance_point, estimate.std_error)
-        )
+        if estimate.samples_accepted < MC_MIN_ACCEPTED:
+            inconclusive = (
+                f"Monte Carlo inconclusive: {estimate.samples_accepted} of {args.samples} "
+                f"samples accepted, fewer than {MC_MIN_ACCEPTED}"
+            )
+        else:
+            bound = _mc_bound(plan.shape.dim)
+            passed &= all(
+                abs(e - t) <= bound * se
+                for e, t, se in zip(estimate.centroid_estimate, plan.balance_point, estimate.std_error)
+            )
         fields.update(
             seed=args.seed,
             samples=args.samples,
@@ -281,6 +308,7 @@ def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, starte
             mc_std_error=estimate.std_error,
             mc_accepted=estimate.samples_accepted,
         )
+    fields["passed"] = passed and inconclusive is None
     report = RunReport(**fields, elapsed_seconds=time.perf_counter() - started)
     if args.svg is not None:
         try:
@@ -290,8 +318,10 @@ def _verify_and_report(args, shape_dict: dict, plan: planar.ExcisionPlan, starte
             raise ValueError(f"cannot write SVG figure {args.svg}: {exc}") from exc
     record = asdict(report)
     _emit(args.format, [record], report.to_text, record)
-    if not report.passed:
+    if not passed:
         print("verification failed", file=sys.stderr)
+    if inconclusive is not None:
+        print(inconclusive, file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -13,7 +13,11 @@ All numeric work is plain binary64.  The positive root is simple, and the
 polynomial divided by ``x^k`` is increasing and concave for ``x > 0``, so
 Newton's method on that form climbs to the root in a few steps without
 bisecting; the signs of the polynomial at the two ends of a narrow bracket
-about the result certify it.
+about the result certify it.  A Newton step costs O(1): it has a closed
+form in ``x^-k``, which cancels only within ``1/k`` of ``x = 1``, where the
+step is taken by Horner's rule instead.  Horner's O(k) loop is otherwise
+left to one closing Newton step and to the certificate, which evaluates
+the polynomial at both ends of the bracket and at the root in one pass.
 """
 
 import math
@@ -133,6 +137,10 @@ class RootResult:
     to 1.0.
     ``iterations`` counts the steps that moved the value (Newton steps and
     the closing gap step of ``positive_root``) plus the bracket widenings.
+    ``gap`` is ``1/beta - value`` by the gap identity, ``(1 - beta) *
+    value^-k / beta`` (exactly 1 at k = 1).  It keeps about ``k`` floats of
+    relative accuracy where ``1/beta`` and the value are equal or adjacent
+    floats, and their difference says nothing.
     """
 
     value: float
@@ -140,6 +148,7 @@ class RootResult:
     bracket: tuple[float, float]
     physical: bool
     iterations: int
+    gap: float
 
 
 _BRACKET_WIDTH = 1e-13
@@ -147,12 +156,12 @@ _MAX_NEWTON = 100
 
 
 def _concave_step(beta: float, k: int, x: float) -> float:
-    """Newton step ``q(x) / q'(x)`` on ``q(x) = p(x) / x^k``.
+    """Newton step ``q(x) / q'(x)`` on ``q(x) = p(x) / x^k``, by Horner.
 
     ``q = beta - (1 - beta) * S`` with ``S = sum_{j=1..k} y^j`` and
     ``y = 1/x``.  ``S`` and ``dS/dy`` are built by Horner in ``y``, so no
-    power of ``x`` is formed: for ``x <= 1/beta`` the step stays finite
-    where ``p`` and ``p'`` overflow.
+    power of ``x`` is formed.  Its cost is O(k); ``positive_root`` uses it
+    only near ``x = 1``, where ``_closed_step`` cancels.
     """
     y = 1.0 / x
     s = ds = 0.0
@@ -160,6 +169,40 @@ def _concave_step(beta: float, k: int, x: float) -> float:
         ds = ds * y + s + 1.0
         s = (s + 1.0) * y
     return (beta - (1.0 - beta) * s) * x * x / ((1.0 - beta) * ds)
+
+
+def _closed_step(beta: float, k: int, x: float) -> float:
+    """The same Newton step in closed form, in O(1).
+
+    With ``t = x^-k`` and ``d = x - 1``, ``q = beta - (1 - beta)(1 - t)/d``
+    and ``q' = (1 - beta)(1 - (k + 1)t + k t/x) / d^2``.  Both lose all
+    their digits to cancellation as ``x`` nears 1, so it is used only where
+    ``|x - 1| * k >= 1``.  The numerator is multiplied by ``d`` before the
+    division, and no square of ``x`` or ``d`` is formed, so the step stays
+    finite for every ``x`` up to ``1/beta``.
+    """
+    t = x**-k
+    d = x - 1.0
+    return (beta * d - (1.0 - beta) * (1.0 - t)) * d / ((1.0 - beta) * (1.0 - (k + 1) * t + k * t / x))
+
+
+def _step(beta: float, k: int, x: float) -> float:
+    """Newton step on ``q``: by Horner within ``1/k`` of 1, else in closed form."""
+    d = x - 1.0
+    if -1.0 < d * k < 1.0:
+        return _concave_step(beta, k, x)
+    return _closed_step(beta, k, x)
+
+
+def _signs(beta: float, k: int, lo: float, x: float, hi: float) -> tuple[float, float, float]:
+    """``evaluate`` at ``lo``, ``x`` and ``hi`` in one loop, bit for bit."""
+    c = beta - 1.0
+    p_lo = p_x = p_hi = beta
+    for _ in range(k):
+        p_lo = p_lo * lo + c
+        p_x = p_x * x + c
+        p_hi = p_hi * hi + c
+    return p_lo, p_x, p_hi
 
 
 def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
@@ -174,11 +217,12 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
     Degree 1 is solved in closed form; otherwise in three stages:
 
     1. Newton's method on ``q(x) = p(x) / x^k``, increasing and concave on
-       ``x > 0`` (see ``_concave_step``): every step lands left of the
-       root, and from there the steps climb to it monotonically.  The first
-       step is taken from ``1/beta``; the climb starts from the larger of
-       where it lands and the lower bound, and stops when a step no longer
-       increases ``x``.
+       ``x > 0``: every step lands left of the root, and from there the
+       steps climb to it monotonically.  A step costs O(1) (``_closed_step``)
+       except within ``1/k`` of ``x = 1``, where it is taken by Horner
+       (``_concave_step``).  The first step is taken from ``1/beta``; the
+       climb starts from the larger of where it lands and the lower bound,
+       and stops when a step no longer increases ``x``.
     2. One more Newton step, ``p / (p' - k p / x)`` with ``p`` and ``p'`` by
        Horner in ``x``, resolves the root to about the float spacing.  It
        is skipped where ``p`` or ``p'`` overflows, which happens only where
@@ -188,16 +232,16 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
        ``k`` keeps the roots in order of ``k`` where they are within a
        float of each other.
 
-    The value is certified by the signs of ``evaluate`` at the ends of a
-    bracket about it, ``min(tol, 1e-13) * value / 4`` wide or, only if the
-    signs do not differ there, twice that; never narrower than eight floats,
-    which keeps it wider than the rounding noise in ``evaluate``.
-    Raises RootSolverError if neither shows the sign change, or if
-    ``1/beta`` overflows.
+    The value is certified by the signs of ``p``, evaluated exactly as
+    ``evaluate`` does, at the ends of a bracket about it, ``min(tol, 1e-13)
+    * value / 4`` wide or, only if the signs do not differ there, twice
+    that; never narrower than eight floats, which keeps it wider than the
+    rounding noise of Horner's rule.  One loop evaluates ``p`` at both ends
+    and at the value.  Raises RootSolverError if neither bracket shows the
+    sign change, or if ``1/beta`` overflows.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    poly = build_general(problem)
     beta, k = problem.beta, problem.k
     ceiling = 1.0 / beta
     if ceiling == math.inf:
@@ -210,16 +254,17 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
         x = (1.0 - beta) / beta
     else:
         lower = 1.0 if physical else (1.0 - beta) ** (1.0 / k)
-        x = max(lower, ceiling - _concave_step(beta, k, ceiling))
+        x = max(lower, ceiling - _step(beta, k, ceiling))
         iterations = 1
         while iterations < _MAX_NEWTON:
-            x_next = x - _concave_step(beta, k, x)
+            x_next = x - _step(beta, k, x)
             if not x_next > x:
                 break
             x = x_next
             iterations += 1
-        fx = dfx = 0.0
-        for c in poly.coefficients:
+        c = beta - 1.0
+        fx, dfx = beta, 0.0
+        for _ in range(k):
             dfx = dfx * x + fx
             fx = fx * x + c
         slope = dfx - k * fx / x
@@ -233,17 +278,19 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
     half = max(min(tol, _BRACKET_WIDTH) * x / 8.0, 4.0 * math.ulp(x))
     for widenings in range(2):
         lo, hi = x - half, x + half
-        if evaluate(poly, lo) < 0.0 < evaluate(poly, hi):
+        p_lo, p_x, p_hi = _signs(beta, k, lo, x, hi)
+        if p_lo < 0.0 < p_hi:
             break
         half *= 2.0
     else:
         raise RootSolverError(f"p changes sign nowhere within {half / 2.0!r} of {x!r}")
     return RootResult(
         value=x,
-        residual=abs(evaluate(poly, x)),
+        residual=abs(p_x),
         bracket=(lo, hi),
         physical=physical,
         iterations=iterations + widenings,
+        gap=1.0 if k == 1 else (1.0 - beta) * x**-k / beta,
     )
 
 

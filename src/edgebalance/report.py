@@ -49,7 +49,8 @@ class RunReport:
 
     ``distance``/``relative_distance`` come from the exact verification and
     are None when only Monte Carlo verification ran; the ``mc_*`` fields are
-    None unless sampling ran.  ``passed`` aggregates whichever checks ran.
+    None unless sampling ran.  ``passed`` aggregates whichever checks ran;
+    a Monte Carlo run that accepted too few points to judge never passes.
     """
 
     command: str

@@ -452,9 +452,18 @@ def exact_balance_value(k: int, beta: float, x: float) -> Fraction:
     return acc
 
 
+def offset_with_root(k: int, x: float) -> float:
+    """The offset whose balance root is ``x``: ``beta = S / (x^k + S)``, ``S = sum_{j<k} x^j``."""
+    x = Fraction(x)
+    s = sum(x**j for j in range(k))
+    return float(s / (x**k + s))
+
+
 @st.composite
 def balance_problems(draw) -> tuple[int, float]:
-    """A dimension and an offset: any float in (0, 1), the extremes, or near the threshold."""
+    """A dimension and an offset: any float in (0, 1), the extremes, near the
+    threshold, or with its root near ``1 + 1/k``, where the solver's Newton
+    step changes from Horner to closed form."""
     k = draw(st.integers(1, MAX_DIMENSION))
     threshold = k / (k + 1)
     beta = draw(st.one_of(
@@ -462,6 +471,7 @@ def balance_problems(draw) -> tuple[int, float]:
         st.sampled_from([1e-6, 0.999999]),
         st.floats(-1e-9, 1e-9).map(lambda d: threshold + d),
         st.floats(-1e-3, 1e-3).map(lambda d: threshold + d),
+        st.floats(-0.9, 4.0).map(lambda c: offset_with_root(k, 1.0 + c / k)),
     ))
     return k, beta
 
@@ -519,10 +529,9 @@ def test_roots_climb_with_dimension_toward_one_over_beta(k, beta):
     # as k grows, so x_k <= x_(k+1) <= 1/beta
     assume(beta < physicality_threshold(k) and 1.0 / beta < math.inf)
     ceiling = 1.0 / beta
-    x = positive_root(BalanceProblem(k=k, beta=beta)).value
-    x_next = positive_root(BalanceProblem(k=k + 1, beta=beta)).value
-    gap = (1.0 - beta) * x**-k / beta
-    gap_next = (1.0 - beta) * x_next ** -(k + 1) / beta
+    root, root_next = (positive_root(BalanceProblem(k=j, beta=beta)) for j in (k, k + 1))
+    x, gap = root.value, root.gap
+    x_next, gap_next = root_next.value, root_next.gap
     assert x <= x_next <= ceiling
     if x == x_next:  # only where the two roots are within a float of each other
         assert gap - gap_next <= 2.0 * math.ulp(x)

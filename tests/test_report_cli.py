@@ -238,14 +238,14 @@ GOLDEN_STDOUT = {
     ("table --k-max 3", "csv"): (
         "k,value,gap_to_two,sequence_ratio,agreement_gap\r\n"
         "1,1.0,1.0,1.0,0.0\r\n"
-        "2,1.618033988749895,0.3819660112501051,1.618033988749989,9.414691248821327e-14\r\n"
-        "3,1.8392867552141612,0.16071324478583882,1.8392867552142929,1.3167245072054357e-13\r\n"
+        "2,1.618033988749895,0.38196601125010515,1.618033988749989,9.414691248821327e-14\r\n"
+        "3,1.8392867552141612,0.16071324478583884,1.8392867552142929,1.3167245072054357e-13\r\n"
     ),
     ("table --k-max 3", "json"): (
         '[{"k": 1, "value": 1.0, "gap_to_two": 1.0, "sequence_ratio": 1.0, "agreement_gap": 0.0}, '
-        '{"k": 2, "value": 1.618033988749895, "gap_to_two": 0.3819660112501051, '
+        '{"k": 2, "value": 1.618033988749895, "gap_to_two": 0.38196601125010515, '
         '"sequence_ratio": 1.618033988749989, "agreement_gap": 9.414691248821327e-14}, '
-        '{"k": 3, "value": 1.8392867552141612, "gap_to_two": 0.16071324478583882, '
+        '{"k": 3, "value": 1.8392867552141612, "gap_to_two": 0.16071324478583884, '
         '"sequence_ratio": 1.8392867552142929, "agreement_gap": 1.3167245072054357e-13}]\n'
     ),
     ("seq 3 --count 6", "text"): "1 1 1 3 5 9\n- 1.0 1.0 3.0 1.6666666666666667 1.8\n",
@@ -410,6 +410,40 @@ class TestExciseKdCommand:
         assert len(report.mc_centroid) == len(report.mc_std_error) == 3
         assert report.mc_accepted > 0
         assert (report.seed, report.samples) == (42, 200000)
+
+
+class TestMonteCarloVerdict:
+    def test_too_few_accepted_points_is_inconclusive(self, capsys, tmp_path):
+        # this 6-simplex's box is mostly empty: 1 of 1e6 draws lands in the
+        # body less the cavity, and a standard error of inf bounds nothing
+        import numpy as np
+
+        from edgebalance.ndim import Simplex, balanced_boundary_point
+
+        vertices = np.random.default_rng(3).standard_normal((7, 6)).tolist()
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"type": "simplex", "vertices": vertices}))
+        tangent = balanced_boundary_point(Simplex(vertices=tuple(map(tuple, vertices))))
+        code, out, err = run_cli(
+            capsys, "excise-kd", "--shape", str(path), "--o=" + ",".join(map(repr, tangent)),
+            "--verify", "mc", "--samples", "1000000", "--seed", "1", "--format", "json",
+        )
+        report = RunReport.from_json(out)
+        assert 0 < report.mc_accepted < cli.MC_MIN_ACCEPTED
+        assert not report.passed
+        assert code == 1
+        assert "inconclusive" in err and "verification failed" not in err
+
+    def test_bound_is_four_sigma_in_the_plane_and_holds_the_rate_above(self):
+        from statistics import NormalDist
+
+        normal = NormalDist()
+        assert cli._mc_bound(1) == cli._mc_bound(2) == 4.0
+        bounds = [cli._mc_bound(k) for k in range(2, 65)]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        plane_rate = 4.0 * normal.cdf(-4.0)
+        for k, z in enumerate(bounds, start=2):
+            assert 2.0 * k * normal.cdf(-z) == pytest.approx(plane_rate, rel=1e-6)
 
 
 class TestFlags:

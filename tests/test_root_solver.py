@@ -1,11 +1,21 @@
 """Root solver values and step counts that must not drift."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
+from edgebalance import sequences
 from edgebalance.polynomials import (
+    MAX_DIMENSION,
     BalanceProblem,
     RootSolverError,
+    _closed_step,
+    _concave_step,
+    build_general,
+    evaluate,
     knacci_constant,
+    physicality_threshold,
     positive_root,
 )
 
@@ -49,3 +59,60 @@ def test_a_few_steps_per_root():
     ]
     assert max(steps) <= 12
     assert sum(steps) / len(steps) <= 6.0
+
+
+def exact_value(k: int, beta: float, x: float) -> Fraction:
+    beta, x = Fraction(beta), Fraction(x)
+    acc = beta
+    for _ in range(k):
+        acc = acc * x + (beta - 1)
+    return acc
+
+
+@pytest.mark.parametrize("beta", [1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-9])
+def test_closed_form_step_agrees_with_horner_about_the_switch(beta):
+    # positive_root switches from Horner to the closed form at |x - 1| * k = 1;
+    # where the step itself is tiny (next to the root) both lose the same
+    # digits to the cancellation in q, hence the few floats of x
+    for k in range(2, MAX_DIMENSION + 1):
+        for c in (-8.0, -2.0, -1.01, -1.0, -0.99, -0.5, 0.5, 0.99, 1.0, 1.01, 2.0, 8.0, 1e3, 1e6):
+            x = 1.0 + c / k
+            if x <= 0.0:
+                continue
+            closed, horner = _closed_step(beta, k, x), _concave_step(beta, k, x)
+            assert abs(closed - horner) <= 1e-12 * abs(horner) + 8.0 * math.ulp(x), (k, x)
+
+
+def test_extreme_offsets_give_certified_roots():
+    # every one of these has a root; a step that formed x*x or (x - 1)**2
+    # would overflow at the tiny offsets, whose roots are near 1/beta
+    for k in range(1, MAX_DIMENSION + 1):
+        threshold = physicality_threshold(k)
+        for beta in (
+            5.7e-306, 1e-300, 1e-160, 1e-155, 1e-20,
+            math.nextafter(threshold, 0.0), threshold, math.nextafter(threshold, 1.0),
+            1.0 - 1e-12,
+        ):
+            result = positive_root(BalanceProblem(k=k, beta=beta))
+            poly = build_general(BalanceProblem(k=k, beta=beta))
+            lo, hi = result.bracket
+            assert lo <= result.value <= hi
+            assert evaluate(poly, lo) < 0.0 < evaluate(poly, hi), (k, beta)
+            assert exact_value(k, beta, lo) < 0 < exact_value(k, beta, hi), (k, beta)
+            assert result.residual == abs(evaluate(poly, result.value))
+            assert result.physical == (Fraction(beta) * (k + 1) < k)
+
+
+def exact_knacci_gap(k: int) -> Fraction:
+    """``2 - G(n)/G(n-1)`` from the all-ones order-k sequence, converged far below a float."""
+    terms = sequences.generate(k, [1] * k, 4 * k + 200).terms
+    return Fraction(2 * terms[-2] - terms[-1], terms[-2])
+
+
+def test_gap_matches_the_integer_sequence_and_falls():
+    gaps = [knacci_constant(k).gap for k in range(1, MAX_DIMENSION + 1)]
+    assert gaps[0] == 1.0
+    for k, gap in enumerate(gaps[1:], start=2):
+        exact = exact_knacci_gap(k)
+        assert abs(Fraction(gap) - exact) <= 4 * k * Fraction(math.ulp(float(exact))), k
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
