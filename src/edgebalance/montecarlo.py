@@ -5,21 +5,26 @@ centroid estimate with quantified statistical error, fully independent of
 the closed-form geometry it cross-checks.
 
 Reproducibility contract: the generator is numpy's PCG64; batch ``i`` of a
-run seeded with ``s`` uses ``SeedSequence((s, i))`` and batches have a fixed
-size, so estimates are bit-identical across runs and independent of how
-batches might be distributed over workers.  Within a batch the draws are
-taken in chunks of ``CHUNK_ROWS`` points; the generator fills rows in
-order, so the chunks consume the same numbers as one whole-batch draw and
-every accept/reject decision is the same.  A call allocates three chunk
-buffers once and reuses them for every chunk: the draws, the coordinates
-(one row per coordinate, the membership kernels' fast layout) and the kept
-points.  The points a test keeps are gathered by index, once per test, and
-the cavity tests only the points the body kept.  Working memory is those
-buffers, ``24 * CHUNK_ROWS * k`` bytes (7.9 MB at k = 10), plus one
-chunk's kernel temporaries, whatever ``n``.  Counts, sums and sums of
-squares are taken per chunk about the centre of the box, which keeps the
-variance free of cancellation far from the origin, and merged with exactly
-rounded summation, which makes the merge order irrelevant.
+run seeded with ``s`` uses the stream of ``PCG64(SeedSequence((s, i)))``
+and batches have a fixed size ``b``, so estimates are bit-identical across
+runs and independent of how batches might be distributed over workers.
+Coordinate ``j`` of point ``r`` of a batch is number ``j*b + r`` of its
+stream: each coordinate is its own block of ``b`` numbers, drawn by a
+generator advanced to the block's start, so the batch is the stream read
+as a ``(k, b)`` array.  Within a batch the points are taken in chunks of
+``CHUNK_ROWS``; each block is read in order, so the chunks consume the
+same numbers as one whole-batch draw and every accept/reject decision is
+the same: the chunk size changes only how the sums round.  The draws land
+straight in the membership kernels' fast layout, one row per coordinate,
+where the affine map to the box runs in place.  A call allocates two
+chunk buffers once and reuses them for every chunk: the points of a chunk,
+and those a membership test keeps, gathered by index into the buffer the
+points do not occupy; the cavity tests only the points the body kept.
+Working memory is those buffers, ``16 * CHUNK_ROWS * k`` bytes (5.2 MB at
+k = 10), plus one chunk's kernel temporaries, whatever ``n``.  Counts, sums
+and sums of squares are taken per chunk about the centre of the box, which
+keeps the variance free of cancellation far from the origin, and merged
+with exactly rounded summation, which makes the merge order irrelevant.
 
 Rejection from the bounding box degrades with dimension (the ball fills
 fewer than 0.25% of its box at k = 10), so treat k <= 10 as the practical
@@ -96,8 +101,16 @@ class McEstimate:
         return self.acceptance_fraction * self.box_volume
 
 
-def _batch_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+def _coordinate_rngs(seed: int, index: int, dim: int, batch: int) -> "list[np.random.Generator]":
+    """One generator per coordinate of batch ``index``, coordinate ``j``'s
+    advanced to number ``j * batch`` of the batch's stream."""
+    entropy = np.random.SeedSequence((seed, index))
+    rngs = []
+    for j in range(dim):
+        bits = np.random.PCG64(entropy)
+        bits.advance(j * batch)
+        rngs.append(np.random.Generator(bits))
+    return rngs
 
 
 def _compact(pts: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -141,27 +154,30 @@ def sample_region_centroid(
     dim = lo.size
     box_volume = float(np.prod(span))
 
-    # draws, columns and kept points: one chunk each, reused by every chunk
+    # the points of a chunk and the ones a test keeps, one row per coordinate:
+    # one chunk each, reused by every chunk
     size = min(CHUNK_ROWS, n) * dim
-    draws, cols, kept = np.empty(size), np.empty(size), np.empty(size)
+    cols, kept = np.empty(size), np.empty(size)
+    lows, widths = lo.tolist(), span.tolist()
     accepted = 0
     sums: list[list[float]] = [[] for _ in range(dim)]
     sq_sums: list[list[float]] = [[] for _ in range(dim)]
     for index, start in enumerate(range(0, n, BATCH_SIZE)):
-        rng = _batch_rng(seed, index)
         batch = min(BATCH_SIZE, n - start)
+        rngs = _coordinate_rngs(seed, index, dim, batch)
         for offset in range(0, batch, CHUNK_ROWS):
             m = min(CHUNK_ROWS, batch - offset)
-            rows = draws[: m * dim].reshape(m, dim)
-            rng.random(out=rows)  # rows in generator order
-            pts = cols[: m * dim].reshape(dim, m)  # one row per coordinate
-            np.multiply(rows.T, span[:, None], out=pts)
-            pts += lo[:, None]
+            pts = cols[: m * dim].reshape(dim, m)
+            for rng, row, low, width in zip(rngs, pts, lows, widths):
+                rng.random(out=row)  # the next m numbers of this coordinate's block
+                row *= width
+                row += low
             pts = _compact(pts, shape.contains(pts.T), kept)
             if cavity is not None:
                 in_cavity = cavity.contains(pts.T)
-                # the draws are spent, and pts lies in cols or kept
-                pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), draws)
+                # gather into whichever buffer the body's points do not occupy
+                spare = kept if np.may_share_memory(pts, cols) else cols
+                pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), spare)
             accepted += pts.shape[1]
             pts -= centre[:, None]
             for j, d in enumerate(pts):

@@ -525,7 +525,7 @@ def boundary_points(shape: Shape2D, count: int) -> list[Point]:
 
 
 def random_convex_polygon(
-    n_vertices: int, rng: np.random.Generator, scale: float = 1.0
+    n_vertices: int, rng: "np.random.Generator", scale: float = 1.0
 ) -> Polygon:
     """Random strictly convex polygon with exactly ``n_vertices`` vertices.
 

@@ -21,6 +21,7 @@ the polynomial at both ends of the bracket and at the root in one pass.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,7 +141,8 @@ class RootResult:
     ``gap`` is ``1/beta - value`` by the gap identity, ``(1 - beta) *
     value^-k / beta`` (exactly 1 at k = 1).  It keeps about ``k`` floats of
     relative accuracy where ``1/beta`` and the value are equal or adjacent
-    floats, and their difference says nothing.
+    floats, and their difference says nothing, and it stays a normal float
+    where ``value^-k`` alone would underflow (tiny ``beta``).
     """
 
     value: float
@@ -192,6 +194,20 @@ def _step(beta: float, k: int, x: float) -> float:
     if -1.0 < d * k < 1.0:
         return _concave_step(beta, k, x)
     return _closed_step(beta, k, x)
+
+
+def _gap(beta: float, k: int, x: float) -> float:
+    """``1/beta - x`` by the gap identity, ``(1 - beta) * x^-k / beta``.
+
+    Where ``x^-k`` falls below the normal floats (roots near ``1/beta`` for
+    tiny ``beta``) it loses digits or underflows to 0, so the gap is formed
+    there as ``(1 - beta) / (beta x) * x^(1 - k)``, whose first factor is
+    about 1.
+    """
+    t = x**-k
+    if t < sys.float_info.min:
+        return (1.0 - beta) / (beta * x) * x ** (1 - k)
+    return (1.0 - beta) * t / beta
 
 
 def _signs(beta: float, k: int, lo: float, x: float, hi: float) -> tuple[float, float, float]:
@@ -271,7 +287,7 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
         if 0.0 < slope < math.inf:
             x -= fx / slope
             iterations += 1
-        gap = (1.0 - beta) * x**-k / beta
+        gap = _gap(beta, k, x)
         if 8.0 * k * gap <= x:
             x = ceiling - gap
             iterations += 1
@@ -290,7 +306,7 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
         bracket=(lo, hi),
         physical=physical,
         iterations=iterations + widenings,
-        gap=1.0 if k == 1 else (1.0 - beta) * x**-k / beta,
+        gap=1.0 if k == 1 else _gap(beta, k, x),
     )
 
 

@@ -31,6 +31,15 @@ once, which their methods read.  A polygon also keeps the edges its
 validation forms as the read-only ``edge_array``, row i being vertex i + 1
 minus vertex i.
 
+A polygon of at least ``PREFILTER_MIN_VERTICES`` vertices screens the
+points of ``contains`` before its edge loop, with a table of
+``PREFILTER_SECTORS`` equal angular sectors about its centroid built on
+first use in O(n + sectors).  Each sector has an inner and an outer squared
+radius, each ``PREFILTER_MARGIN`` of the diameter clear of every edge line:
+a point inside the inner one is inside, beyond the outer one outside, by a
+depth far above the edge test's rounding.  Only the points between their
+sector's two radii reach the edge loop, so every decision is the loop's.
+
 Shapes are validated where they are built, cavities included: every
 coordinate and size must be a finite number, sizes positive, polygons
 strictly convex, counterclockwise and winding exactly once (checked in
@@ -46,13 +55,17 @@ import numpy as np
 
 from .polynomials import MAX_DIMENSION
 
-# Polygons with at least this many vertices screen points with two circles
+# Polygons with at least this many vertices screen points by angular sectors
 # about the centroid before the edge loop; below it the loop alone is cheaper.
 PREFILTER_MIN_VERTICES = 12
-# Width of the band, as a fraction of the polygon's diameter, that the circle
-# test leaves to the edge loop.  Rounding moves an edge test by about 1e-15
-# of the diameter, so a point decided by the circles lies far beyond it.
+# Depth, as a fraction of the polygon's diameter, of the band about the
+# boundary that the sector screen leaves to the edge loop: a point it decides
+# lies at least this far inside every edge line, or outside one.  Rounding
+# moves an edge test by about 1e-15 of the diameter, so such a point lies far
+# beyond it.
 PREFILTER_MARGIN = 1e-9
+# Equal angular sectors of the screen's table, each with its own two radii.
+PREFILTER_SECTORS = 256
 
 Point = tuple[float, ...]
 
@@ -157,6 +170,15 @@ class _Polytope(ConvexBody):
         return best
 
 
+def _sector_index(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The sector of each offset (dx, dy) from a polygon's centroid, in
+    0..PREFILTER_SECTORS - 1: angle pi joins the last sector, and so does NaN."""
+    s = np.arctan2(dy, dx)
+    s += math.pi
+    s *= PREFILTER_SECTORS / (2.0 * math.pi)
+    return np.fmin(s, PREFILTER_SECTORS - 1, out=s).astype(np.intp)
+
+
 @dataclass(frozen=True)
 class Polygon(_Polytope):
     """Strictly convex polygon, vertices ordered counterclockwise."""
@@ -229,25 +251,55 @@ class Polygon(_Polytope):
         return (e[:, 0] * u[1] - e[:, 1] * u[0]) / self._edge_lengths
 
     @cached_property
-    def _circles(self) -> tuple[float, float, float, float]:
-        """Centroid, and squared radii inside and outside of which the edge test is certain.
+    def _sectors(self) -> tuple[float, float, np.ndarray, np.ndarray] | None:
+        """Centroid, and per sector the squared radii inside and outside of
+        which the edge test is certain; None where the table cannot be
+        trusted, and the edge loop must test every point.
 
-        The inner circle is the inscribed one shrunk by the margin: its
-        points are at least the margin inside every edge line.  The outer
-        circle holds every point at most the margin outside every edge line:
-        that region's corners are the vertices pushed out by margin / cos(turn / 2).
+        Sector s holds the directions whose angle about the centroid lies in
+        [-pi + s w, -pi + (s + 1) w), w = 2 pi / PREFILTER_SECTORS.  The
+        boundary's distance from the centroid along such a direction is
+        least and greatest at the sector's end rays, at the vertices inside
+        it, or (least only) at the point of an edge nearest the centroid, so
+        those candidates give its exact range in O(n + sectors).  A point a
+        radial distance d inside or outside the boundary lies at least
+        ``d * rho / R`` from an edge line, where R is the largest vertex
+        radius and rho the smallest distance from the centroid to an edge
+        line, so the radii move by the margin times ``R / rho``.
         """
         cx, cy = self.centroid()
         v, e, length = self.vertex_array - (cx, cy), self.edge_array, self._edge_lengths
         radius = np.hypot(v[:, 0], v[:, 1])
-        margin = PREFILTER_MARGIN * 2.0 * float(radius.max())  # 2 x radius >= diameter
-        inner = float(np.min((e[:, 1] * v[:, 0] - e[:, 0] * v[:, 1]) / length)) - margin
-        unit = e / length[:, None]
-        bisector = unit + np.roll(unit, 1, axis=0)  # its length is 2 cos(turn / 2)
-        with np.errstate(divide="ignore"):
-            miter = 2.0 * margin / np.hypot(bisector[:, 0], bisector[:, 1])
-        outer = float(np.max(radius + miter))
-        return cx, cy, inner * inner if inner > 0.0 else -1.0, outer * outer
+        big = float(radius.max())
+        # no table where a product of two offsets (at most 4 R^2) could overflow,
+        # the centroid included, or where the rounded centroid is on or beyond
+        # an edge line
+        if not big < 1e150:
+            return None
+        rho = float(np.min((e[:, 1] * v[:, 0] - e[:, 0] * v[:, 1]) / length))
+        if not rho > 0.0:
+            return None
+        margin = PREFILTER_MARGIN * 2.0 * big * (big / rho)  # 2 x radius >= diameter
+        # each end ray meets the edge whose vertices' angles span its own: the
+        # angles rise counterclockwise from the smallest, so a search finds it
+        angle = np.arctan2(v[:, 1], v[:, 0])
+        first = int(angle.argmin())
+        ray = -math.pi + (2.0 * math.pi / PREFILTER_SECTORS) * np.arange(PREFILTER_SECTORS)
+        edge = (np.searchsorted(np.roll(angle, -first), ray, side="right") - 1 + first) % len(v)
+        a, d = v[edge], e[edge]
+        # a + s d = t u, crossed with d: t = (a x d) / (u x d)
+        facing = np.cos(ray) * d[:, 1] - np.sin(ray) * d[:, 0]
+        hit = (a[:, 0] * d[:, 1] - a[:, 1] * d[:, 0]) / facing
+        low, high = np.minimum(hit, np.roll(hit, -1)), np.maximum(hit, np.roll(hit, -1))
+        # the vertices, and the point of each edge nearest the centroid, in their sectors
+        t = np.clip(-(v * e).sum(axis=1) / (length * length), 0.0, 1.0)
+        near = v + t[:, None] * e
+        np.maximum.at(high, _sector_index(v[:, 0], v[:, 1]), radius)
+        np.minimum.at(low, _sector_index(near[:, 0], near[:, 1]), np.hypot(near[:, 0], near[:, 1]))
+        inner, outer = low - margin, high + margin
+        with np.errstate(over="ignore"):  # a margin so wide that the outer square is inf
+            outer_sq = outer * outer
+        return cx, cy, np.where(inner > 0.0, inner * inner, -1.0), outer_sq
 
     def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one half-plane per edge, ex * (y - ay) - ey * (x - ax) >= 0, worked
@@ -265,17 +317,19 @@ class Polygon(_Polytope):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
-        if len(self.vertices) < PREFILTER_MIN_VERTICES:
+        if len(self.vertices) < PREFILTER_MIN_VERTICES or self._sectors is None:
             return self._edge_test(x, y)
-        cx, cy, inner_sq, outer_sq = self._circles
+        cx, cy, inner_sq, outer_sq = self._sectors
         d2 = np.subtract(x, cx)
-        d2 *= d2
         dy = np.subtract(y, cy)
+        sector = _sector_index(d2, dy)
+        d2 *= d2
         dy *= dy
         d2 += dy
-        inside = d2 <= inner_sq
-        ring = np.flatnonzero((d2 <= outer_sq) & ~inside)
-        inside[ring] = self._edge_test(x[ring], y[ring])
+        inside = d2 <= np.take(inner_sq, sector)
+        ring = np.flatnonzero((d2 <= np.take(outer_sq, sector)) & ~inside)
+        if ring.size:
+            inside[ring] = self._edge_test(x[ring], y[ring])
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:

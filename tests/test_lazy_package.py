@@ -42,6 +42,22 @@ print(json.dumps(sorted(sys.modules)))
     assert not loaded & {f"edgebalance.{module}" for module in GEOMETRY}
 
 
+def test_geometry_import_does_not_load_numpy_random():
+    # compared with what numpy loads itself: numpy 1.24 imports numpy.random
+    code = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import edgebalance.planar, edgebalance.montecarlo
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout)
+    assert "edgebalance.montecarlo" in loaded
+    assert [m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")] == []
+
+
 @pytest.mark.parametrize("name", ["Circle", "McEstimate", "volume_kd", "ndim", "shapes"])
 def test_one_geometry_name_loads_the_whole_group(name):
     code = f"""

@@ -29,7 +29,13 @@ from edgebalance.planar import (
     plan_excision,
     random_convex_polygon,
 )
-from edgebalance.shapes import PREFILTER_MIN_VERTICES
+from edgebalance.shapes import (
+    MAX_REGULAR_POLYGON_SIDES,
+    PREFILTER_MIN_VERTICES,
+    PREFILTER_SECTORS,
+    _sector_index,
+    regular_polygon,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -260,7 +266,7 @@ def _whole_batch_reference(shape, cavity, n, seed):
     accepted, total = 0, np.zeros(lo.size)
     for index, start in enumerate(range(0, n, 1_000_000)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-        pts = lo + rng.random((min(1_000_000, n - start), lo.size)) * (hi - lo)
+        pts = lo + rng.random((lo.size, min(1_000_000, n - start))).T * (hi - lo)
         keep = inside(shape, pts)
         if cavity is not None:
             keep &= ~inside(cavity, pts)
@@ -459,6 +465,83 @@ class TestKernels:
             assert np.array_equal(poly.contains(layout), expected)
 
 
+# Screened polygons: sharp, thin and far from the origin, with from 12 to
+# 512 vertices, so from many sectors per vertex to two vertices per sector.
+SECTOR_CASES = [
+    (POLY_100, "polygon100"),
+    (_squashed(POLY_50, 1e-9), "squashed1e-9"),
+    (_needle(1e-9), "needle"),
+    (regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6)), "regular12-far"),
+    (regular_polygon(512, 1.0, 0.3), "regular512"),
+]
+
+
+@pytest.mark.parametrize("poly", [p for p, _ in SECTOR_CASES], ids=[i for _, i in SECTOR_CASES])
+class TestSectorScreen:
+    """The sector screen decides exactly as the all-edges test, also where it
+    switches sectors, at the centroid, and for points that are not finite."""
+
+    def test_matches_all_edges_about_the_sector_rays(self, poly):
+        assert len(poly.vertices) >= PREFILTER_MIN_VERTICES
+        c = np.asarray(poly.centroid())
+        v = np.asarray(poly.vertices)
+        diameter = float(np.max(np.hypot(*(v[:, None, :] - v[None, :, :]).T)))
+        angle = -math.pi + 2.0 * math.pi / PREFILTER_SECTORS * np.arange(PREFILTER_SECTORS)
+        u = np.stack([np.cos(angle), np.sin(angle)], -1)
+        # along each sector's first ray: its exit from the polygon, moved in
+        # and out by 1e-16 to 1e-3 of its length, and three interior points
+        leave = np.array([poly.exit_parameter(c, d) for d in u])
+        rel = np.concatenate([[0.0], np.geomspace(1e-16, 1e-3, 14)])
+        along = leave[:, None] * np.concatenate([1.0 - rel, 1.0 + rel, [0.25, 0.5, 0.75]])
+        on_ray = c + along[..., None] * u[:, None, :]
+        # and beside the ray, 1e-16 to 1e-7 of the diameter to either side
+        side = diameter * np.geomspace(1e-16, 1e-7, 6)
+        side = np.concatenate([-side, side])
+        normal = np.stack([-u[:, 1], u[:, 0]], -1)
+        beside = on_ray[:, :, None, :] + side[None, None, :, None] * normal[:, None, None, :]
+        pts = np.vstack([on_ray.reshape(-1, 2), beside.reshape(-1, 2), c])
+        expected = _all_edges(poly, pts)
+        assert expected[-1] and not expected.all()
+        for layout in _layouts(pts):
+            assert np.array_equal(poly.contains(layout), expected)
+
+    def test_points_that_are_not_finite_are_outside(self, poly):
+        inf, nan = math.inf, math.nan
+        pts = np.array([
+            (nan, 0.0), (0.0, nan), (nan, nan), (nan, inf), (-inf, nan),
+            (inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf),
+            (inf, inf), (-inf, -inf), (inf, -inf), (-inf, inf),
+        ])
+        for layout in _layouts(pts):
+            assert not poly.contains(layout).any()
+        c = poly.centroid()
+        sector = _sector_index(pts[:, 0] - c[0], pts[:, 1] - c[1])
+        assert ((sector >= 0) & (sector < PREFILTER_SECTORS)).all()
+
+
+def test_sector_table_memory_is_linear_in_the_vertices():
+    # a (sectors, n) array would be 205 MB of floats, or 26 MB of flags
+    poly = regular_polygon(MAX_REGULAR_POLYGON_SIDES, 1.0)
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, (1000, 2))
+    tracemalloc.start()
+    try:
+        mask = poly.contains(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the boundary lies within 5e-10 of the unit circle, and no point that close
+    assert np.array_equal(mask, np.hypot(pts[:, 0], pts[:, 1]) < 1.0)
+    assert peak < 16_000_000
+
+
+def test_polygon_too_large_for_the_sector_table_runs_the_edge_loop():
+    # products of two coordinates overflow here, the centroid's among them
+    poly = regular_polygon(1000, 1e153)
+    pts = np.array([[0.0, 0.0], [2e153, 0.0], [0.5e153, 0.3e153], [-0.999e153, 0.0], [1e153, 1e153]])
+    for layout in _layouts(pts):
+        assert poly.contains(layout).tolist() == [True, False, True, True, False]
+
+
 def _traced_peak(body):
     cavity = _with_cavity(body)[1]
     tracemalloc.start()
@@ -471,8 +554,8 @@ def _traced_peak(body):
     return peak
 
 
-# Working memory is three (k, CHUNK_ROWS) buffers, 24 * 32768 * k bytes, plus
-# one chunk's kernel temporaries: 7.9 + 0.6 MB at k = 10, 1.6 + 1.1 MB at k = 2.
+# Working memory is two (k, CHUNK_ROWS) buffers, 16 * 32768 * k bytes, plus
+# one chunk's kernel temporaries: 5.2 + 0.6 MB at k = 10, 1.0 + 1.2 MB at k = 2.
 
 
 def test_sampler_memory_is_bounded():

@@ -116,3 +116,11 @@ def test_gap_matches_the_integer_sequence_and_falls():
         exact = exact_knacci_gap(k)
         assert abs(Fraction(gap) - exact) <= 4 * k * Fraction(math.ulp(float(exact))), k
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("k, beta", [(2, 1e-200), (3, 1e-120), (4, 1e-80)])
+def test_gap_does_not_underflow_where_the_power_would(k, beta):
+    # value^-k is 1e-400, 1e-360 and 1e-320 here: zero, zero and subnormal
+    result = positive_root(BalanceProblem(k=k, beta=beta))
+    exact = (1 - Fraction(beta)) / Fraction(beta) * Fraction(result.value) ** -k
+    assert abs(Fraction(result.gap) - exact) <= 4 * Fraction(math.ulp(float(exact)))
