@@ -4,27 +4,21 @@ Uniform rejection sampling from the body's axis-aligned bounding box gives a
 centroid estimate with quantified statistical error, fully independent of
 the closed-form geometry it cross-checks.
 
-Reproducibility contract: the generator is numpy's PCG64; batch ``i`` of a
-run seeded with ``s`` uses the stream of ``PCG64(SeedSequence((s, i)))``
-and batches have a fixed size ``b``, so estimates are bit-identical across
-runs and independent of how batches might be distributed over workers.
-Coordinate ``j`` of point ``r`` of a batch is number ``j*b + r`` of its
-stream: each coordinate is its own block of ``b`` numbers, drawn by a
-generator advanced to the block's start, so the batch is the stream read
-as a ``(k, b)`` array.  Within a batch the points are taken in chunks of
-``CHUNK_ROWS``; each block is read in order, so the chunks consume the
-same numbers as one whole-batch draw and every accept/reject decision is
-the same: the chunk size changes only how the sums round.  The draws land
-straight in the membership kernels' fast layout, one row per coordinate,
-where the affine map to the box runs in place.  A call allocates two
-chunk buffers once and reuses them for every chunk: the points of a chunk,
-and those a membership test keeps, gathered by index into the buffer the
-points do not occupy; the cavity tests only the points the body kept.
-Working memory is those buffers, ``16 * CHUNK_ROWS * k`` bytes (5.2 MB at
-k = 10), plus one chunk's kernel temporaries, whatever ``n``.  Counts, sums
-and sums of squares are taken per chunk about the centre of the box, which
-keeps the variance free of cancellation far from the origin, and merged
-with exactly rounded summation, which makes the merge order irrelevant.
+Reproducibility contract: a run of ``n`` points seeded with ``s`` reads one
+stream, numpy's ``PCG64(SeedSequence((s, 0)))``, as a ``(k, n)`` array:
+coordinate ``j`` of point ``r`` is number ``j*n + r``, drawn by a generator
+advanced to the start of coordinate ``j``'s block.  Runs of at most 1e6
+points keep the numbers they drew when the stream was cut into batches of
+1e6.  Points are taken in chunks of ``CHUNK_ROWS`` that read each block in
+order, so the chunk size changes only how the sums round, never which
+points count.  The draws land in one of two chunk buffers allocated once per
+call, one row per coordinate, the membership kernels' fast layout; the
+points a membership test keeps are gathered by index into the other, and
+the cavity tests only the points the body kept.  Working memory is those
+buffers, ``16 * CHUNK_ROWS * k`` bytes (5.2 MB at k = 10), plus one chunk's
+kernel temporaries, whatever ``n``.  Sums and sums of squares are taken per
+chunk about the centre of the box, which keeps the variance free of
+cancellation far from the origin, and merged with exactly rounded summation.
 
 Rejection from the bounding box degrades with dimension (the ball fills
 fewer than 0.25% of its box at k = 10), so treat k <= 10 as the practical
@@ -38,7 +32,6 @@ import numpy as np
 
 from .shapes import Shape
 
-BATCH_SIZE = 1_000_000
 CHUNK_ROWS = 1 << 15  # points per chunk: the fastest of 2^13..2^16 on the mc_oracle benchmark
 
 
@@ -101,16 +94,11 @@ class McEstimate:
         return self.acceptance_fraction * self.box_volume
 
 
-def _coordinate_rngs(seed: int, index: int, dim: int, batch: int) -> "list[np.random.Generator]":
-    """One generator per coordinate of batch ``index``, coordinate ``j``'s
-    advanced to number ``j * batch`` of the batch's stream."""
-    entropy = np.random.SeedSequence((seed, index))
-    rngs = []
-    for j in range(dim):
-        bits = np.random.PCG64(entropy)
-        bits.advance(j * batch)
-        rngs.append(np.random.Generator(bits))
-    return rngs
+def _coordinate_rngs(seed: int, dim: int, n: int) -> "list[np.random.Generator]":
+    """One generator per coordinate, coordinate ``j``'s at number ``j * n`` of the stream."""
+    # (seed, 0), as when runs were cut into batches of 1e6: runs of <= 1e6 points keep their bits
+    entropy = np.random.SeedSequence((seed, 0))
+    return [np.random.Generator(np.random.PCG64(entropy).advance(j * n)) for j in range(dim)]
 
 
 def _compact(pts: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -162,31 +150,29 @@ def sample_region_centroid(
     accepted = 0
     sums: list[list[float]] = [[] for _ in range(dim)]
     sq_sums: list[list[float]] = [[] for _ in range(dim)]
-    for index, start in enumerate(range(0, n, BATCH_SIZE)):
-        batch = min(BATCH_SIZE, n - start)
-        rngs = _coordinate_rngs(seed, index, dim, batch)
-        for offset in range(0, batch, CHUNK_ROWS):
-            m = min(CHUNK_ROWS, batch - offset)
-            pts = cols[: m * dim].reshape(dim, m)
-            for rng, row, low, width in zip(rngs, pts, lows, widths):
-                rng.random(out=row)  # the next m numbers of this coordinate's block
-                row *= width
-                row += low
-            pts = _compact(pts, shape.contains(pts.T), kept)
-            if cavity is not None:
-                in_cavity = cavity.contains(pts.T)
-                # gather into whichever buffer the body's points do not occupy
-                spare = kept if np.may_share_memory(pts, cols) else cols
-                pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), spare)
-            accepted += pts.shape[1]
-            pts -= centre[:, None]
-            for j, d in enumerate(pts):
-                sums[j].append(float(d.sum()))
-                sq_sums[j].append(float(np.dot(d, d)))
+    rngs = _coordinate_rngs(seed, dim, n)
+    for offset in range(0, n, CHUNK_ROWS):
+        m = min(CHUNK_ROWS, n - offset)
+        pts = cols[: m * dim].reshape(dim, m)
+        for rng, row, low, width in zip(rngs, pts, lows, widths):
+            rng.random(out=row)  # the next m numbers of this coordinate's block
+            row *= width
+            row += low
+        pts = _compact(pts, shape.contains(pts.T), kept)
+        if cavity is not None:
+            in_cavity = cavity.contains(pts.T)
+            # gather into whichever buffer the body's points do not occupy
+            spare = kept if np.may_share_memory(pts, cols) else cols
+            pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), spare)
+        accepted += pts.shape[1]
+        pts -= centre[:, None]
+        for j, d in enumerate(pts):
+            sums[j].append(float(d.sum()))
+            sq_sums[j].append(float(np.dot(d, d)))
 
     if accepted == 0:
         raise ValueError("no samples accepted; cavity covers the body or box is degenerate")
-    # exactly rounded merge keeps the result independent of chunk and batch order
+    # exactly rounded merge keeps the result independent of chunk order
     mean = np.array([math.fsum(s) for s in sums]) / accepted
     total_sq = np.array([math.fsum(s) for s in sq_sums])
     if accepted > 1:

@@ -264,8 +264,8 @@ def _chords_with_offset(shape: Shape2D, target: float, tol: float, turn: float) 
     offsets at the breakpoints a chord can start from.  Centrally symmetric shapes
     yield the horizontal chord.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:  # inf would pass any chord as a root
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if shape.centrally_symmetric:
         if abs(target - 0.5) > tol:
             raise ValueError("centrally symmetric shapes only admit beta = 1/2")
@@ -487,6 +487,8 @@ def balance_residual(plan: ExcisionPlan) -> float:
 
 def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
     """Measure how far the remainder centroid is from the balance point."""
+    if not 0.0 < tol < math.inf:  # inf would pass every plan, NaN or <= 0 none
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     com = composite_centroid(plan)
     dist = math.dist(com, plan.balance_point)
     length = plan.chord.length

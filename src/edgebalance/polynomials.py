@@ -9,15 +9,10 @@ at which the body centroid sits.  For ``beta = 1/2`` the roots are the
 golden ratio and its higher-order relatives (tribonacci constant,
 tetranacci constant, ...), here called the k-nacci constants.
 
-All numeric work is plain binary64.  The positive root is simple, and the
-polynomial divided by ``x^k`` is increasing and concave for ``x > 0``, so
-Newton's method on that form climbs to the root in a few steps without
-bisecting; the signs of the polynomial at the two ends of a narrow bracket
-about the result certify it.  A Newton step costs O(1): it has a closed
-form in ``x^-k``, which cancels only within ``1/k`` of ``x = 1``, where the
-step is taken by Horner's rule instead.  Horner's O(k) loop is otherwise
-left to one closing Newton step and to the certificate, which evaluates
-the polynomial at both ends of the bracket and at the root in one pass.
+All numeric work is plain binary64.  ``positive_root`` climbs to the simple
+positive root by Newton's method on ``p(x) / x^k``, increasing and concave
+for ``x > 0``, at O(1) a step, and certifies it by the signs of ``p`` at the
+ends of a fixed bracket of about 1e-13 relative.
 """
 
 import math
@@ -221,7 +216,7 @@ def _signs(beta: float, k: int, lo: float, x: float, hi: float) -> tuple[float, 
     return p_lo, p_x, p_hi
 
 
-def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
+def positive_root(problem: BalanceProblem) -> RootResult:
     """Find the unique positive root of the balance polynomial.
 
     The coefficient signs (one positive, then ``k`` negatives) give exactly
@@ -249,15 +244,12 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
        float of each other.
 
     The value is certified by the signs of ``p``, evaluated exactly as
-    ``evaluate`` does, at the ends of a bracket about it, ``min(tol, 1e-13)
-    * value / 4`` wide or, only if the signs do not differ there, twice
-    that; never narrower than eight floats, which keeps it wider than the
-    rounding noise of Horner's rule.  One loop evaluates ``p`` at both ends
-    and at the value.  Raises RootSolverError if neither bracket shows the
-    sign change, or if ``1/beta`` overflows.
+    ``evaluate`` does in one loop, at the ends of a fixed bracket about it,
+    ``1e-13 * value / 4`` wide, or twice that if the signs do not differ
+    there; never narrower than eight floats, above the rounding noise of
+    Horner's rule.  Raises RootSolverError if neither bracket shows the sign
+    change, or if ``1/beta`` overflows.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     beta, k = problem.beta, problem.k
     ceiling = 1.0 / beta
     if ceiling == math.inf:
@@ -291,7 +283,7 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
         if 8.0 * k * gap <= x:
             x = ceiling - gap
             iterations += 1
-    half = max(min(tol, _BRACKET_WIDTH) * x / 8.0, 4.0 * math.ulp(x))
+    half = max(_BRACKET_WIDTH * x / 8.0, 4.0 * math.ulp(x))
     for widenings in range(2):
         lo, hi = x - half, x + half
         p_lo, p_x, p_hi = _signs(beta, k, lo, x, hi)
@@ -310,7 +302,7 @@ def positive_root(problem: BalanceProblem, tol: float = 1e-12) -> RootResult:
     )
 
 
-def knacci_constant(k: int, tol: float = 1e-12) -> RootResult:
+def knacci_constant(k: int) -> RootResult:
     """Root of the ``beta = 1/2`` balance polynomial of dimension ``k``.
 
     This is the asymptotic term ratio of the order-k generalized Fibonacci
@@ -319,4 +311,4 @@ def knacci_constant(k: int, tol: float = 1e-12) -> RootResult:
     In binary64 they reach one float below 2 at k=52 and 53; from k=54 on
     the root is less than half a float below 2 and rounds to 2.0.
     """
-    return positive_root(BalanceProblem(k=k, beta=0.5), tol=tol)
+    return positive_root(BalanceProblem(k=k, beta=0.5))

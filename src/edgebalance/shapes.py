@@ -43,10 +43,12 @@ sector's two radii reach the edge loop, so every decision is the loop's.
 Shapes are validated where they are built, cavities included: every
 coordinate and size must be a finite number, sizes positive, polygons
 strictly convex, counterclockwise and winding exactly once (checked in
-vectorised form on the array), simplices non-degenerate, dimensions in 1..64.
+vectorised form on the array), simplices non-degenerate, dimensions in 1..64,
+the measure a positive normal float and the centroid finite.
 """
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
@@ -120,10 +122,22 @@ def _plain(value):
 
 
 class ConvexBody:
-    """Base of the six body classes: the JSON round trip they share."""
+    """Base of the six body classes: the JSON round trip and moment check they share."""
 
     kind: ClassVar[str]
     centrally_symmetric: ClassVar[bool] = False
+
+    def _require_moments(self) -> None:
+        """Refuse a measure that is not a positive normal float, or a centroid not finite."""
+        try:
+            with np.errstate(over="ignore"):  # a simplex's determinant
+                measure = self.measure()
+        except OverflowError:  # a size raised to the power k
+            measure = math.inf
+        if not sys.float_info.min <= measure < math.inf:
+            raise ValueError(f"{self.kind} measure {measure!r} is not a positive normal float")
+        if not all(map(math.isfinite, self.centroid())):
+            raise ValueError(f"{self.kind} centroid is not finite in binary64")
 
     def to_dict(self) -> dict:
         return {"type": self.kind, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
@@ -208,6 +222,7 @@ class Polygon(_Polytope):
             raise ValueError(
                 f"vertices must wind around once, total turning is {turning!r} radians"
             )
+        self._require_moments()
 
     @property
     def dim(self) -> int:
@@ -228,7 +243,7 @@ class Polygon(_Polytope):
             acc += f
             ax += (px + qx) * f
             ay += (py + qy) * f
-        scale = 1.0 / (3.0 * acc)
+        scale = 1.0 / (3.0 * acc) if acc else math.nan  # a zero area is refused at build
         return 0.5 * acc, (x0 + ax * scale, y0 + ay * scale)
 
     def measure(self) -> float:
@@ -382,6 +397,7 @@ class Ellipse(ConvexBody):
         )
         if not (self.semi_axes[0] > 0.0 and self.semi_axes[1] > 0.0):
             raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
+        self._require_moments()
 
     @property
     def dim(self) -> int:
@@ -471,6 +487,7 @@ class Hyperball(ConvexBody):
         _require_finite(f"{self.kind} center and radius", *self.center, self.radius)
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        self._require_moments()
 
     @property
     def dim(self) -> int:
@@ -548,6 +565,7 @@ class Hypercube(_Polytope):
         _require_finite("hypercube corner and side", *self.min_corner, self.side)
         if not self.side > 0.0:
             raise ValueError(f"side must be positive, got {self.side}")
+        self._require_moments()
 
     @property
     def dim(self) -> int:
@@ -602,6 +620,7 @@ class Simplex(_Polytope):
         scale = float(np.max(np.abs(edges))) or 1.0
         if not abs(np.linalg.det(edges / scale)) >= 1e-12:
             raise ValueError("simplex vertices are affinely dependent")
+        self._require_moments()
 
     @property
     def dim(self) -> int:

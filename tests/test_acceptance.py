@@ -55,17 +55,17 @@ def best_time(fn, repeats: int = 5) -> float:
 
 
 def test_criterion_01_golden_ratio():
-    root = positive_root(BalanceProblem(k=2, beta=0.5), tol=1e-12)
-    elapsed = best_time(lambda: positive_root(BalanceProblem(k=2, beta=0.5), tol=1e-12))
+    root = positive_root(BalanceProblem(k=2, beta=0.5))
+    elapsed = best_time(lambda: positive_root(BalanceProblem(k=2, beta=0.5)))
     ok = abs(root.value - 1.618033988749895) <= 1e-9 and elapsed < 1e-3
     check(1, "golden-ratio", ok, f"value={root.value!r} time={elapsed * 1e6:.0f}us")
 
 
 def test_criterion_02_knacci_constants():
-    r3 = positive_root(BalanceProblem(k=3, beta=0.5), tol=1e-12)
-    r4 = positive_root(BalanceProblem(k=4, beta=0.5), tol=1e-12)
-    t3 = best_time(lambda: positive_root(BalanceProblem(k=3, beta=0.5), tol=1e-12))
-    t4 = best_time(lambda: positive_root(BalanceProblem(k=4, beta=0.5), tol=1e-12))
+    r3 = positive_root(BalanceProblem(k=3, beta=0.5))
+    r4 = positive_root(BalanceProblem(k=4, beta=0.5))
+    t3 = best_time(lambda: positive_root(BalanceProblem(k=3, beta=0.5)))
+    t4 = best_time(lambda: positive_root(BalanceProblem(k=4, beta=0.5)))
     ok = (
         abs(r3.value - 1.8393) <= 5e-4
         and abs(r4.value - 1.9276) <= 5e-4
@@ -151,7 +151,7 @@ def test_criterion_07_physicality_boundary():
         thr = physicality_threshold(k)
         for delta in np.linspace(-1e-3, 1e-3, 41):
             beta = thr + float(delta)
-            result = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-12)
+            result = positive_root(BalanceProblem(k=k, beta=beta))
             # exact: thr is only the float nearest k/(k+1)
             expected_physical = Fraction(beta) * (k + 1) < k
             ok &= result.physical == expected_physical

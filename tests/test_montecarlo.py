@@ -150,7 +150,7 @@ class TestSampling:
         assert a.centroid_estimate != b.centroid_estimate
 
     def test_multi_batch_equals_known_composition(self):
-        # spanning a batch boundary stays deterministic and seed-derived
+        # a run over 1e6 points stays deterministic and seed-derived
         est = sample_region_centroid(UNIT_SQUARE, None, 1_200_000, seed=3)
         assert est.samples_total == 1_200_000
         assert est.samples_accepted == 1_200_000
@@ -241,8 +241,8 @@ def _all_edges(poly, pts):
     return np.concatenate(masks)
 
 
-def _whole_batch_reference(shape, cavity, n, seed):
-    """The sampler as one draw per batch: accepted count and raw-moment centroid."""
+def _whole_run_reference(shape, cavity, n, seed):
+    """The sampler as one draw of the whole run: accepted count and raw-moment centroid."""
 
     def inside(body, pts):
         if isinstance(body, Polygon):
@@ -263,16 +263,12 @@ def _whole_batch_reference(shape, cavity, n, seed):
         return np.einsum("ij,ij->i", d, d) <= body.radius**2
 
     lo, hi = shape.bbox()
-    accepted, total = 0, np.zeros(lo.size)
-    for index, start in enumerate(range(0, n, 1_000_000)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-        pts = lo + rng.random((lo.size, min(1_000_000, n - start))).T * (hi - lo)
-        keep = inside(shape, pts)
-        if cavity is not None:
-            keep &= ~inside(cavity, pts)
-        accepted += int(keep.sum())
-        total += pts[keep].sum(axis=0)
-    return accepted, total / accepted
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+    pts = lo + rng.random((lo.size, n)).T * (hi - lo)
+    keep = inside(shape, pts)
+    if cavity is not None:
+        keep &= ~inside(cavity, pts)
+    return int(keep.sum()), pts[keep].sum(axis=0) / keep.sum()
 
 
 def _with_cavity(body):
@@ -292,14 +288,14 @@ class TestChunkedStream:
             (*_with_cavity(Hyperball(center=(0.2, -0.1, 0.4), radius=1.3)), 150_000),
             (*_with_cavity(Hypercube(min_corner=(-0.5, 0.1, 0.2, 0.0, 1.0), side=1.5)), 150_000),
             (*_with_cavity(SIMPLEX_3), 150_000),
-            # spans the batch boundary and a short chunk in the second batch
+            # over 1e6 points, ending in a short chunk
             (*_with_cavity(Circle(center=(0.5, 0.5), radius=0.5)), 1_070_000),
         ],
         ids=["polygon5", "polygon50", "polygon100", "ellipse", "ball3", "cube5", "simplex3", "circle"],
     )
     def test_reproduces_whole_batch_draws(self, shape, cavity, n):
         est = sample_region_centroid(shape, cavity, n, seed=9)
-        accepted, centroid = _whole_batch_reference(shape, cavity, n, 9)
+        accepted, centroid = _whole_run_reference(shape, cavity, n, 9)
         assert est.samples_accepted == accepted
         assert est.centroid_estimate == pytest.approx(tuple(centroid), rel=1e-12, abs=1e-12)
 
@@ -535,9 +531,14 @@ def test_sector_table_memory_is_linear_in_the_vertices():
 
 
 def test_polygon_too_large_for_the_sector_table_runs_the_edge_loop():
-    # products of two coordinates overflow here, the centroid's among them
-    poly = regular_polygon(1000, 1e153)
-    pts = np.array([[0.0, 0.0], [2e153, 0.0], [0.5e153, 0.3e153], [-0.999e153, 0.0], [1e153, 1e153]])
+    # a needle 2e160 long and 1e-90 wide: its area and centroid are finite, but
+    # squares of its vertex radii are beyond the table's overflow guard
+    poly = Polygon(tuple(
+        (1e160 * math.cos(2.0 * math.pi * i / 22), 5e-91 * math.sin(2.0 * math.pi * i / 22))
+        for i in range(22)
+    ))
+    assert poly._sectors is None
+    pts = np.array([[0.0, 0.0], [2e160, 0.0], [0.5e160, 1e-91], [-0.999e160, 0.0], [1e160, 1e-90]])
     for layout in _layouts(pts):
         assert poly.contains(layout).tolist() == [True, False, True, True, False]
 

@@ -245,7 +245,7 @@ class TestBalancedChordSearch:
         with pytest.raises(TypeError):
             scan_balanced_chords(TRIANGLE, 720)
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     @pytest.mark.parametrize(
         "search",
         [
@@ -440,6 +440,13 @@ class TestVerifyBalance:
         assert not report.passed
         assert report.distance > 1e-3
         assert abs(report.polynomial_residual) > 1e-3
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
+        # inf would pass every plan, and NaN or a tol <= 0 fail every one
+        plan = plan_excision(UNIT_SQUARE, chord_through_centroid(UNIT_SQUARE, math.pi / 4.0))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_balance(plan, tol=tol)
 
     def test_circle_plan_passes(self):
         circle = Circle(center=(0.0, 0.0), radius=1.0)

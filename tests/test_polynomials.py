@@ -115,44 +115,40 @@ class TestEvaluate:
 
 class TestPositiveRoot:
     def test_golden_ratio(self):
-        result = positive_root(BalanceProblem(k=2, beta=0.5), tol=1e-12)
+        result = positive_root(BalanceProblem(k=2, beta=0.5))
         assert abs(result.value - 1.618033988749895) < 1e-9
         assert abs(result.value - GOLDEN) < 1e-14
         assert result.physical
 
     def test_tribonacci_constant(self):
-        result = positive_root(BalanceProblem(k=3, beta=0.5), tol=1e-12)
+        result = positive_root(BalanceProblem(k=3, beta=0.5))
         assert abs(result.value - 1.8393) < 5e-4
 
     def test_tetranacci_constant(self):
-        result = positive_root(BalanceProblem(k=4, beta=0.5), tol=1e-12)
+        result = positive_root(BalanceProblem(k=4, beta=0.5))
         assert abs(result.value - 1.9276) < 5e-4
 
     def test_quadratic_with_third_offset(self):
         # (1/3)x^2 - (2/3)x - (2/3) = 0  <=>  x^2 - 2x - 2 = 0, root 1 + sqrt(3)
-        result = positive_root(BalanceProblem(k=2, beta=Fraction(1, 3)), tol=1e-12)
+        result = positive_root(BalanceProblem(k=2, beta=Fraction(1, 3)))
         assert result.value == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
         assert result.physical
 
     def test_threshold_offset_degenerates_to_one(self):
-        result = positive_root(BalanceProblem(k=2, beta=Fraction(2, 3)), tol=1e-12)
+        result = positive_root(BalanceProblem(k=2, beta=Fraction(2, 3)))
         assert result.value == pytest.approx(1.0, abs=1e-12)
         assert not result.physical
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            positive_root(BalanceProblem(k=2, beta=0.5), tol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9, 12])
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_agrees_with_companion_matrix_oracle(self, k, beta):
-        mine = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-13).value
+        mine = positive_root(BalanceProblem(k=k, beta=beta)).value
         assert mine == pytest.approx(companion_positive_root(k, beta), rel=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 40])
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_bracket_straddles_sign_change(self, k, beta):
-        result = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-12)
+        result = positive_root(BalanceProblem(k=k, beta=beta))
         poly = build_general(BalanceProblem(k=k, beta=beta))
         lo, hi = result.bracket
         assert lo <= result.value <= hi
@@ -160,7 +156,7 @@ class TestPositiveRoot:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_absolute_residual_small_in_well_conditioned_regime(self, k):
-        result = positive_root(BalanceProblem(k=k, beta=0.5), tol=1e-12)
+        result = positive_root(BalanceProblem(k=k, beta=0.5))
         assert result.residual <= 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32, 64])
@@ -168,13 +164,13 @@ class TestPositiveRoot:
     def test_backward_error_residual(self, k, beta):
         # |p(x)| measured against the coefficient scale at the root; the
         # forward residual alone is floored by ulp(scale) for steep cases.
-        result = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-12)
+        result = positive_root(BalanceProblem(k=k, beta=beta))
         coeffs = np.array(build_general(BalanceProblem(k=k, beta=beta)).coefficients)
         scale = np.polyval(np.abs(coeffs), max(1.0, result.value))
         assert result.residual <= 1e-12 * (k + 1) * scale
 
     def test_iterations_are_reported(self):
-        result = positive_root(BalanceProblem(k=2, beta=0.5), tol=1e-12)
+        result = positive_root(BalanceProblem(k=2, beta=0.5))
         assert result.iterations > 0
 
 
@@ -190,8 +186,8 @@ class TestPhysicalityThreshold:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16, 33, 64])
     def test_flag_flips_exactly_at_threshold(self, k):
         thr = physicality_threshold(k)
-        below = positive_root(BalanceProblem(k=k, beta=thr - 1e-3), tol=1e-12)
-        above = positive_root(BalanceProblem(k=k, beta=thr + 1e-3), tol=1e-12)
+        below = positive_root(BalanceProblem(k=k, beta=thr - 1e-3))
+        above = positive_root(BalanceProblem(k=k, beta=thr + 1e-3))
         assert below.physical and below.value > 1.0
         assert not above.physical and above.value < 1.0
 
@@ -202,12 +198,12 @@ class TestPhysicalityThreshold:
         for _ in range(6):
             beta = math.nextafter(beta, 0.0)
         for _ in range(13):
-            result = positive_root(BalanceProblem(k=k, beta=beta), tol=1e-12)
+            result = positive_root(BalanceProblem(k=k, beta=beta))
             assert result.physical == (Fraction(beta) * (k + 1) < k), beta
             assert result.physical or result.value <= 1.0, beta
             beta = math.nextafter(beta, 1.0)
         # a rational beta keeps its side of k/(k+1) when it is rounded to a float
-        result = positive_root(BalanceProblem(k=k, beta=Fraction(k, k + 1)), tol=1e-12)
+        result = positive_root(BalanceProblem(k=k, beta=Fraction(k, k + 1)))
         assert not result.physical and result.value <= 1.0
 
 
@@ -223,7 +219,7 @@ class TestRootSigns:
         assert r1 + r2 == pytest.approx((1.0 - beta) / beta, rel=1e-12)
         assert r1 > 0.0 > r2
         assert abs(r1) > abs(r2)
-        mine = positive_root(BalanceProblem(k=2, beta=beta), tol=1e-13).value
+        mine = positive_root(BalanceProblem(k=2, beta=beta)).value
         assert mine == pytest.approx(r1, rel=1e-12)
 
 
@@ -268,5 +264,5 @@ class TestKnacciConstants:
 
     def test_fixed_offset_limit_is_reciprocal_beta(self):
         # for beta = 1/2 the large-k root approaches 1/beta = 2
-        result = positive_root(BalanceProblem(k=60, beta=0.5), tol=1e-12)
+        result = positive_root(BalanceProblem(k=60, beta=0.5))
         assert abs(result.value - 2.0) < 1e-4

@@ -82,6 +82,20 @@ BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
          "ellipse shape does not take 'rotaton'"),
         (["excise"], {"type": "circle", "center": [0, 0], "radius": 1, "colour": "red"},
          "circle shape does not take 'colour'"),
+        # a measure or centroid that binary64 cannot hold is refused where the body is built
+        (["excise-kd", "--o=0" + ",0" * 63], {"type": "hypercube", "min_corner": [0] * 64, "side": 1e5},
+         "error: hypercube measure inf is not"),
+        (["excise-kd", "--o=1e6" + ",0" * 63], {"type": "hyperball", "center": [0] * 64, "radius": 1e6},
+         "error: hyperball measure inf is not"),
+        (["excise-kd", "--o=0" + ",0" * 63], {"type": "hypercube", "min_corner": [0] * 64, "side": 1e-6},
+         "error: hypercube measure 0.0 is not"),
+        (["excise-kd", "--o=0" + ",0" * 19],
+         {"type": "simplex", "vertices": [[0] * 20] + [[1e16 * (i == j) for i in range(20)] for j in range(20)]},
+         "error: simplex measure inf is not"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
+         "error: polygon measure inf is not"),
+        (["excise"], {"type": "regular_polygon", "n": 1000, "circumradius": 1e153},
+         "error: polygon centroid is not finite"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
