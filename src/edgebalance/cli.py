@@ -10,10 +10,11 @@ Subcommands::
 
 Each command takes only the flags it reads: ``--format`` everywhere, ``--tol``
 on ``table`` and the excise commands (exit 2 unless finite and positive),
-``--seed`` and ``--samples`` on the excise commands.  Exit codes: 0 success/verified,
-1 verification or physicality failure or an inconclusive Monte Carlo check,
-2 usage or input errors.  stdout carries
-data; diagnostics go to stderr.
+``--seed`` and ``--samples`` on the excise commands.  ``excise-kd`` takes a
+tangency point ``--o`` and no direction: its chord runs from that point
+through the centroid.  Exit codes: 0 success/verified, 1 verification or
+physicality failure or an inconclusive Monte Carlo check, 2 usage or input
+errors.  stdout carries data; diagnostics go to stderr.
 Every command prints through :func:`_emit`, which applies the output rules
 of :mod:`edgebalance.report` for ``--format json|csv``; each command only
 lays out its own text.
@@ -99,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="tangent",
         help="tangency point, comma-separated (use --o=-1,0,0 for negative leads)",
     )
-    p.add_argument("--dir", default=None, dest="direction", help="chord direction (optional)")
     p.set_defaults(func=cmd_excise_kd, svg=None)
 
     return parser
@@ -241,8 +241,7 @@ def cmd_excise_kd(args) -> int:
     started = time.perf_counter()
     shape_dict, shape = _load_shape(args.shape)
     tangent = _parse_vector("--o", args.tangent)
-    direction = _parse_vector("--dir", args.direction) if args.direction is not None else None
-    plan = ndim.plan_excision_kd(shape, tangent, direction)
+    plan = ndim.plan_excision_kd(shape, tangent)
     return _verify_and_report(args, shape_dict, plan, started)
 
 

@@ -3,28 +3,31 @@
 The balance argument is dimension generic: chord offset beta and dimension k
 fix the scale ratio through the order-k balance polynomial, independent of
 the body's shape constant.  The bodies (``edgebalance.shapes``) and the
-excision pipeline (``edgebalance.planar``) are the same for every k; this
-module adds the k-dimensional entry point, which takes a tangency point
-instead of a chord direction, and keeps the k-dimensional names of the
-shared pipeline as aliases.  Any body works here, planar ones included;
-hyperballs, axis-aligned hypercubes and simplices are the k-dimensional
-families with closed-form volume and centroid, so verification stays
-exact; general convex polytopes (which would need k-dim triangulation) are
-out of scope.  Bodies are validated where they are built (finite numbers,
-positive sizes, non-degenerate simplices, 1 <= k <= 64); the tangency point
-must lie on the boundary.
+excision pipeline (``edgebalance.planar``), chord constructor included, are
+the same for every k; this module adds the k-dimensional entry point, which
+takes a tangency point instead of a chord direction, and keeps the
+k-dimensional names of the shared pipeline as aliases.  Any body works here,
+planar ones included; hyperballs, axis-aligned hypercubes and simplices are
+the k-dimensional families with closed-form volume and centroid, so
+verification stays exact; general convex polytopes (which would need k-dim
+triangulation) are out of scope.  Bodies are validated where they are built
+(finite numbers, positive sizes, non-degenerate simplices, 1 <= k <= 64);
+the tangency point must lie on the boundary, where the ray from the centroid
+through it leaves the body.
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
-has beta = 1/2.  Simplices are not; ``balanced_boundary_point`` gives them
-the closed-form tangency O = C + (V1 - V0)/(k+1), barycentric coordinates
-(0, 2, 1, ..., 1)/(k+1): its reflection 2C - O through the centroid C,
-(2, 0, 1, ..., 1)/(k+1), is on the boundary too, so beta is exactly 1/2.  A
-balanced-chord search for arbitrary k-dimensional convex bodies is not
-implemented.
+has beta exactly 1/2, as in the plane.  Simplices are not;
+``balanced_boundary_point`` gives them the closed-form tangency
+O = C + (V1 - V0)/(k+1), barycentric coordinates (0, 2, 1, ..., 1)/(k+1): its
+reflection 2C - O through the centroid C, (2, 0, 1, ..., 1)/(k+1), is on the
+boundary too, so beta is 1/2 up to rounding.  A balanced-chord search for
+arbitrary k-dimensional convex bodies is not implemented.
 
 Dimensions are capped at 64: beyond that the beta = 1/2 ratio is one ulp
 from 2 in binary64 and the geometry adds nothing.
 """
+
+import math
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .planar import (
     _BOUNDARY_RTOL,
     Chord,
     ExcisionPlan,
+    _centroid_chord,
     _extent,
     _solve_excision,
     area,
@@ -71,42 +75,28 @@ def excision_with_ratio_kd(
     return excision_with_ratio(shape, Chord(o, q, c, beta), scale_ratio)
 
 
-def plan_excision_kd(shape: ShapeKd, tangent_point, direction=None) -> ExcisionPlan:
+def plan_excision_kd(shape: ShapeKd, tangent_point) -> ExcisionPlan:
     """Excision tangent at a boundary point, chord through the centroid.
 
-    The chord direction is forced by the construction (it must contain the
-    centroid); a ``direction`` argument, when given, is only checked for
-    agreement.  As in ``plan_excision``, the scale ratio is the
-    ``positive_root`` value for ``k`` and the chord's beta.  Requires ``beta <
-    k/(k+1)``, otherwise the balance root does not exceed 1 and
-    PhysicalityError is raised.
+    O fixes the direction u = (C - O)/|OC| towards the centroid C; the chord
+    is built from C, as in ``chord_through_centroid``, and O is refused unless
+    it lies within the boundary tolerance of the chord's tangency end (on a
+    convex body the ray from C through a boundary point leaves there).  As in
+    ``plan_excision``, the scale ratio is the ``positive_root`` value for
+    ``k`` and the chord's beta.  Requires ``beta < k/(k+1)``, otherwise the
+    balance root does not exceed 1 and PhysicalityError is raised.
     """
-    k = shape.dim
-    tangent_point = _as_point(tangent_point)
-    if len(tangent_point) != k:
-        raise ValueError(f"tangency point has dimension {len(tangent_point)}, shape has {k}")
+    o = _as_point(tangent_point)
+    if len(o) != shape.dim:
+        raise ValueError(f"tangency point has dimension {len(o)}, shape has {shape.dim}")
+    c = shape.centroid()
+    oc = math.dist(c, o)
     scale = max(_extent(shape), 1.0)
-    if not shape.on_boundary(tangent_point, _BOUNDARY_RTOL * scale):
-        raise ValueError(f"tangency point {tangent_point} is not on the shape boundary")
-    o = np.asarray(tangent_point)
-    c = np.asarray(shape.centroid())
-    oc = np.linalg.norm(c - o)
     if oc <= 1e-12 * scale:
         raise ValueError("tangency point coincides with the centroid")
-    u = (c - o) / oc
-    if direction is not None:
-        d = np.asarray(_as_point(direction))
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            raise ValueError("direction must be a nonzero vector")
-        if float(np.dot(d / norm, u)) < 1.0 - 1e-9:
-            raise ValueError(
-                "direction must point from the tangency point through the centroid"
-            )
-    t_exit = shape.exit_parameter(o, u)
-    if t_exit <= oc:
-        raise ValueError("centroid chord leaves the body before the centroid")
-    chord = Chord(tangent_point=o, far_point=o + t_exit * u, centroid=c, beta=float(oc / t_exit))
+    chord = _centroid_chord(shape, tuple((b - a) / oc for a, b in zip(o, c)))
+    if math.dist(chord.tangent_point, o) > _BOUNDARY_RTOL * scale:
+        raise ValueError(f"tangency point {o} is not on the shape boundary")
     return _solve_excision(shape, chord)
 
 

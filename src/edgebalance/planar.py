@@ -136,27 +136,32 @@ class Chord:
         return math.dist(self.tangent_point, self.far_point)
 
 
-def chord_through_centroid(shape: Shape2D, theta: float) -> Chord:
-    """Chord through the centroid of a planar shape along direction ``theta``.
+def _centroid_chord(shape: Shape, u) -> Chord:
+    """Chord through the centroid along the unit vector ``u``, in any dimension.
 
-    The tangency end O is the boundary crossing opposite the direction, the
-    far end Q the crossing along it.  Centrally symmetric shapes have beta
+    The tangency end O is where the ray along -u leaves the body, the far end
+    Q where the ray along u does.  Centrally symmetric bodies have beta
     exactly 1/2.
     """
     c = shape.centroid()
-    u = (math.cos(theta), math.sin(theta))
     t_far = shape.exit_parameter(c, u)
     if shape.centrally_symmetric:
         t_back, beta = t_far, 0.5
     else:
-        t_back = shape.exit_parameter(c, (-u[0], -u[1]))
+        t_back = shape.exit_parameter(c, tuple(-x for x in u))
         beta = t_back / (t_far + t_back)
     return Chord(
-        tangent_point=(c[0] - t_back * u[0], c[1] - t_back * u[1]),
-        far_point=(c[0] + t_far * u[0], c[1] + t_far * u[1]),
+        tangent_point=tuple(a - t_back * b for a, b in zip(c, u)),
+        far_point=tuple(a + t_far * b for a, b in zip(c, u)),
         centroid=c,
         beta=beta,
     )
+
+
+def chord_through_centroid(shape: Shape2D, theta: float) -> Chord:
+    """Chord through the centroid of a planar shape along direction ``theta``:
+    the tangency end is the boundary crossing opposite the direction."""
+    return _centroid_chord(shape, (math.cos(theta), math.sin(theta)))
 
 
 def beta_complement(shape: Shape2D, theta: float) -> tuple[float, float]:

@@ -6,13 +6,12 @@ the same constant that solves the order-k balance polynomial at offset 1/2,
 which makes these sequences an independent numeric oracle for the root
 solver: the two never share any arithmetic.
 
-Everything runs on Python's arbitrary-precision integers; ratios are taken
-as exact big-integer quotients and only converted to float at the end, so
+Everything runs on Python's arbitrary-precision integers; a ratio is the
+true division of two of them, which CPython rounds correctly once, so
 convergence measurements carry no accumulated rounding.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -119,14 +118,14 @@ def doubling_prefix(k: int, count: int) -> DoublingSequence:
 def ratio(seq: KnacciSequence, n: int) -> float:
     """Ratio terms[n] / terms[n-1] as a correctly rounded float.
 
-    The quotient is formed exactly over the integers first, then rounded
-    once on conversion.  Indices are 0-based.
+    Integer true division rounds the exact quotient once, however large the
+    terms.  Indices are 0-based.
     """
     if not 1 <= n < len(seq.terms):
         raise IndexError(f"ratio index {n} out of range for {len(seq.terms)} terms")
     if seq.terms[n - 1] == 0:
         raise ValueError(f"term {n - 1} is zero, ratio undefined")
-    return float(Fraction(seq.terms[n], seq.terms[n - 1]))
+    return seq.terms[n] / seq.terms[n - 1]
 
 
 def converged_ratio(k: int, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:
@@ -148,7 +147,7 @@ def converged_ratio(k: int, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> f
         nxt = window_sum
         window_sum += nxt - terms[len(terms) - k]
         terms.append(nxt)
-        r = float(Fraction(terms[-1], terms[-2]))
+        r = terms[-1] / terms[-2]
         if prev_ratio is not None:
             if abs(r - prev_ratio) < tol:
                 small_streak += 1

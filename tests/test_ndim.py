@@ -122,7 +122,7 @@ class TestPlanning:
 
     def test_cube_corner_diagonal(self):
         cube = Hypercube(min_corner=(0.0, 0.0, 0.0), side=1.0)
-        plan = plan_excision_kd(cube, (0.0, 0.0, 0.0), direction=(1.0, 1.0, 1.0))
+        plan = plan_excision_kd(cube, (0.0, 0.0, 0.0))
         assert plan.beta == pytest.approx(0.5, abs=1e-12)
         assert plan.scale_ratio == pytest.approx(knacci_constant(3).value, abs=1e-12)
 
@@ -136,10 +136,16 @@ class TestPlanning:
         with pytest.raises(ValueError, match="boundary"):
             plan_excision_kd(ball, (0.1, 0.0))
 
-    def test_rejects_misaligned_direction(self):
+    def test_rejects_point_outside_on_the_ray(self):
+        # the ray from the centroid through (-1.5, 0, 0) leaves the ball at (-1, 0, 0)
         ball = Hyperball(center=(0.0, 0.0, 0.0), radius=1.0)
-        with pytest.raises(ValueError, match="direction"):
-            plan_excision_kd(ball, (-1.0, 0.0, 0.0), direction=(0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="boundary"):
+            plan_excision_kd(ball, (-1.5, 0.0, 0.0))
+
+    def test_rejects_the_centroid(self):
+        ball = Hyperball(center=(0.0, 0.0, 0.0), radius=1.0)
+        with pytest.raises(ValueError, match="coincides"):
+            plan_excision_kd(ball, (0.0, 0.0, 0.0))
 
     def test_simplex_vertex_tangency_is_at_threshold(self):
         # a vertex chord has offset exactly k/(k+1): the refusal boundary
@@ -230,6 +236,24 @@ class TestBalancedBoundaryPoint:
             assert abs(plan.beta - 0.5) <= 1e-12
             assert plan.scale_ratio == pytest.approx(phi_k, abs=1e-11)
             assert verify_balance_kd(plan, tol=1e-10).passed
+
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_symmetric_plans_are_exact(self, k):
+        # the chord is built from the centroid, as in the plane, so a centrally
+        # symmetric body has beta = 1/2 and the order-k constant, bit for bit
+        rng = np.random.default_rng(500 + k)
+        corner = tuple(rng.uniform(-1.0, 1.0, k))
+        size = float(rng.uniform(0.5, 2.0))
+        phi_k = knacci_constant(k).value
+        bodies = (Hyperball(center=corner, radius=size), Hypercube(min_corner=corner, side=size))
+        for shape in bodies:
+            c = np.asarray(shape.centroid())
+            u = rng.standard_normal(k)
+            u /= np.linalg.norm(u)
+            for o in (balanced_boundary_point(shape), c + shape.exit_parameter(c, u) * u):
+                plan = plan_excision_kd(shape, o)
+                assert plan.beta == 0.5
+                assert plan.scale_ratio == phi_k
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_simplex_tangency_is_exact(self, k):

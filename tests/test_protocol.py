@@ -54,7 +54,7 @@ BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
         (["excise", "--theta", "inf"], PENTAGON, "finite"),
         (["excise", "--theta", "nan"], PENTAGON, "finite"),
         (["excise-kd", "--o=-inf,0,0"], BALL3, "finite"),
-        (["excise-kd", "--o=-1,0,0", "--dir", "nan,0,0"], BALL3, "finite"),
+        (["excise-kd", "--o=-1,nan,0"], BALL3, "finite"),
         (["excise"], BALL3, "planar shape"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]}, "malformed"),
         (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "at most 100000 sides"),

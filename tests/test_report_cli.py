@@ -371,12 +371,20 @@ class TestExciseKdCommand:
             json.dumps({"type": "hypercube", "min_corner": [0, 0, 0, 0, 0], "side": 1.0})
         )
         code, out, _ = run_cli(
-            capsys, "excise-kd", "--shape", str(path), "--o", "0,0,0,0,0",
-            "--dir", "1,1,1,1,1", "--format", "json",
+            capsys, "excise-kd", "--shape", str(path), "--o", "0,0,0,0,0", "--format", "json",
         )
         assert code == 0
         report = RunReport.from_json(out)
         assert report.scale_ratio == pytest.approx(1.9659, abs=5e-4)
+
+    def test_direction_is_not_an_option(self, capsys, tmp_path):
+        # the chord runs from the tangency point through the centroid: nothing to choose
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({"type": "hyperball", "center": [0, 0, 0], "radius": 1.0}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["excise-kd", "--shape", str(path), "--o=-1,0,0", "--dir", "1,0,0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dir" in capsys.readouterr().err
 
     def test_rod_exits_one(self, capsys, tmp_path):
         path = tmp_path / "rod.json"
