@@ -108,11 +108,11 @@ def balanced_boundary_point(shape: ShapeKd) -> Point:
     simplex it is C + (V1 - V0)/(k+1), on the facet opposite V0, whose
     reflection through the centroid C lies on the facet opposite V1.
     """
-    c = np.asarray(shape.centroid())
+    c = shape.centroid()
     if shape.centrally_symmetric:
-        u = -np.eye(shape.dim)[0]
-        return _as_point(c + shape.exit_parameter(c, u) * u)
+        x0, *rest = c
+        return (x0 - shape.exit_parameter(c, (-1.0,) + (0.0,) * len(rest)), *rest)
     if len(shape.vertices) != shape.dim + 1:
         raise ValueError("balanced_boundary_point needs a centrally symmetric body or a simplex")
     v0, v1 = shape.vertex_array[:2]
-    return _as_point(c + (v1 - v0) / (shape.dim + 1))
+    return _as_point(np.asarray(c) + (v1 - v0) / (shape.dim + 1))

@@ -141,14 +141,15 @@ def _centroid_chord(shape: Shape, u) -> Chord:
 
     The tangency end O is where the ray along -u leaves the body, the far end
     Q where the ray along u does.  Centrally symmetric bodies have beta
-    exactly 1/2.
+    exactly 1/2, both ends from the ray along u; polygons and simplices take
+    both ends from one pass over their facets.
     """
     c = shape.centroid()
-    t_far = shape.exit_parameter(c, u)
     if shape.centrally_symmetric:
-        t_back, beta = t_far, 0.5
+        t_far = t_back = shape.exit_parameter(c, u)
+        beta = 0.5
     else:
-        t_back = shape.exit_parameter(c, tuple(-x for x in u))
+        t_far, t_back = shape._centroid_exits(u)
         beta = t_back / (t_far + t_back)
     return Chord(
         tangent_point=tuple(a - t_back * b for a, b in zip(c, u)),

@@ -5,7 +5,8 @@ never asks which shape it holds:
 
 ``dim``                    the dimension k
 ``measure()``              exact area (k = 2) or volume
-``centroid()``             exact centroid, as a tuple
+``centroid()``             exact centroid, as a tuple; both moments are computed
+                           and checked once, where the body is built, and kept
 ``bbox()``                 (lower, upper) corners of the axis-aligned bounding box
 ``contains(points)``       membership mask for an (m, k) float array, boundary inside;
                            it reads the array column by column, so column-major
@@ -25,6 +26,11 @@ a distance only up to the axis ratio.
 
 Polygons, simplices and cubes are polytopes: one half-space base gives them
 ``exit_parameter`` and the facet test from each facet's distance and rate.
+It also gives them a two-sided exit for chords through the centroid: the
+facet distances at the centroid are kept with the body, and one evaluation
+of the rates along u yields both ends, the exit along u from the facets of
+negative rate and the exit along -u from those of positive rate, each the
+same float as ``exit_parameter`` gives.
 Polygons and simplices also carry ``vertices`` (tuples of floats) and
 ``vertex_array``, the same numbers as one read-only float64 array built
 once, which their methods read.  A polygon also keeps the edges its
@@ -32,19 +38,24 @@ validation forms as the read-only ``edge_array``, row i being vertex i + 1
 minus vertex i.
 
 A polygon of at least ``PREFILTER_MIN_VERTICES`` vertices screens the
-points of ``contains`` before its edge loop, with a table of
+points of ``contains`` before its edge test, with a table of
 ``PREFILTER_SECTORS`` equal angular sectors about its centroid built on
 first use in O(n + sectors).  Each sector has an inner and an outer squared
 radius, each ``PREFILTER_MARGIN`` of the diameter clear of every edge line:
 a point inside the inner one is inside, beyond the outer one outside, by a
 depth far above the edge test's rounding.  Only the points between their
-sector's two radii reach the edge loop, so every decision is the loop's.
+sector's two radii reach the edge test: up to ``_RING_POINTS`` of them as
+(edges, points) broadcasts with the loop's arithmetic element for element,
+more through the loop itself, so every decision is the loop's.
 
 Shapes are validated where they are built, cavities included: every
 coordinate and size must be a finite number, sizes positive, polygons
 strictly convex, counterclockwise and winding exactly once (checked in
 vectorised form on the array), simplices non-degenerate, dimensions in 1..64,
-the measure a positive normal float and the centroid finite.
+the measure a positive normal float and the centroid finite.  Where a
+ball's r^k or a simplex's determinant overflows, its measure is taken in
+logarithms (``math.lgamma``, ``np.linalg.slogdet``), so every measure that
+binary64 holds builds; every other measure is the direct formula's float.
 """
 
 import math
@@ -61,13 +72,19 @@ from .polynomials import MAX_DIMENSION
 # about the centroid before the edge loop; below it the loop alone is cheaper.
 PREFILTER_MIN_VERTICES = 12
 # Depth, as a fraction of the polygon's diameter, of the band about the
-# boundary that the sector screen leaves to the edge loop: a point it decides
+# boundary that the sector screen leaves to the edge test: a point it decides
 # lies at least this far inside every edge line, or outside one.  Rounding
 # moves an edge test by about 1e-15 of the diameter, so such a point lies far
 # beyond it.
 PREFILTER_MARGIN = 1e-9
 # Equal angular sectors of the screen's table, each with its own two radii.
 PREFILTER_SECTORS = 256
+# Up to this many points the sector screen leaves take the edge test as
+# (edges, points) broadcasts, a few numpy calls in all; more take the edge
+# loop, 7 calls per edge but fewer cycles per point.
+_RING_POINTS = 1024
+# Edges times points per broadcast: each of its temporaries stays within 256 KiB.
+_RING_BLOCK = 1 << 15
 
 Point = tuple[float, ...]
 
@@ -90,6 +107,14 @@ def _check_dim(k: int) -> None:
 
 def _scale_point(p: Point, origin, factor: float) -> Point:
     return tuple(o + (x - o) * factor for x, o in zip(p, origin))
+
+
+def _exp(x: float) -> float:
+    """exp(x), inf beyond binary64."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
@@ -122,22 +147,36 @@ def _plain(value):
 
 
 class ConvexBody:
-    """Base of the six body classes: the JSON round trip and moment check they share."""
+    """Base of the six body classes: the JSON round trip and the moments they share.
+
+    Each class gives ``_moments()``, its measure and centroid by formula;
+    ``_require_moments`` evaluates it once, at construction, and keeps both.
+    """
 
     kind: ClassVar[str]
     centrally_symmetric: ClassVar[bool] = False
 
     def _require_moments(self) -> None:
-        """Refuse a measure that is not a positive normal float, or a centroid not finite."""
+        """Compute the measure and centroid once and keep them; refuse a measure
+        that is not a positive normal float, or a centroid not finite."""
         try:
-            with np.errstate(over="ignore"):  # a simplex's determinant
-                measure = self.measure()
-        except OverflowError:  # a size raised to the power k
-            measure = math.inf
+            measure, centroid = self._moments()
+        except OverflowError:  # a cube's side raised to the power k
+            measure, centroid = math.inf, ()
         if not sys.float_info.min <= measure < math.inf:
             raise ValueError(f"{self.kind} measure {measure!r} is not a positive normal float")
-        if not all(map(math.isfinite, self.centroid())):
+        if not all(map(math.isfinite, centroid)):
             raise ValueError(f"{self.kind} centroid is not finite in binary64")
+        object.__setattr__(self, "_measure", measure)
+        object.__setattr__(self, "_centroid", centroid)
+
+    def measure(self) -> float:
+        """Exact area (k = 2) or volume, as computed where the body was built."""
+        return self._measure
+
+    def centroid(self) -> Point:
+        """Exact centroid, as computed where the body was built."""
+        return self._centroid
 
     def to_dict(self) -> dict:
         return {"type": self.kind, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
@@ -177,7 +216,23 @@ class _Polytope(ConvexBody):
         rate = self._facet_rates(u)
         leaving = rate < 0.0
         with np.errstate(over="ignore"):  # a facet the ray nearly runs along
-            t = -self._facet_distances(origin)[leaving] / rate[leaving]
+            return self._nearest_exit(-self._facet_distances(origin)[leaving] / rate[leaving])
+
+    @cached_property
+    def _centroid_distances(self) -> np.ndarray:
+        return self._facet_distances(self.centroid())
+
+    def _centroid_exits(self, u) -> tuple[float, float]:
+        """``exit_parameter`` from the centroid along u and along -u, from one
+        evaluation of the facet rates: the ray along -u leaves through the
+        facets whose rate along u is positive, at distance / rate."""
+        rate, distance = self._facet_rates(u), self._centroid_distances
+        leaving, entering = rate < 0.0, rate > 0.0
+        with np.errstate(over="ignore"):
+            return (self._nearest_exit(-distance[leaving] / rate[leaving]),
+                    self._nearest_exit(distance[entering] / rate[entering]))
+
+    def _nearest_exit(self, t: np.ndarray) -> float:
         best = float(t.min(initial=math.inf))
         if not (math.isfinite(best) and best > 0.0):
             raise ValueError(f"ray has no finite positive exit from the {self.kind}")
@@ -228,7 +283,6 @@ class Polygon(_Polytope):
     def dim(self) -> int:
         return 2
 
-    @cached_property
     def _moments(self) -> tuple[float, Point]:
         """Area and centroid from a triangle fan at vertex 0.
 
@@ -245,12 +299,6 @@ class Polygon(_Polytope):
             ay += (py + qy) * f
         scale = 1.0 / (3.0 * acc) if acc else math.nan  # a zero area is refused at build
         return 0.5 * acc, (x0 + ax * scale, y0 + ay * scale)
-
-    def measure(self) -> float:
-        return self._moments[0]
-
-    def centroid(self) -> Point:
-        return self._moments[1]
 
     @cached_property
     def _edge_lengths(self) -> np.ndarray:
@@ -330,6 +378,18 @@ class Polygon(_Polytope):
             inside &= np.greater_equal(cross, 0.0, out=ok)
         return inside
 
+    def _ring_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # _edge_test's arithmetic element for element, as (edges, points)
+        # broadcasts over blocks of points
+        ax, ay, ex, ey = np.vstack((self.vertex_array.T, self.edge_array.T))[:, :, None]
+        inside = np.empty(len(x), dtype=bool)
+        step = max(1, _RING_BLOCK // len(ex))
+        for s in range(0, len(x), step):
+            cross = (y[s:s + step] - ay) * ex
+            cross -= (x[s:s + step] - ax) * ey
+            np.all(cross >= 0.0, axis=0, out=inside[s:s + step])
+        return inside
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
         if len(self.vertices) < PREFILTER_MIN_VERTICES or self._sectors is None:
@@ -344,7 +404,8 @@ class Polygon(_Polytope):
         inside = d2 <= np.take(inner_sq, sector)
         ring = np.flatnonzero((d2 <= np.take(outer_sq, sector)) & ~inside)
         if ring.size:
-            inside[ring] = self._edge_test(x[ring], y[ring])
+            test = self._ring_test if ring.size <= _RING_POINTS else self._edge_test
+            inside[ring] = test(x[ring], y[ring])
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:
@@ -409,11 +470,8 @@ class Ellipse(ConvexBody):
         a, b = self.semi_axes
         return (cr * dx + sr * dy) / a, (-sr * dx + cr * dy) / b
 
-    def measure(self) -> float:
-        return math.pi * self.semi_axes[0] * self.semi_axes[1]
-
-    def centroid(self) -> Point:
-        return self.center
+    def _moments(self) -> tuple[float, Point]:
+        return math.pi * self.semi_axes[0] * self.semi_axes[1], self.center
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.semi_axes
@@ -493,13 +551,19 @@ class Hyperball(ConvexBody):
     def dim(self) -> int:
         return len(self.center)
 
-    def measure(self) -> float:
-        """pi^(k/2) r^k / Gamma(k/2 + 1)."""
+    def _moments(self) -> tuple[float, Point]:
+        """pi^(k/2) r^k / Gamma(k/2 + 1), in logarithms where r^k or the product
+        overflows although the measure may not."""
         k = self.dim
-        return math.pi ** (k / 2.0) * self.radius**k / math.gamma(k / 2.0 + 1.0)
-
-    def centroid(self) -> Point:
-        return self.center
+        try:
+            measure = math.pi ** (k / 2.0) * self.radius**k / math.gamma(k / 2.0 + 1.0)
+        except OverflowError:
+            measure = math.inf
+        if measure == math.inf:
+            measure = _exp(
+                0.5 * k * math.log(math.pi) + k * math.log(self.radius) - math.lgamma(0.5 * k + 1.0)
+            )
+        return measure, self.center
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -571,12 +635,9 @@ class Hypercube(_Polytope):
     def dim(self) -> int:
         return len(self.min_corner)
 
-    def measure(self) -> float:
-        return self.side**self.dim
-
-    def centroid(self) -> Point:
+    def _moments(self) -> tuple[float, Point]:
         half = 0.5 * self.side
-        return tuple(c + half for c in self.min_corner)
+        return self.side**self.dim, tuple(c + half for c in self.min_corner)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.min_corner)
@@ -637,12 +698,17 @@ class Simplex(_Polytope):
         )
         return np.concatenate(([1.0 - lam.sum()], lam))
 
-    def measure(self) -> float:
-        """|det| / k!."""
-        return abs(float(np.linalg.det(self._edge_matrix()))) / math.factorial(self.dim)
-
-    def centroid(self) -> Point:
-        return _as_point(self.vertex_array.mean(axis=0))
+    def _moments(self) -> tuple[float, Point]:
+        """|det| / k! and the vertex mean; log |det| where the determinant
+        overflows although the measure may not."""
+        k = self.dim
+        with np.errstate(over="ignore"):
+            det = abs(float(np.linalg.det(self._edge_matrix())))
+        if det == math.inf:
+            measure = _exp(float(np.linalg.slogdet(self._edge_matrix())[1]) - math.lgamma(k + 1.0))
+        else:
+            measure = det / math.factorial(k)
+        return measure, _as_point(self.vertex_array.mean(axis=0))
 
     @cached_property
     def _inverse_edges(self) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edgebalance import montecarlo
+from edgebalance import montecarlo, shapes
 from edgebalance.montecarlo import (
     bounding_box,
     contains,
@@ -416,6 +416,27 @@ class TestKernels:
                     expected = [all(a <= x <= a + 0.75 for x, a in zip(p, cube.min_corner)) for p in pts]
                 for layout in _layouts(pts):
                     assert body.contains(layout).tolist() == expected
+
+    @pytest.mark.parametrize("block", [shapes._RING_BLOCK, 1, 777])
+    def test_ring_broadcast_is_the_edge_loop(self, monkeypatch, block):
+        # the screened points' broadcast takes the loop's decision on every
+        # point, in one block or in many: near every edge, far off, not finite
+        monkeypatch.setattr(shapes, "_RING_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for poly in (POLY_100, _squashed(POLY_50, 1e-9), _needle(1e-9, scale=1e9),
+                     regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6))):
+            v, c = poly.vertex_array, np.asarray(poly.centroid())
+            on_edges = v + rng.random((len(v), 1)) * poly.edge_array
+            near = c + (on_edges - c) * (1.0 + rng.uniform(-1e-15, 1e-15, (len(v), 1)))
+            lo, hi = poly.bbox()
+            pts = np.vstack([near, on_edges, v, lo + rng.random((3000, 2)) * (hi - lo),
+                             [(math.nan, 0.0), (math.inf, c[1]), (c[0], -math.inf)]])
+            for layout in _layouts(pts):
+                x, y = layout[:, 0], layout[:, 1]
+                assert poly._ring_test(x, y).tobytes() == poly._edge_test(x, y).tobytes()
+                # and through contains, whose ring of a few hundred points is broadcast
+                head = layout[: len(v) * 3 + 50]
+                assert poly.contains(head).tobytes() == poly._edge_test(head[:, 0], head[:, 1]).tobytes()
 
     @pytest.mark.parametrize(
         "poly",

@@ -314,14 +314,16 @@ class TestBalancedChordSearch:
         thin = Polygon(tuple((x, 1e-5 * y) for x, y in base.vertices))
         calls = 0
         for cls in (Polygon, Simplex):
-            exit_parameter = cls.exit_parameter
+            for name in ("exit_parameter", "_centroid_exits"):
 
-            def counted(self, origin, u, exit_parameter=exit_parameter):
-                nonlocal calls
-                calls += 1
-                return exit_parameter(self, origin, u)
+                def counted(self, *args, exit=getattr(cls, name)):
+                    nonlocal calls
+                    calls += 1
+                    return exit(self, *args)
 
-            monkeypatch.setattr(cls, "exit_parameter", counted)
+                monkeypatch.setattr(cls, name, counted)
+        assert chord_through_centroid(thin, 0.3) and calls == 1  # the counters count
+        calls = 0
         assert search(thin)
         assert calls == 0
 

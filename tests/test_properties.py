@@ -23,6 +23,7 @@ from edgebalance.ndim import (
     verify_balance_kd,
 )
 from edgebalance.planar import (
+    Chord,
     Polygon,
     _chords_with_offset,
     chord_through_centroid,
@@ -357,6 +358,58 @@ def test_polytope_exits_match_the_facet_loops(seed, n, k, theta):
     u /= np.linalg.norm(u)
     exits = [((hi[i] if u[i] > 0.0 else lo[i]) - o[i]) / u[i] for i in range(k) if u[i] != 0.0]
     assert cube.exit_parameter(o, u) == min(exits)
+
+
+def chord_from_two_exits(shape, u) -> Chord:
+    """The centroid chord from one ``exit_parameter`` call each way."""
+    c = shape.centroid()
+    t_far = shape.exit_parameter(c, u)
+    if shape.centrally_symmetric:
+        t_back, beta = t_far, 0.5
+    else:
+        t_back = shape.exit_parameter(c, tuple(-x for x in u))
+        beta = t_back / (t_far + t_back)
+    return Chord(
+        tangent_point=tuple(a - t_back * b for a, b in zip(c, u)),
+        far_point=tuple(a + t_far * b for a, b in zip(c, u)),
+        centroid=c,
+        beta=beta,
+    )
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    family=st.sampled_from(["polygon", "simplex", "cube"]),
+    k=st.integers(2, MAX_DIMENSION),
+    n=st.integers(3, 300),
+    zeros=st.floats(0.0, 0.9),
+    length=st.sampled_from([1.0, 1.0, 1.0, 0.0, 1e-310, math.nan]),
+)
+def test_two_sided_centroid_exit_is_two_exit_parameter_calls(seed, family, k, n, zeros, length):
+    # one pass over the facet rates gives both ends of a chord through the
+    # centroid: the same floats as two exit_parameter calls, and the same
+    # ValueError where an exit is not finite and positive (a zero or NaN
+    # direction, or one so short that every crossing overflows)
+    rng = np.random.default_rng(seed)
+    if family == "polygon":
+        shape, k = polygon(seed, n), 2
+    elif family == "simplex":
+        vertices = np.vstack([np.zeros(k), np.eye(k)]) + rng.uniform(-0.1, 0.1, (k + 1, k))
+        shape = Simplex(vertices=tuple(map(tuple, vertices * rng.uniform(0.5, 2.0) + rng.uniform(-1, 1, k))))
+    else:
+        shape = Hypercube(min_corner=tuple(rng.uniform(-1.0, 1.0, k)), side=float(rng.uniform(0.5, 2.0)))
+    u = rng.standard_normal(k) * (rng.random(k) >= zeros)  # some axes the ray runs across
+    assume(u.any())
+    u = tuple((u / np.linalg.norm(u) * length).tolist())
+    c = shape.centroid()
+    two_calls = [outcome(lambda s: s.exit_parameter(c, v), shape) for v in (u, tuple(-x for x in u))]
+    refused = [o for o in two_calls if o.startswith("ValueError")]
+    one_pass = outcome(lambda s: s._centroid_exits(u), shape)
+    assert one_pass == (refused[0] if refused else f"({two_calls[0]}, {two_calls[1]})")
+    assert outcome(lambda s: planar._centroid_chord(s, u), shape) == outcome(
+        lambda s: chord_from_two_exits(s, u), shape
+    )
 
 
 def test_warm_sweep_frame_keeps_the_bisection_fallback(monkeypatch):

@@ -1,13 +1,18 @@
 """The shared body protocol: entry validation, translation-robust moments,
 bounded-memory membership, and one pipeline for every dimension."""
 
+import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgebalance import cli
 from edgebalance.montecarlo import contains
@@ -33,6 +38,7 @@ PENTAGRAM = [[math.cos(0.8 * math.pi * i), math.sin(0.8 * math.pi * i)] for i in
 HEPTAGRAM = [[math.cos(4.0 * math.pi * i / 7), math.sin(4.0 * math.pi * i / 7)] for i in range(7)]
 PENTAGON = {"type": "regular_polygon", "n": 5, "circumradius": 1.0}
 BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 @pytest.mark.parametrize(
@@ -89,8 +95,9 @@ BALL3 = {"type": "hyperball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
          "error: hyperball measure inf is not"),
         (["excise-kd", "--o=0" + ",0" * 63], {"type": "hypercube", "min_corner": [0] * 64, "side": 1e-6},
          "error: hypercube measure 0.0 is not"),
+        # (side 1e16 is held: its measure is about 4.1e301, though its determinant is 1e320)
         (["excise-kd", "--o=0" + ",0" * 19],
-         {"type": "simplex", "vertices": [[0] * 20] + [[1e16 * (i == j) for i in range(20)] for j in range(20)]},
+         {"type": "simplex", "vertices": [[0] * 20] + [[1e17 * (i == j) for i in range(20)] for j in range(20)]},
          "error: simplex measure inf is not"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
          "error: polygon measure inf is not"),
@@ -180,6 +187,164 @@ def test_a_ray_leaving_through_its_own_facet_has_no_exit(body):
     assert body.exit_parameter((0.25, 0.0), (0.0, 1.0)) >= 0.75
     with pytest.raises(ValueError, match="no finite positive exit"):
         body.exit_parameter((0.25, 0.0), (0.0, -1.0))
+
+
+def _bodies_of_every_class():
+    rng = np.random.default_rng(41)
+    far = random_convex_polygon(30, rng)
+    return [
+        random_convex_polygon(7, rng),
+        Polygon(tuple((x + 1e3, y - 1e3) for x, y in far.vertices)),
+        regular_polygon(12, 2.0, 0.3),
+        Ellipse(center=(0.5, -0.25), semi_axes=(2.0, 0.75), rotation=0.4),
+        Circle(center=(-1.0, 3.0), radius=0.6),
+        *(Hyperball(center=tuple(rng.uniform(-1.0, 1.0, k)), radius=float(rng.uniform(0.5, 2.0)))
+          for k in (1, 3, 17, 64)),
+        *(Hypercube(min_corner=tuple(rng.uniform(-1.0, 1.0, k)), side=float(rng.uniform(0.5, 2.0)))
+          for k in (1, 2, 17, 64)),
+        *(Simplex(vertices=tuple(map(tuple, np.vstack([np.zeros(k), np.eye(k)])
+                                     + rng.uniform(-0.1, 0.1, (k + 1, k)))))
+          for k in (1, 2, 17, 64)),
+    ]
+
+
+@pytest.mark.parametrize("body", _bodies_of_every_class(), ids=lambda b: f"{b.kind}{b.dim}")
+class TestMomentsKeptFromConstruction:
+    def test_kept_moments_are_the_formula_bit_for_bit(self, body):
+        measure, centroid = body._moments()
+        assert repr(body.measure()) == repr(measure)
+        assert repr(body.centroid()) == repr(centroid)
+        assert all(type(x) is float for x in body.centroid())
+
+    def test_kept_moments_leave_the_dataclass_alone(self, body):
+        # the moments and the centroid's facet distances are kept beside the
+        # fields: equality, hash, fields and the JSON form see the fields only
+        names = {
+            "polygon": ["vertices"],
+            "ellipse": ["center", "semi_axes", "rotation"],
+            "circle": ["center", "radius"],
+            "hyperball": ["center", "radius"],
+            "hypercube": ["min_corner", "side"],
+            "simplex": ["vertices"],
+        }[body.kind]
+        assert [f.name for f in dataclasses.fields(body)] == names
+        assert list(body.to_dict()) == ["type", *names]
+        twin = shape_from_dict(json.loads(json.dumps(body.to_dict())))
+        if hasattr(body, "_centroid_exits"):
+            body._centroid_exits((1.0,) + (0.0,) * (body.dim - 1))
+        assert twin == body and hash(twin) == hash(body)
+        assert repr(twin) == repr(body)
+        assert twin.to_dict() == body.to_dict()
+
+
+def _ball_measure(k: int, r: float) -> Decimal:
+    """pi^(k/2) r^k / Gamma(k/2 + 1) in 60 digits: (k/2)! for even k, and for
+    odd k = 2m - 1, Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if k % 2 == 0:
+            return PI**(k // 2) * Decimal(r)**k / math.factorial(k // 2)
+        m = (k + 1) // 2
+        return PI**(m - 1) * Decimal(r)**k * 4**m * math.factorial(m) / math.factorial(2 * m)
+
+
+def decimal_det(matrix) -> Decimal:
+    """The determinant of a float matrix in 60 digits, by elimination with partial pivoting."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = [[Decimal(x) for x in row] for row in matrix]
+        n, det = len(a), Decimal(1)
+        for i in range(n):
+            p = max(range(i, n), key=lambda r: abs(a[r][i]))
+            if p != i:
+                a[i], a[p], det = a[p], a[i], -det
+            det *= a[i][i]
+            if not det:
+                return det
+            for r in range(i + 1, n):
+                f = a[r][i] / a[i][i]
+                for c in range(i + 1, n):
+                    a[r][c] -= f * a[i][c]
+        return det
+
+
+def simplex_measure(vertices: np.ndarray) -> Decimal:
+    """|det| / k! of the edges out of vertex 0, as the simplex forms them."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return abs(decimal_det(vertices[1:] - vertices[0])) / math.factorial(len(vertices) - 1)
+
+
+class TestMeasuresBinary64Holds:
+    """A ball's r^k or a simplex's determinant may overflow where the measure
+    does not; those measures are taken in logarithms, the rest keep their bits."""
+
+    def test_ball_beyond_its_power(self):
+        ball = Hyperball(center=(0.0,) * 64, radius=1e5)  # r^k is 1e320
+        assert ball.measure() == pytest.approx(3.0805e300, rel=1e-4)
+        assert abs(ball.measure() / float(_ball_measure(64, 1e5)) - 1.0) <= 1e-12
+
+    def test_simplex_beyond_its_determinant(self):
+        simplex = Simplex(vertices=tuple(map(tuple, np.vstack([np.zeros(20), 1e16 * np.eye(20)]))))
+        assert simplex.measure() == pytest.approx(4.1103e301, rel=1e-4)
+        assert abs(simplex.measure() / float(simplex_measure(simplex.vertex_array)) - 1.0) <= 1e-12
+
+    def test_measures_beyond_binary64_are_still_refused(self):
+        with pytest.raises(ValueError, match="hypercube measure inf"):
+            Hypercube(min_corner=(0.0,) * 64, side=1e5)  # 1e320
+        with pytest.raises(ValueError, match="hyperball measure inf"):
+            Hyperball(center=(0.0,) * 64, radius=2e5)  # 3.1e300 * 2^64, about 5.7e319
+        with pytest.raises(ValueError, match="simplex measure inf"):
+            Simplex(vertices=tuple(map(tuple, np.vstack([np.zeros(20), 1e17 * np.eye(20)]))))
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        k=st.integers(1, 64),
+        exponent=st.floats(200.0, 320.0),
+        family=st.sampled_from(["ball", "simplex"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_measures_near_the_top_of_binary64(self, k, exponent, family, seed):
+        # sizes chosen for a measure of about 10^exponent, so that the direct
+        # formula overflows for most k; where it does not, its float is kept
+        if family == "ball":
+            log_size = (exponent - math.log10(float(_ball_measure(k, 1.0)))) / k
+        else:
+            log_size = (exponent + math.log10(math.factorial(k))) / k
+        assume(log_size < 308.0)
+        size = 10.0**log_size
+        if family == "ball":
+            expected = _ball_measure(k, size)
+            build = lambda: Hyperball(center=(0.0,) * k, radius=size)  # noqa: E731
+        else:
+            rng = np.random.default_rng(seed)
+            v = (np.vstack([np.zeros(k), np.eye(k)]) + rng.uniform(-0.1, 0.1, (k + 1, k))) * size
+            expected = simplex_measure(v)
+            build = lambda: Simplex(vertices=tuple(map(tuple, v)))  # noqa: E731
+        top = Decimal(sys.float_info.max)
+        if expected > top * Decimal("1.000000000001"):
+            with pytest.raises(ValueError, match="measure inf"):
+                build()
+            return
+        assume(expected < top * Decimal("0.999999999999"))
+        body = build()
+        assert abs(body.measure() / float(expected) - 1.0) <= 1e-12
+        try:
+            with np.errstate(over="ignore"):
+                if family == "ball":
+                    direct = math.pi ** (k / 2.0) * size**k / math.gamma(k / 2.0 + 1.0)
+                else:
+                    direct = abs(float(np.linalg.det(body._edge_matrix()))) / math.factorial(k)
+        except OverflowError:
+            direct = math.inf
+        if direct < math.inf:
+            assert body.measure() == direct
+
+    def test_decimal_det_reference(self):
+        m = np.random.default_rng(8).normal(size=(6, 6))
+        assert float(decimal_det(m)) == pytest.approx(float(np.linalg.det(m)), rel=1e-12)
+        assert decimal_det([[0.0, 2.0], [3.0, 0.0]]) == -6
+        assert decimal_det([[1.0, 2.0], [2.0, 4.0]]) == 0
 
 
 class TestTranslatedPolygons:
