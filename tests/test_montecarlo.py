@@ -438,6 +438,37 @@ class TestKernels:
                 head = layout[: len(v) * 3 + 50]
                 assert poly.contains(head).tobytes() == poly._edge_test(head[:, 0], head[:, 1]).tobytes()
 
+    def test_ring_beyond_the_cutoff_takes_the_edge_loop(self, monkeypatch):
+        # a chunk drawn in the bounding box leaves a few hundred points to the
+        # broadcast on a round 50-gon, but thousands on the same polygon
+        # squashed to a tenth, whose boundary radius swings across each sector:
+        # those take the loop, with the same mask
+        calls = []
+
+        def spy(name):
+            test = getattr(Polygon, name)
+
+            def wrapped(poly, x, y):
+                calls.append((name, len(x)))
+                return test(poly, x, y)
+            monkeypatch.setattr(Polygon, name, wrapped)
+
+        flat = Polygon(tuple((x, 0.1 * y) for x, y in POLY_50.vertices))
+        rng = np.random.default_rng(13)
+        for poly, route in ((POLY_50, "_ring_test"), (flat, "_edge_test")):
+            lo, hi = poly.bbox()
+            pts = lo + rng.random((montecarlo.CHUNK_ROWS, 2)) * (hi - lo)
+            expected = poly._edge_test(pts[:, 0], pts[:, 1])
+            spy("_ring_test")
+            spy("_edge_test")
+            calls.clear()
+            got = poly.contains(pts)
+            monkeypatch.undo()
+            assert got.tobytes() == expected.tobytes()
+            [(name, size)] = calls
+            assert name == route
+            assert (size <= shapes._RING_POINTS) == (route == "_ring_test")
+
     @pytest.mark.parametrize(
         "poly",
         [
