@@ -231,7 +231,8 @@ def cmd_excise(args) -> int:
         if not math.isfinite(theta):
             raise ValueError(f"--theta must be 'auto' or a finite number, got {args.theta!r}")
         chord = planar.chord_through_centroid(shape, theta)
-    plan = planar.plan_excision(shape, chord)
+    # the library built the chord on this shape: plan it without re-testing its ends
+    plan = planar._solve_excision(shape, chord)
     return _verify_and_report(args, shape_dict, plan, started)
 
 

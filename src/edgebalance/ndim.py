@@ -10,10 +10,10 @@ k-dimensional names of the shared pipeline as aliases.  Any body works here,
 planar ones included; hyperballs, axis-aligned hypercubes and simplices are
 the k-dimensional families with closed-form volume and centroid, so
 verification stays exact; general convex polytopes (which would need k-dim
-triangulation) are out of scope.  Bodies are validated where they are built
-(finite numbers, positive sizes, non-degenerate simplices, 1 <= k <= 64);
-the tangency point must lie on the boundary, where the ray from the centroid
-through it leaves the body.
+triangulation) are out of scope.  Bodies are checked where they enter, in
+their constructors (finite numbers, positive sizes, non-degenerate simplices,
+1 <= k <= 64); the tangency point must lie on the boundary, where the ray
+from the centroid through it leaves the body.
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
 has beta exactly 1/2, as in the plane.  Simplices are not;

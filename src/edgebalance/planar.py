@@ -19,9 +19,12 @@ two linear forms in (cos theta, sin theta) between consecutive directions from
 the centroid to a vertex or away from one.  The sweep frame of these intervals is
 kept with the shape; a search solves each root in closed form and reads its chord,
 or a fallback bisection, off the edges of its interval and the two beside it.
-Shapes are validated where they are built (see ``edgebalance.shapes``), so
-nothing here re-checks their numbers.  Geometric predicates use absolute
-tolerances around 1e-12 and assume unit-scale coordinates; areas and centroids
+Input is checked where it enters: shapes in their constructors (see
+``edgebalance.shapes``), chords in ``Chord(...)`` and ``plan_excision``.  What
+the library derives from checked input trusts those checks: the chords the
+searches build from a body's own exits skip ``Chord``'s checks, and a cavity
+has only its moments checked.  Geometric predicates use absolute tolerances
+around 1e-12 and assume unit-scale coordinates; areas and centroids
 are computed relative to a vertex, so translating a shape far from the origin
 costs no accuracy, but planning refuses a chord shorter than 1e9 times the
 rounding of its largest coordinate.
@@ -50,6 +53,7 @@ from .shapes import (  # the planar shape API is re-exported from here
     Shape,
     Shape2D,
     _as_point,
+    _unchecked,
     regular_polygon,
     shape_from_dict,
     shape_to_dict,
@@ -83,9 +87,10 @@ def _rounding_note(chord: "Chord") -> str:
     length = chord.length
     if rounding <= _BETA_ATOL * length:
         return ""
+    shift = rounding / length if length else math.inf
     return (
         f"; the chord is {length:.3g} long but coordinates reach {magnitude:.3g}, and "
-        f"rounding them ({rounding:.2g}) moves ratios along it by {rounding / length:.2g}: "
+        f"rounding them ({rounding:.2g}) moves ratios along it by {shift:.2g}: "
         "translate the shape toward the origin"
     )
 
@@ -100,7 +105,9 @@ class Chord:
     """Chord through the centroid: tangency end O, centroid C, far end Q.
 
     ``beta`` is |OC|/|OQ|.  The three points, of any common dimension, are
-    collinear by construction; C lies strictly between the ends.
+    collinear by construction; C lies strictly between the ends.  The
+    constructor checks all of this; the chords the library builds from a
+    body's exits hold it by construction and skip the checks.
     """
 
     tangent_point: Point
@@ -142,7 +149,10 @@ def _centroid_chord(shape: Shape, u) -> Chord:
     The tangency end O is where the ray along -u leaves the body, the far end
     Q where the ray along u does.  Centrally symmetric bodies have beta
     exactly 1/2, both ends from the ray along u; polygons and simplices take
-    both ends from one pass over their facets.
+    both ends from one pass over their facets.  The chord is collinear and
+    its beta the ratio of its points by construction, so it is built without
+    ``Chord``'s checks; a chord too short to resolve at its coordinates is
+    refused where it is planned.
     """
     c = shape.centroid()
     if shape.centrally_symmetric:
@@ -151,7 +161,8 @@ def _centroid_chord(shape: Shape, u) -> Chord:
     else:
         t_far, t_back = shape._centroid_exits(u)
         beta = t_back / (t_far + t_back)
-    return Chord(
+    return _unchecked(
+        Chord,
         tangent_point=tuple(a - t_back * b for a, b in zip(c, u)),
         far_point=tuple(a + t_far * b for a, b in zip(c, u)),
         centroid=c,
@@ -314,8 +325,10 @@ def _chords_with_offset(shape: Shape2D, target: float, tol: float, turn: float) 
                 continue
             ux, uy, t_far, t_back = _exit_distances(rows, theta)
         resolved = True
-        yield Chord((cx - t_back * ux, cy - t_back * uy), (cx + t_far * ux, cy + t_far * uy),
-                    (cx, cy), t_back / (t_far + t_back))
+        # as in _centroid_chord, built without Chord's checks
+        yield _unchecked(Chord, tangent_point=(cx - t_back * ux, cy - t_back * uy),
+                         far_point=(cx + t_far * ux, cy + t_far * uy), centroid=(cx, cy),
+                         beta=t_back / (t_far + t_back))
     if not resolved:
         raise ValueError(
             f"no angle gives a chord with offset within {tol} of {target} on this shape: "
@@ -406,6 +419,8 @@ def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> Excis
         raise PhysicalityError(
             f"scale ratio {scale_ratio} leaves no cavity strictly inside the body"
         )
+    if not chord.length > 0.0:  # a search's chord on a body too small for its coordinates
+        raise ValueError("chord endpoints coincide" + _rounding_note(chord))
     inv = 1.0 / scale_ratio
     o = chord.tangent_point
     return ExcisionPlan(
@@ -450,16 +465,27 @@ def _solve_excision(shape: Shape, chord: Chord) -> ExcisionPlan:
 
 
 def composite_centroid(plan: ExcisionPlan) -> Point:
-    """Centroid of body minus cavity, by exact measure-weighted subtraction."""
+    """Centroid of body minus cavity, by exact measure-weighted subtraction.
+
+    Where a measure times a coordinate overflows (a square of circumradius
+    1e103, say), the subtraction is redone with both measures scaled below 1
+    by one power of two; that scaling is exact, so wherever both are finite
+    they give the same floats.
+    """
     a = plan.shape.measure()
     a_cav = plan.cavity.measure()
     if a - a_cav <= 0.0:
         raise ValueError("cavity measure must be strictly smaller than the body measure")
-    inv = 1.0 / (a - a_cav)
-    return tuple(
-        (a * c - a_cav * c_cav) * inv
-        for c, c_cav in zip(plan.shape.centroid(), plan.cavity.centroid())
-    )
+    for e in (0, math.frexp(a)[1]):
+        w, w_cav = math.ldexp(a, -e), math.ldexp(a_cav, -e)
+        inv = 1.0 / (w - w_cav)
+        com = tuple(
+            (w * c - w_cav * c_cav) * inv
+            for c, c_cav in zip(plan.shape.centroid(), plan.cavity.centroid())
+        )
+        if all(map(math.isfinite, com)):
+            break
+    return com
 
 
 @dataclass(frozen=True)
@@ -492,7 +518,12 @@ def balance_residual(plan: ExcisionPlan) -> float:
 
 
 def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
-    """Measure how far the remainder centroid is from the balance point."""
+    """Measure how far the remainder centroid is from the balance point.
+
+    The plan's moments are the ones that built it, so ``relative_distance``
+    is the rounding noise of the check, not a bound on the error of the
+    exact geometry; Monte Carlo checks the moments independently.
+    """
     if not 0.0 < tol < math.inf:  # inf would pass every plan, NaN or <= 0 none
         raise ValueError(f"tol must be positive and finite, got {tol}")
     com = composite_centroid(plan)

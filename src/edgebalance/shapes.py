@@ -13,7 +13,7 @@ never asks which shape it holds:
                            (Fortran-ordered) input is the fast layout
 ``on_boundary(p, tol)``    whether p lies within distance ``tol`` of the boundary
 ``exit_parameter(o, u)``   largest t with o + t*u in the body, for o in the body
-``scaled_about(o, f)``     the image under the homothety about o with factor f
+``scaled_about(o, f)``     the image under the homothety about o with factor f > 0
 ``to_dict()``              the JSON form that ``shape_from_dict`` reads back
 ``centrally_symmetric``    True when every chord through the centroid has offset 1/2
 
@@ -48,13 +48,21 @@ sector's two radii reach the edge test: up to ``_RING_POINTS`` of them as
 (edges, points) broadcasts with the loop's arithmetic element for element,
 more through the loop itself, so every decision is the loop's.
 
-Shapes are validated where they are built, cavities included: every
+Input is checked where it enters, in each class's constructor: every
 coordinate and size must be a finite number, sizes positive, polygons
 strictly convex, counterclockwise and winding exactly once (checked in
 vectorised form on the array), simplices non-degenerate, dimensions in 1..64,
-the measure a positive normal float and the centroid finite.  Where a
-ball's r^k or a simplex's determinant overflows, its measure is taken in
-logarithms (``math.lgamma``, ``np.linalg.slogdet``), so every measure that
+the measure a positive normal float and the centroid finite.  A body derived
+from a checked one trusts that check: ``scaled_about`` checks only its origin
+and factor, since a positive homothety keeps a body convex, counterclockwise
+and non-degenerate, and builds the image without the constructor.  Only the
+image's moments are checked, computed by formula as at construction, so that
+a measure the scaling takes out of binary64 is still refused.
+
+Where a ball's r^k or a simplex's determinant overflows, its measure is taken
+in logarithms (``math.lgamma``, ``np.linalg.slogdet``); where a polygon's fan
+overflows, it is redone on offsets scaled by a power of two, and where an
+ellipse's pi * a does, the area is pi * (a * b).  So every measure that
 binary64 holds builds; every other measure is the direct formula's float.
 """
 
@@ -121,6 +129,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
+    without ``__post_init__``: for objects built from others already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
     """Store ``body.vertices`` as tuples of floats and as the read-only (n, width)
     float64 ``body.vertex_array``; ragged vertices raise ``shape_error``."""
@@ -151,10 +167,13 @@ def _plain(value):
 
 
 class ConvexBody:
-    """Base of the six body classes: the JSON round trip and the moments they share.
+    """Base of the six body classes: the JSON round trip, the moments and the
+    homothety they share.
 
     Each class gives ``_moments()``, its measure and centroid by formula;
     ``_require_moments`` evaluates it once, at construction, and keeps both.
+    Each also gives ``_scaled(o, f)``, its fields and arrays under the
+    homothety, from which ``scaled_about`` builds the image.
     """
 
     kind: ClassVar[str]
@@ -165,7 +184,7 @@ class ConvexBody:
         that is not a positive normal float, or a centroid not finite."""
         try:
             measure, centroid = self._moments()
-        except OverflowError:  # a cube's side raised to the power k
+        except OverflowError:  # a cube's side raised to the power k, a polygon's area scaled back
             measure, centroid = math.inf, ()
         if not sys.float_info.min <= measure < math.inf:
             raise ValueError(f"{self.kind} measure {measure!r} is not a positive normal float")
@@ -181,6 +200,24 @@ class ConvexBody:
     def centroid(self) -> Point:
         """Exact centroid, as computed where the body was built."""
         return self._centroid
+
+    def scaled_about(self, origin, factor: float) -> "ConvexBody":
+        """The image under the homothety about ``origin`` with ``factor`` > 0.
+
+        Only the two arguments are checked: the image of a checked body under
+        a positive homothety is valid, so it is built from the body's scaled
+        fields (``_scaled``) without the constructor.  Its moments are computed
+        by formula and refused as at construction.
+        """
+        o, f = _as_point(origin), float(factor)
+        if len(o) != self.dim:
+            raise ValueError(f"homothety origin has dimension {len(o)}, {self.kind} has {self.dim}")
+        _require_finite("homothety origin and factor", *o, f)
+        if not f > 0.0:
+            raise ValueError(f"homothety factor must be positive, got {f}")
+        body = _unchecked(type(self), **self._scaled(o, f))
+        body._require_moments()
+        return body
 
     def to_dict(self) -> dict:
         return {"type": self.kind, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
@@ -199,7 +236,7 @@ class _Polytope(ConvexBody):
     A subclass gives ``_facet_distances(p)``, how far p lies inside each
     facet (negative outside), and ``_facet_rates(u)``, how fast those
     distances change along u; exit and boundary tests follow from them.  The
-    vertex polytopes (polygons, simplices) share ``bbox`` and ``scaled_about``
+    vertex polytopes (polygons, simplices) share ``bbox`` and ``_scaled``
     over their ``vertex_array``; the cube keeps its own.
     """
 
@@ -207,8 +244,10 @@ class _Polytope(ConvexBody):
         v = self.vertex_array
         return v.min(axis=0), v.max(axis=0)
 
-    def scaled_about(self, origin, factor: float) -> "_Polytope":
-        return type(self)(np.add(origin, (self.vertex_array - origin) * factor))
+    def _scaled(self, o: Point, f: float) -> dict:
+        v = np.add(o, (self.vertex_array - o) * f)
+        v.flags.writeable = False
+        return {"vertices": tuple(map(tuple, v.tolist())), "vertex_array": v}
 
     def on_boundary(self, p, tol: float) -> bool:
         # no facet distance below -tol, and one within tol: exact along a facet,
@@ -243,6 +282,13 @@ class _Polytope(ConvexBody):
         return best
 
 
+def _edge_array(v: np.ndarray) -> np.ndarray:
+    """The read-only edges of a polygon's vertex array, row i vertex i + 1 minus vertex i."""
+    e = np.concatenate((v[1:], v[:1])) - v
+    e.flags.writeable = False
+    return e
+
+
 def _sector_index(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """The sector of each offset (dx, dy) from a polygon's centroid, in
     0..PREFILTER_SECTORS - 1: angle pi joins the last sector, and so does NaN."""
@@ -250,6 +296,20 @@ def _sector_index(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     s += math.pi
     s *= PREFILTER_SECTORS / (2.0 * math.pi)
     return np.fmin(s, PREFILTER_SECTORS - 1, out=s).astype(np.intp)
+
+
+def _fan(x0: float, y0: float, rest: list) -> tuple[float, float, float]:
+    """Area of the triangle fan from (x0, y0) over the vertices ``rest``, and
+    its centroid's offset from (x0, y0)."""
+    acc = ax = ay = 0.0
+    for (px, py), (qx, qy) in zip(rest, rest[1:]):
+        px, py, qx, qy = px - x0, py - y0, qx - x0, qy - y0
+        f = px * qy - qx * py
+        acc += f
+        ax += (px + qx) * f
+        ay += (py + qy) * f
+    scale = 1.0 / (3.0 * acc) if acc else math.nan  # a zero area is refused at build
+    return 0.5 * acc, ax * scale, ay * scale
 
 
 @dataclass(frozen=True)
@@ -264,8 +324,7 @@ class Polygon(_Polytope):
         if n < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
         v = _vertex_array(self, 2, "polygon vertices must be 2-D points")
-        e = np.concatenate((v[1:], v[:1])) - v
-        e.flags.writeable = False
+        e = _edge_array(v)
         object.__setattr__(self, "edge_array", e)
         f = np.concatenate((e[1:], e[:1]))  # edge i + 1, meeting edge i at vertex i + 1
         with np.errstate(over="ignore", invalid="ignore"):  # finite but huge coordinates
@@ -287,22 +346,28 @@ class Polygon(_Polytope):
     def dim(self) -> int:
         return 2
 
+    def _scaled(self, o: Point, f: float) -> dict:
+        fields = super()._scaled(o, f)
+        fields["edge_array"] = _edge_array(fields["vertex_array"])
+        return fields
+
     def _moments(self) -> tuple[float, Point]:
         """Area and centroid from a triangle fan at vertex 0.
 
         Working relative to vertex 0 keeps the products small when the
-        polygon sits far from the origin.
+        polygon sits far from the origin.  Where the fan's cubic terms
+        overflow (offsets from about 1e103), it is redone on the offsets
+        scaled below 1 by a power of two; that scaling is exact, so wherever
+        both fans are finite they give the same floats.
         """
         (x0, y0), *rest = self.vertices
-        acc = ax = ay = 0.0
-        for (px, py), (qx, qy) in zip(rest, rest[1:]):
-            px, py, qx, qy = px - x0, py - y0, qx - x0, qy - y0
-            f = px * qy - qx * py
-            acc += f
-            ax += (px + qx) * f
-            ay += (py + qy) * f
-        scale = 1.0 / (3.0 * acc) if acc else math.nan  # a zero area is refused at build
-        return 0.5 * acc, (x0 + ax * scale, y0 + ay * scale)
+        area, gx, gy = _fan(x0, y0, rest)
+        if not all(map(math.isfinite, (area, gx, gy))):
+            _, e = math.frexp(max(max(abs(x - x0), abs(y - y0)) for x, y in rest))
+            s = math.ldexp(1.0, -e)
+            area, gx, gy = _fan(0.0, 0.0, [((x - x0) * s, (y - y0) * s) for x, y in rest])
+            area, gx, gy = math.ldexp(area, 2 * e), math.ldexp(gx, e), math.ldexp(gy, e)
+        return area, (x0 + gx, y0 + gy)
 
     @cached_property
     def _edge_lengths(self) -> np.ndarray:
@@ -475,7 +540,11 @@ class Ellipse(ConvexBody):
         return (cr * dx + sr * dy) / a, (-sr * dx + cr * dy) / b
 
     def _moments(self) -> tuple[float, Point]:
-        return math.pi * self.semi_axes[0] * self.semi_axes[1], self.center
+        a, b = self.semi_axes
+        area = math.pi * a * b
+        if area == math.inf:  # pi * a overflows, although the area may not
+            area = math.pi * (a * b)
+        return area, self.center
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.semi_axes
@@ -515,13 +584,10 @@ class Ellipse(ConvexBody):
         qq, pq = qx * qx + qy * qy, px * qx + py * qy
         return (-pq + math.sqrt(pq * pq - qq * (px * px + py * py - 1.0))) / qq
 
-    def scaled_about(self, origin, factor: float) -> "Ellipse":
+    def _scaled(self, o: Point, f: float) -> dict:
         a, b = self.semi_axes
-        return Ellipse(
-            center=_scale_point(self.center, origin, factor),
-            semi_axes=(a * factor, b * factor),
-            rotation=self.rotation,
-        )
+        return {"center": _scale_point(self.center, o, f), "semi_axes": (a * f, b * f),
+                "rotation": self.rotation}
 
     def boundary_points(self, count: int) -> list[Point]:
         cr, sr = math.cos(self.rotation), math.sin(self.rotation)
@@ -593,10 +659,8 @@ class Hyperball(ConvexBody):
             raise ValueError("ray does not meet the sphere")
         return -b + math.sqrt(disc)
 
-    def scaled_about(self, origin, factor: float) -> "Hyperball":
-        return type(self)(
-            center=_scale_point(self.center, origin, factor), radius=self.radius * factor
-        )
+    def _scaled(self, o: Point, f: float) -> dict:
+        return {"center": _scale_point(self.center, o, f), "radius": self.radius * f}
 
 
 @dataclass(frozen=True)
@@ -663,11 +727,9 @@ class Hypercube(_Polytope):
         u = np.asarray(u, dtype=float)
         return np.concatenate((u, -u))
 
-    def scaled_about(self, origin, factor: float) -> "Hypercube":
+    def _scaled(self, o: Point, f: float) -> dict:
         # positive scaling keeps the box axis-aligned with the same min corner ordering
-        return Hypercube(
-            min_corner=_scale_point(self.min_corner, origin, factor), side=self.side * factor
-        )
+        return {"min_corner": _scale_point(self.min_corner, o, f), "side": self.side * f}
 
 
 @dataclass(frozen=True)

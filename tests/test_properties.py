@@ -24,6 +24,8 @@ from edgebalance.ndim import (
 )
 from edgebalance.planar import (
     Chord,
+    Circle,
+    Ellipse,
     Polygon,
     _chords_with_offset,
     chord_through_centroid,
@@ -32,6 +34,7 @@ from edgebalance.planar import (
     plan_excision,
     random_convex_polygon,
     scan_balanced_chords,
+    shape_from_dict,
     verify_balance,
 )
 from edgebalance.polynomials import (
@@ -410,6 +413,110 @@ def test_two_sided_centroid_exit_is_two_exit_parameter_calls(seed, family, k, n,
     assert outcome(lambda s: planar._centroid_chord(s, u), shape) == outcome(
         lambda s: chord_from_two_exits(s, u), shape
     )
+
+
+FAMILIES = ["polygon", "ellipse", "circle", "ball", "cube", "simplex"]
+
+
+def body_of(family: str, seed: int, k: int):
+    """A body of ``family`` drawn from ``seed``, of dimension k where the class takes one."""
+    rng = np.random.default_rng(seed)
+    if family == "polygon":
+        return polygon(seed, int(rng.integers(3, 60)))
+    if family == "ellipse":
+        return Ellipse(center=tuple(rng.uniform(-2.0, 2.0, 2)),
+                       semi_axes=tuple(rng.uniform(0.1, 2.0, 2)),
+                       rotation=float(rng.uniform(0.0, 2.0 * math.pi)))
+    size = float(rng.uniform(0.5, 2.0))
+    if family == "circle":
+        return Circle(center=tuple(rng.uniform(-2.0, 2.0, 2)), radius=size)
+    if family == "ball":
+        return Hyperball(center=tuple(rng.uniform(-2.0, 2.0, k)), radius=size)
+    if family == "cube":
+        return Hypercube(min_corner=tuple(rng.uniform(-2.0, 2.0, k)), side=size)
+    vertices = (np.vstack([np.zeros(k), np.eye(k)]) + rng.uniform(-0.1, 0.1, (k + 1, k))) * size
+    return Simplex(vertices=tuple(map(tuple, vertices + rng.uniform(-2.0, 2.0, k))))
+
+
+def unit_vector(rng, k: int) -> tuple:
+    u = rng.standard_normal(k)
+    return tuple((u / np.linalg.norm(u)).tolist())
+
+
+@PROPERTY
+@given(seed=seeds, family=st.sampled_from(FAMILIES), k=st.integers(1, MAX_DIMENSION),
+       tangent=st.booleans(), factor=st.floats(0.05, 2.0))
+def test_cavity_is_the_body_its_numbers_build(seed, family, k, tangent, factor):
+    # scaled_about builds the image without the constructor: it must be the body
+    # the constructor builds from the same numbers, in every field, array and moment
+    body = body_of(family, seed, k)
+    rng = np.random.default_rng([seed, 1])
+    if tangent:  # as the pipeline does: about a chord's tangency end, by 1/ratio
+        origin = planar._centroid_chord(body, unit_vector(rng, body.dim)).tangent_point
+    else:
+        origin = tuple(rng.uniform(-3.0, 3.0, body.dim).tolist())
+    cavity = body.scaled_about(origin, factor)
+    try:
+        checked = shape_from_dict(json.loads(json.dumps(cavity.to_dict())))
+    except ValueError:  # rounding made a nearly straight polygon vertex collinear
+        assume(False)
+    assert cavity == checked and hash(cavity) == hash(checked)
+    assert repr(cavity) == repr(checked)
+    assert cavity.to_dict() == checked.to_dict()
+    assert repr(cavity.measure()) == repr(checked.measure())
+    assert repr(cavity.centroid()) == repr(checked.centroid())
+    for name in ("vertex_array", "edge_array"):
+        if hasattr(checked, name):
+            assert getattr(cavity, name).tobytes() == getattr(checked, name).tobytes()
+            assert not getattr(cavity, name).flags.writeable
+
+
+def rebuilt(chord: Chord) -> Chord:
+    """The chord the checking constructor builds from ``chord``'s own numbers."""
+    return Chord(chord.tangent_point, chord.far_point, chord.centroid, chord.beta)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 300), simplex=st.booleans(), theta=angles)
+def test_searched_chords_are_the_chords_their_numbers_build(seed, n, simplex, theta):
+    # the searches build their chords without Chord's checks; each must pass
+    # them and come back the same, Python floats included
+    if simplex:
+        shape = Simplex(vertices=tuple(map(tuple, np.random.default_rng(seed).normal(size=(3, 2)))))
+    else:
+        shape = polygon(seed, n)
+    target = chord_through_centroid(shape, theta).beta
+    chords = [find_balanced_chord(shape), find_chord_with_beta(shape, target),
+              *scan_balanced_chords(shape)]
+    for chord in chords:
+        assert rebuilt(chord) == chord and repr(rebuilt(chord)) == repr(chord)
+
+
+@PROPERTY
+@given(seed=seeds, family=st.sampled_from(FAMILIES), k=st.integers(1, MAX_DIMENSION))
+def test_centroid_chords_are_the_chords_their_numbers_build(seed, family, k):
+    body = body_of(family, seed, k)
+    chord = planar._centroid_chord(body, unit_vector(np.random.default_rng([seed, 2]), body.dim))
+    assert rebuilt(chord) == chord and repr(rebuilt(chord)) == repr(chord)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 60), j=st.integers(-250, 520))
+def test_polygon_moments_scale_exactly_by_powers_of_two(seed, n, j):
+    # scaling every vertex by 2^j is exact, and so is the fan's own rescaling
+    # where its cubic terms overflow (j above about 340): the moments scale
+    # bit for bit, or the polygon is refused where its area overflows
+    poly = polygon(seed, n)
+    vertices = tuple((math.ldexp(x, j), math.ldexp(y, j)) for x, y in poly.vertices)
+    try:
+        measure = math.ldexp(poly.measure(), 2 * j)
+    except OverflowError:
+        with pytest.raises(ValueError, match="polygon measure inf"):
+            Polygon(vertices)
+        return
+    scaled = Polygon(vertices)
+    assert scaled.measure() == measure
+    assert scaled.centroid() == tuple(math.ldexp(c, j) for c in poly.centroid())
 
 
 def test_warm_sweep_frame_keeps_the_bisection_fallback(monkeypatch):

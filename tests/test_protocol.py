@@ -24,6 +24,7 @@ from edgebalance.planar import (
     Polygon,
     area,
     centroid,
+    excision_with_ratio,
     find_balanced_chord,
     plan_excision,
     random_convex_polygon,
@@ -101,8 +102,9 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
          "error: simplex measure inf is not"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
          "error: polygon measure inf is not"),
-        (["excise"], {"type": "regular_polygon", "n": 1000, "circumradius": 1e153},
-         "error: polygon centroid is not finite"),
+        # (circumradius 1e153 is held: its fan is redone on scaled offsets)
+        (["excise"], {"type": "regular_polygon", "n": 1000, "circumradius": 1e155},
+         "error: polygon measure inf is not"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
@@ -289,6 +291,24 @@ class TestMeasuresBinary64Holds:
         assert simplex.measure() == pytest.approx(4.1103e301, rel=1e-4)
         assert abs(simplex.measure() / float(simplex_measure(simplex.vertex_array)) - 1.0) <= 1e-12
 
+    def test_ellipse_whose_pi_times_a_overflows(self):
+        # pi * 1e308 overflows, pi * (1e308 * 0.1) does not
+        assert Ellipse(center=(0.0, 0.0), semi_axes=(1e308, 0.1)).measure() == pytest.approx(
+            3.14159e307, rel=1e-5
+        )
+        with pytest.raises(ValueError, match="ellipse measure inf"):
+            Ellipse(center=(0.0, 0.0), semi_axes=(1e308, 10.0))
+
+    def test_polygon_whose_fan_overflows(self):
+        # the fan's cubic terms overflow from offsets of about 1e103; redone on
+        # offsets scaled by a power of two, the square builds, plans and verifies
+        square = regular_polygon(4, 1e103)
+        assert square.measure() == pytest.approx(2e206, rel=1e-12)
+        assert math.hypot(*square.centroid()) <= 1e-12 * 1e103
+        assert verify_balance(plan_excision(square, find_balanced_chord(square))).passed
+        with pytest.raises(ValueError, match="polygon measure inf"):
+            regular_polygon(1000, 1e155)
+
     def test_measures_beyond_binary64_are_still_refused(self):
         with pytest.raises(ValueError, match="hypercube measure inf"):
             Hypercube(min_corner=(0.0,) * 64, side=1e5)  # 1e320
@@ -378,6 +398,69 @@ class TestTranslatedPolygons:
         assert "Traceback" not in err
         assert re.search(r"the chord is [0-9.]+e-0[67] long but coordinates reach 1e\+03", err)
         assert "translate the shape toward the origin" in err
+
+    def test_chord_rounding_to_a_point_is_refused_with_the_reason(self, tmp_path, capsys):
+        # a horizontal chord 2e-14 long at 1e3 rounds to one point: the search
+        # returns it unchecked, and planning refuses it
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({"type": "circle", "center": [1e3, 0.0], "radius": 1e-14}))
+        code = cli.main(["excise", "--shape", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "the chord is 0 long" in err and "translate the shape toward the origin" in err
+        dot = Circle(center=(1e3, 0.0), radius=1e-14)
+        with pytest.raises(ValueError, match="chord endpoints coincide; the chord is 0 long"):
+            excision_with_ratio(dot, find_balanced_chord(dot), 1.5)
+
+
+# valid, with a turn of about 1e-16 at vertex 2: the scaled copy of this
+# polygon rounds that turn to zero, so a cavity checked like input was refused
+NEAR_COLLINEAR = [
+    [-2.9574490283810024, 0.874325373449687],
+    [-1.9574490283810024, 0.874325373449687],
+    [-0.9574490283810024, 0.8743253734496871],
+    [-1.6218798118807283, 2.398171325414465],
+]
+
+
+def test_cavity_of_a_nearly_collinear_polygon_is_planned(tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"type": "polygon", "vertices": NEAR_COLLINEAR}))
+    code = cli.main(["excise", "--shape", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("body", _bodies_of_every_class(), ids=lambda b: f"{b.kind}{b.dim}")
+def test_scaled_about_checks_its_own_arguments(body):
+    o = body.centroid()
+    for factor in (0.0, -1.0, NAN, INF):
+        with pytest.raises(ValueError, match="homothety"):
+            body.scaled_about(o, factor)
+    with pytest.raises(ValueError, match="finite"):
+        body.scaled_about((NAN,) + o[1:], 0.5)
+    with pytest.raises(ValueError, match="dimension"):
+        body.scaled_about(o + (0.0,), 0.5)
+    # numbers of any type come back as Python floats, as the constructor stores them
+    cavity = body.scaled_about(np.asarray(o), np.float64(0.5))
+    assert repr(cavity) == repr(body.scaled_about(o, 0.5))
+
+
+def test_a_simplex_cavity_takes_one_determinant(monkeypatch):
+    simplex = Simplex(vertices=tuple(map(tuple, np.random.default_rng(4).normal(size=(6, 5)))))
+    calls = 0
+    det = np.linalg.det
+
+    def counted(a):
+        nonlocal calls
+        calls += 1
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    simplex.scaled_about(simplex.vertices[0], 0.6)
+    assert calls == 1
 
 
 def test_polygon_membership_memory_is_linear_in_points():
