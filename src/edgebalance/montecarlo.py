@@ -19,6 +19,8 @@ buffers, ``16 * CHUNK_ROWS * k`` bytes (5.2 MB at k = 10), plus one chunk's
 kernel temporaries, whatever ``n``.  Sums and sums of squares are taken per
 chunk about the centre of the box, which keeps the variance free of
 cancellation far from the origin, and merged with exactly rounded summation.
+Where n squared offsets along an axis could overflow (a side from about
+1e154), that axis's offsets are scaled by a power of two first, which is exact.
 
 Rejection from the bounding box degrades with dimension (the ball fills
 fewer than 0.25% of its box at k = 10), so treat k <= 10 as the practical
@@ -26,6 +28,7 @@ ceiling for the oracle.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +144,11 @@ def sample_region_centroid(
     centre = 0.5 * (lo + hi)
     dim = lo.size
     box_volume = float(np.prod(span))
+    # offsets from the centre reach half the span: on an axis where n of their
+    # squares could overflow, sum them times 2**-e (exact) and scale its
+    # results back; other axes keep e = 0
+    half = 0.5 * span
+    e = np.where(half < math.sqrt(0.5 * sys.float_info.max / n), 0, np.frexp(half)[1])
 
     # the points of a chunk and the ones a test keeps, one row per coordinate:
     # one chunk each, reused by every chunk
@@ -166,6 +174,8 @@ def sample_region_centroid(
             pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), spare)
         accepted += pts.shape[1]
         pts -= centre[:, None]
+        if e.any():
+            pts *= np.ldexp(1.0, -e)[:, None]
         for j, d in enumerate(pts):
             sums[j].append(float(d.sum()))
             sq_sums[j].append(float(np.dot(d, d)))
@@ -181,10 +191,10 @@ def sample_region_centroid(
     else:
         std_error = np.full(dim, math.inf)
     return McEstimate(
-        centroid_estimate=tuple(float(x) for x in centre + mean),
+        centroid_estimate=tuple(float(x) for x in centre + np.ldexp(mean, e)),
         samples_accepted=accepted,
         samples_total=n,
-        std_error=tuple(float(x) for x in std_error),
+        std_error=tuple(float(x) for x in np.ldexp(std_error, e)),
         seed=seed,
         box_volume=box_volume,
     )

@@ -43,10 +43,13 @@ points of ``contains`` before its edge test, with a table of
 first use in O(n + sectors).  Each sector has an inner and an outer squared
 radius, each ``PREFILTER_MARGIN`` of the diameter clear of every edge line:
 a point inside the inner one is inside, beyond the outer one outside, by a
-depth far above the edge test's rounding.  Only the points between their
-sector's two radii reach the edge test: up to ``_RING_POINTS`` of them as
-(edges, points) broadcasts with the loop's arithmetic element for element,
-more through the loop itself, so every decision is the loop's.
+depth far above the edge test's rounding.  Each point between its sector's
+two radii is located in its wedge, between the rays from the centroid to two
+consecutive vertices, by a search over the vertex angles, and tested with the
+edge loop's arithmetic against that wedge's edge and its two neighbours:
+three edges whatever the number of points or vertices.  Where rounding is
+not shown to leave that decision the loop's (``_sectors``), the ring takes the
+loop itself, so every decision is the loop's.
 
 Input is checked where it enters, in each class's constructor: every
 coordinate and size must be a finite number, sizes positive, polygons
@@ -70,7 +73,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -87,16 +90,6 @@ PREFILTER_MIN_VERTICES = 12
 PREFILTER_MARGIN = 1e-9
 # Equal angular sectors of the screen's table, each with its own two radii.
 PREFILTER_SECTORS = 256
-# Up to this many points the sector screen leaves take the edge test as
-# (edges, points) broadcasts, a few numpy calls in all; more take the edge
-# loop, 7 calls per edge but fewer cycles per point.  The two cross between
-# 1000 and 1200 points on 12-, 50- and 1000-gons alike (a 32768-point chunk,
-# either point layout).  Round polygons leave a few hundred; a polygon
-# squashed to a tenth along an axis leaves thousands, its boundary radius
-# swinging across each sector.
-_RING_POINTS = 1024
-# Edges times points per broadcast: each of its temporaries stays within 256 KiB.
-_RING_BLOCK = 1 << 15
 
 Point = tuple[float, ...]
 
@@ -298,6 +291,17 @@ def _sector_index(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.fmin(s, PREFILTER_SECTORS - 1, out=s).astype(np.intp)
 
 
+class _SectorTable(NamedTuple):
+    """A screened polygon's table; see ``Polygon._sectors``."""
+
+    cx: float
+    cy: float
+    inner_sq: np.ndarray
+    outer_sq: np.ndarray
+    angle: np.ndarray | None  # None: the ring takes the edge loop
+    first: int
+
+
 def _fan(x0: float, y0: float, rest: list) -> tuple[float, float, float]:
     """Area of the triangle fan from (x0, y0) over the vertices ``rest``, and
     its centroid's offset from (x0, y0)."""
@@ -383,21 +387,53 @@ class Polygon(_Polytope):
         return (e[:, 0] * u[1] - e[:, 1] * u[0]) / self._edge_lengths
 
     @cached_property
-    def _sectors(self) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-        """Centroid, and per sector the squared radii inside and outside of
-        which the edge test is certain; None where the table cannot be
-        trusted, and the edge loop must test every point.
+    def _sectors(self) -> _SectorTable | None:
+        """The screen's table: the centroid C, per sector the squared radii
+        inside and outside of which the edge test is certain, and for the
+        points between them the vertex angles about C, rotated to rise from
+        the smallest, with that vertex's index.  None where the table cannot
+        be trusted, and the edge loop tests every point.
 
-        Sector s holds the directions whose angle about the centroid lies in
+        Sector s holds the directions whose angle about C lies in
         [-pi + s w, -pi + (s + 1) w), w = 2 pi / PREFILTER_SECTORS.  The
-        boundary's distance from the centroid along such a direction is
-        least and greatest at the sector's end rays, at the vertices inside
-        it, or (least only) at the point of an edge nearest the centroid, so
-        those candidates give its exact range in O(n + sectors).  A point a
-        radial distance d inside or outside the boundary lies at least
-        ``d * rho / R`` from an edge line, where R is the largest vertex
-        radius and rho the smallest distance from the centroid to an edge
-        line, so the radii move by the margin times ``R / rho``.
+        boundary's distance from C along such a direction is least and
+        greatest at the sector's end rays, at the vertices inside it, or
+        (least only) at the point of an edge nearest C, so those candidates
+        give its exact range in O(n + sectors).  A point a radial distance d
+        inside or outside the boundary lies at least ``d * rho / R`` from an
+        edge line, where R is the largest vertex radius and rho the smallest
+        distance from C to an edge line, so the radii move by the margin times
+        ``R / rho``.  Where that leaves no sector a positive inner radius, the
+        screen would decide no point inside: no table.
+
+        The points between the radii are located by wedge (Shamos 1975;
+        Preparata and Shamos 1985, 2.2.1): wedge i, between the rays from C to
+        V_i and V_i+1, meets the polygon in the triangle (C, V_i, V_i+1), and
+        one search over the rotated angles finds a point's wedge.  The point
+        takes the loop's own arithmetic on edge i and its two neighbours, so
+        it is decided as by the loop wherever every other edge passes when
+        those three do.  In units of eps = 2**-52, for points within 2R of C,
+        as these are: an angle is computed within 2.5 eps, an edge test within
+        6 eps R of distance (2 eps |p - a|).  So where consecutive vertex
+        angles differ by more than 32 eps, a point that passes the three is in
+        its computed wedge, or within 5 eps of a ray it shares with a
+        neighbour; either way it lies within 6 eps R^2 / rho + 10 eps R of the
+        hull of C and of vertices whose two edges were tested.  Every other
+        edge line lies at least rho > 2e-9 R from C (an inner radius is
+        positive) and at least h from each vertex off it, so the point passes
+        it by more than its rounding where h > 22 eps R^2 / rho; the table
+        asks 32 eps R^2 / rho, which also covers the rounding of h.  Here
+        h >= min_k turn_k / (|e_k| + |e_k+1|), turn_k = e_k x e_k+1: from V_k,
+        an edge line's distance is the support of the polygon less V_k at
+        the edge's outer normal, at least the larger of its values at V_k+1
+        and V_k-1, which over the normals of the edges off V_k is least at the
+        first, the last, or where the two tie.  Those are the distances to
+        line k+1, line k-2 and the chord V_k-1 V_k+1: turn_k / |e_k+1|,
+        turn_k-2 / |e_k-2| and turn_k-1 / |e_k-1 + e_k|.  So where
+        consecutive vertex angles are closer than rounding resolves, or a
+        vertex lies within rounding of an edge line not through it, as at a
+        turn of about 1e-16, the table keeps no angles and the points between
+        the radii take the edge loop.
         """
         cx, cy = self.centroid()
         v, e, length = self.vertex_array - (cx, cy), self.edge_array, self._edge_lengths
@@ -411,13 +447,19 @@ class Polygon(_Polytope):
         rho = float(np.min((e[:, 1] * v[:, 0] - e[:, 0] * v[:, 1]) / length))
         if not rho > 0.0:
             return None
-        margin = PREFILTER_MARGIN * 2.0 * big * (big / rho)  # 2 x radius >= diameter
-        # each end ray meets the edge whose vertices' angles span its own: the
-        # angles rise counterclockwise from the smallest, so a search finds it
+        # the angles rotated to rise counterclockwise from the smallest, then
+        # the wedge kernel's two conditions (above)
         angle = np.arctan2(v[:, 1], v[:, 0])
         first = int(angle.argmin())
+        angle = np.roll(angle, -first)
+        resolution = 32.0 * sys.float_info.epsilon
+        turn = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+        wedge = (np.diff(angle, append=angle[0] + 2.0 * math.pi).min() > resolution
+                 and np.min(turn / (length + np.roll(length, -1))) > resolution * big * (big / rho))
+        margin = PREFILTER_MARGIN * 2.0 * big * (big / rho)  # 2 x radius >= diameter
+        # each end ray meets the edge whose vertices' angles span its own
         ray = -math.pi + (2.0 * math.pi / PREFILTER_SECTORS) * np.arange(PREFILTER_SECTORS)
-        edge = (np.searchsorted(np.roll(angle, -first), ray, side="right") - 1 + first) % len(v)
+        edge = (np.searchsorted(angle, ray, side="right") - 1 + first) % len(v)
         a, d = v[edge], e[edge]
         # a + s d = t u, crossed with d: t = (a x d) / (u x d)
         facing = np.cos(ray) * d[:, 1] - np.sin(ray) * d[:, 0]
@@ -429,51 +471,55 @@ class Polygon(_Polytope):
         np.maximum.at(high, _sector_index(v[:, 0], v[:, 1]), radius)
         np.minimum.at(low, _sector_index(near[:, 0], near[:, 1]), np.hypot(near[:, 0], near[:, 1]))
         inner, outer = low - margin, high + margin
+        if not (inner > 0.0).any():
+            return None
         with np.errstate(over="ignore"):  # a margin so wide that the outer square is inf
             outer_sq = outer * outer
-        return cx, cy, np.where(inner > 0.0, inner * inner, -1.0), outer_sq
+        inner_sq = np.where(inner > 0.0, inner * inner, -1.0)
+        return _SectorTable(cx, cy, inner_sq, outer_sq, angle if wedge else None, first)
 
     def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one half-plane per edge, ex * (y - ay) - ey * (x - ax) >= 0, worked
-        # in place in two buffers: memory stays at O(m) for m points
+        # in place in two buffers: memory stays at O(m) for m points; an
+        # infinite point gives inf - inf or inf * 0, NaN, which fails the test
         inside = np.ones(len(x), dtype=bool)
         cross, term, ok = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=bool)
-        for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
-            np.subtract(y, ay, out=cross)
-            cross *= ex
-            np.subtract(x, ax, out=term)
-            term *= ey
-            cross -= term
-            inside &= np.greater_equal(cross, 0.0, out=ok)
+        with np.errstate(invalid="ignore"):
+            for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
+                np.subtract(y, ay, out=cross)
+                cross *= ex
+                np.subtract(x, ax, out=term)
+                term *= ey
+                cross -= term
+                inside &= np.greater_equal(cross, 0.0, out=ok)
         return inside
 
-    def _ring_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # _edge_test's arithmetic element for element, as (edges, points)
-        # broadcasts over blocks of points
-        ax, ay, ex, ey = np.vstack((self.vertex_array.T, self.edge_array.T))[:, :, None]
-        inside = np.empty(len(x), dtype=bool)
-        step = max(1, _RING_BLOCK // len(ex))
-        for s in range(0, len(x), step):
-            cross = (y[s:s + step] - ay) * ex
-            cross -= (x[s:s + step] - ax) * ey
-            np.all(cross >= 0.0, axis=0, out=inside[s:s + step])
-        return inside
+    def _wedge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # _edge_test's arithmetic on the edge of each point's wedge and on its
+        # two neighbours, as (3, points) arrays; see _sectors
+        table = self._sectors
+        after = np.searchsorted(table.angle, np.arctan2(y - table.cy, x - table.cx), side="right")
+        after += table.first
+        edge = np.add.outer((-2, -1, 0), after)
+        a = np.take(self.vertex_array, edge, axis=0, mode="wrap")
+        e = np.take(self.edge_array, edge, axis=0, mode="wrap")
+        return np.all((y - a[..., 1]) * e[..., 0] - (x - a[..., 0]) * e[..., 1] >= 0.0, axis=0)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
-        if len(self.vertices) < PREFILTER_MIN_VERTICES or self._sectors is None:
+        table = None if len(self.vertices) < PREFILTER_MIN_VERTICES else self._sectors
+        if table is None:
             return self._edge_test(x, y)
-        cx, cy, inner_sq, outer_sq = self._sectors
-        d2 = np.subtract(x, cx)
-        dy = np.subtract(y, cy)
+        d2 = np.subtract(x, table.cx)
+        dy = np.subtract(y, table.cy)
         sector = _sector_index(d2, dy)
         d2 *= d2
         dy *= dy
         d2 += dy
-        inside = d2 <= np.take(inner_sq, sector)
-        ring = np.flatnonzero((d2 <= np.take(outer_sq, sector)) & ~inside)
+        inside = d2 <= np.take(table.inner_sq, sector)
+        ring = np.flatnonzero((d2 <= np.take(table.outer_sq, sector)) & ~inside)
         if ring.size:
-            test = self._ring_test if ring.size <= _RING_POINTS else self._edge_test
+            test = self._edge_test if table.angle is None else self._wedge_test
             inside[ring] = test(x[ring], y[ring])
         return inside
 
@@ -743,9 +789,9 @@ class Simplex(_Polytope):
         k = len(self.vertices) - 1
         _check_dim(k)
         _vertex_array(self, k, f"a {k}-simplex needs {k + 1} vertices of dimension {k}")
-        edges = self._edge_matrix()
-        scale = float(np.max(np.abs(edges))) or 1.0
-        if not abs(np.linalg.det(edges / scale)) >= 1e-12:
+        scale = float(np.max(np.abs(self._edge_matrix()))) or 1.0
+        # |det| >= 1e-12 scale^k, in logarithms so that neither side overflows
+        if not self._determinant[1] >= math.log(1e-12) + k * math.log(scale):
             raise ValueError("simplex vertices are affinely dependent")
         self._require_moments()
 
@@ -764,14 +810,24 @@ class Simplex(_Polytope):
         )
         return np.concatenate(([1.0 - lam.sum()], lam))
 
+    @cached_property
+    def _determinant(self) -> tuple[float, float]:
+        """|det| of the edge matrix, one factorisation for the degeneracy test
+        and the measure, and its logarithm: from ``slogdet`` where the
+        determinant overflows, or underflows to 0 (a measure refused, but not
+        as affinely dependent)."""
+        edges = self._edge_matrix()
+        with np.errstate(over="ignore"):
+            det = abs(float(np.linalg.det(edges)))
+        return det, math.log(det) if 0.0 < det < math.inf else float(np.linalg.slogdet(edges)[1])
+
     def _moments(self) -> tuple[float, Point]:
         """|det| / k! and the vertex mean; log |det| where the determinant
         overflows although the measure may not."""
         k = self.dim
-        with np.errstate(over="ignore"):
-            det = abs(float(np.linalg.det(self._edge_matrix())))
+        det, log_det = self._determinant
         if det == math.inf:
-            measure = _exp(float(np.linalg.slogdet(self._edge_matrix())[1]) - math.lgamma(k + 1.0))
+            measure = _exp(log_det - math.lgamma(k + 1.0))
         else:
             measure = det / math.factorial(k)
         return measure, _as_point(self.vertex_array.mean(axis=0))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edgebalance import montecarlo, shapes
+from edgebalance import montecarlo
 from edgebalance.montecarlo import (
     bounding_box,
     contains,
@@ -226,7 +226,30 @@ def _needle(width, scale=1.0):
 POLY_5 = random_convex_polygon(5, np.random.default_rng(5))
 POLY_50 = random_convex_polygon(50, np.random.default_rng(50))
 POLY_100 = random_convex_polygon(100, np.random.default_rng(100))
+POLY_1000 = random_convex_polygon(1000, np.random.default_rng(1000))
+FLAT_50 = Polygon(tuple((x, 0.1 * y) for x, y in POLY_50.vertices))
+
+
+def _turn_1e16(poly):
+    """``poly`` with the midpoint of its first edge, moved out by 1e-16, as one
+    more vertex: its turn there is about 1e-16."""
+    v = poly.vertex_array
+    edge = v[1] - v[0]
+    mid = 0.5 * (v[0] + v[1]) + 1e-16 * np.array([edge[1], -edge[0]]) / math.hypot(*edge)
+    return Polygon(tuple(map(tuple, np.vstack([v[:1], mid, v[1:]]))))
+
+
+TURN_1E16 = _turn_1e16(regular_polygon(11, 1.0, 0.2))
 ELLIPSE = Ellipse(center=(0.3, -0.2), semi_axes=(1.5, 0.7), rotation=0.4)
+
+
+def _vertex_clouds(poly, rng, count=50):
+    """Points about every vertex, 1e-17 to 1e-12 of the diameter away."""
+    v = poly.vertex_array
+    diameter = float(np.max(np.hypot(*(v[:, None, :] - v[None, :, :]).T)))
+    angle = rng.uniform(0.0, 2.0 * math.pi, (len(v), count))
+    radius = diameter * 10.0 ** rng.uniform(-17.0, -12.0, angle.shape)
+    return (v[:, None, :] + radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], -1)).reshape(-1, 2)
 
 
 def _all_edges(poly, pts):
@@ -371,6 +394,30 @@ class TestFarFromOrigin:
             assert abs((e - c) - h) <= 1e-4 * se
 
 
+class TestHugeBodies:
+    @pytest.mark.parametrize("exponent", [500, 508])
+    def test_a_ball_scaled_by_a_power_of_two_scales_its_estimate_exactly(self, exponent):
+        # 100_000 squares of offsets up to 2**508 overflow, so that disc's are
+        # summed scaled by a power of two; 2**500 is summed as it is.  (A 3-ball
+        # this wide has a volume beyond binary64.)
+        unit = sample_region_centroid(Hyperball(center=(0.0, 0.0), radius=1.0), None, 100_000, 3)
+        ball = Hyperball(center=(0.0, 0.0), radius=2.0**exponent)
+        big = sample_region_centroid(ball, None, 100_000, 3)
+        assert big.samples_accepted == unit.samples_accepted
+        assert big.centroid_estimate == tuple(math.ldexp(c, exponent) for c in unit.centroid_estimate)
+        assert big.std_error == tuple(math.ldexp(s, exponent) for s in unit.std_error)
+
+    def test_only_the_wide_axis_is_scaled(self):
+        # a 2**508 by 2**-30 ellipse: its x offsets are summed scaled, its y
+        # offsets as they are, so y keeps the bits of the 1 by 2**-30 ellipse
+        narrow = Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 2.0**-30))
+        wide = Ellipse(center=(0.0, 0.0), semi_axes=(2.0**508, 2.0**-30))
+        a, b = (sample_region_centroid(body, None, 100_000, 3) for body in (narrow, wide))
+        assert b.samples_accepted == a.samples_accepted
+        assert b.centroid_estimate == (math.ldexp(a.centroid_estimate[0], 508), a.centroid_estimate[1])
+        assert b.std_error == (math.ldexp(a.std_error[0], 508), a.std_error[1])
+
+
 def _layouts(pts):
     return [np.ascontiguousarray(pts), np.asfortranarray(pts)]
 
@@ -417,32 +464,40 @@ class TestKernels:
                 for layout in _layouts(pts):
                     assert body.contains(layout).tolist() == expected
 
-    @pytest.mark.parametrize("block", [shapes._RING_BLOCK, 1, 777])
-    def test_ring_broadcast_is_the_edge_loop(self, monkeypatch, block):
-        # the screened points' broadcast takes the loop's decision on every
-        # point, in one block or in many: near every edge, far off, not finite
-        monkeypatch.setattr(shapes, "_RING_BLOCK", block)
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            POLY_100,
+            POLY_1000,
+            FLAT_50,
+            _needle(1e-5),
+            regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6)),
+        ],
+        ids=["polygon100", "polygon1000", "squashed0.1", "needle1e-5", "regular12-far"],
+    )
+    def test_wedge_kernel_is_the_edge_loop(self, poly):
+        # the loop's decision on every point, whether or not the screen would
+        # leave it: near every edge and vertex, far off, not finite
         rng = np.random.default_rng(12)
-        for poly in (POLY_100, _squashed(POLY_50, 1e-9), _needle(1e-9, scale=1e9),
-                     regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6))):
-            v, c = poly.vertex_array, np.asarray(poly.centroid())
-            on_edges = v + rng.random((len(v), 1)) * poly.edge_array
-            near = c + (on_edges - c) * (1.0 + rng.uniform(-1e-15, 1e-15, (len(v), 1)))
-            lo, hi = poly.bbox()
-            pts = np.vstack([near, on_edges, v, lo + rng.random((3000, 2)) * (hi - lo),
-                             [(math.nan, 0.0), (math.inf, c[1]), (c[0], -math.inf)]])
-            for layout in _layouts(pts):
-                x, y = layout[:, 0], layout[:, 1]
-                assert poly._ring_test(x, y).tobytes() == poly._edge_test(x, y).tobytes()
-                # and through contains, whose ring of a few hundred points is broadcast
-                head = layout[: len(v) * 3 + 50]
-                assert poly.contains(head).tobytes() == poly._edge_test(head[:, 0], head[:, 1]).tobytes()
+        v, c = poly.vertex_array, np.asarray(poly.centroid())
+        on_edges = v + rng.random((len(v), 1)) * poly.edge_array
+        near = c + (on_edges - c) * (1.0 + rng.uniform(-1e-15, 1e-15, (len(v), 1)))
+        lo, hi = poly.bbox()
+        pts = np.vstack([near, on_edges, v, _vertex_clouds(poly, rng),
+                         lo + rng.random((3000, 2)) * (hi - lo),
+                         [(math.nan, 0.0), (math.inf, c[1]), (c[0], -math.inf)]])
+        assert poly._sectors is not None
+        for layout in _layouts(pts):
+            x, y = layout[:, 0], layout[:, 1]
+            expected = poly._edge_test(x, y).tobytes()
+            assert poly._wedge_test(x, y).tobytes() == expected
+            assert poly.contains(layout).tobytes() == expected
 
-    def test_ring_beyond_the_cutoff_takes_the_edge_loop(self, monkeypatch):
+    def test_every_ring_takes_the_wedge_kernel(self, monkeypatch):
         # a chunk drawn in the bounding box leaves a few hundred points to the
-        # broadcast on a round 50-gon, but thousands on the same polygon
-        # squashed to a tenth, whose boundary radius swings across each sector:
-        # those take the loop, with the same mask
+        # wedge kernel on a round 50-gon, and thousands on the same polygon
+        # squashed to a tenth, whose boundary radius swings across each
+        # sector: one kernel call each, whatever the ring's size
         calls = []
 
         def spy(name):
@@ -453,32 +508,66 @@ class TestKernels:
                 return test(poly, x, y)
             monkeypatch.setattr(Polygon, name, wrapped)
 
-        flat = Polygon(tuple((x, 0.1 * y) for x, y in POLY_50.vertices))
         rng = np.random.default_rng(13)
-        for poly, route in ((POLY_50, "_ring_test"), (flat, "_edge_test")):
+        sizes = []
+        for poly in (POLY_50, FLAT_50):
             lo, hi = poly.bbox()
             pts = lo + rng.random((montecarlo.CHUNK_ROWS, 2)) * (hi - lo)
             expected = poly._edge_test(pts[:, 0], pts[:, 1])
-            spy("_ring_test")
+            spy("_wedge_test")
             spy("_edge_test")
             calls.clear()
             got = poly.contains(pts)
             monkeypatch.undo()
             assert got.tobytes() == expected.tobytes()
             [(name, size)] = calls
-            assert name == route
-            assert (size <= shapes._RING_POINTS) == (route == "_ring_test")
+            assert name == "_wedge_test"
+            sizes.append(size)
+        assert sizes[0] < 1000 and sizes[1] > 2000
+
+    @pytest.mark.parametrize(
+        "poly, table",
+        [
+            (_needle(1e-9), False),
+            (_squashed(POLY_50, 1e-9), False),
+            (TURN_1E16, True),
+            (_turn_1e16(POLY_1000), True),
+        ],
+        ids=["needle1e-9", "squashed1e-9", "turn1e-16", "polygon1000-turn1e-16"],
+    )
+    def test_polygons_without_wedge_angles_take_the_edge_loop(self, monkeypatch, poly, table):
+        # the 1e-9 needle and the 50-gon squashed to 1e-9 leave no sector a
+        # positive inner radius, so no table; the other two have a vertex
+        # within 1e-16 of the line of its neighbours, where the wedge
+        # kernel's argument does not hold, so the screen keeps its radii and
+        # the points between them take the loop
+        assert len(poly.vertices) >= PREFILTER_MIN_VERTICES
+        sectors = poly._sectors
+        assert (sectors is not None) == table
+        assert sectors is None or sectors.angle is None
+        monkeypatch.setattr(Polygon, "_wedge_test", None)  # a call would fail
+        rng = np.random.default_rng(14)
+        lo, hi = poly.bbox()
+        pts = np.vstack([poly.vertex_array, _vertex_clouds(poly, rng),
+                         lo + rng.random((3000, 2)) * (hi - lo)])
+        for layout in _layouts(pts):
+            x, y = layout[:, 0], layout[:, 1]
+            assert poly.contains(layout).tobytes() == poly._edge_test(x, y).tobytes()
 
     @pytest.mark.parametrize(
         "poly",
         [
             POLY_100,
+            POLY_1000,
+            FLAT_50,
+            _needle(1e-5),
             _squashed(POLY_50, 1e-5),
             _squashed(POLY_50, 1e-9),
             _needle(1e-9),
             _needle(1e-9, scale=1e9),
         ],
-        ids=["polygon100", "squashed1e-5", "squashed1e-9", "needle", "needle-x1e9"],
+        ids=["polygon100", "polygon1000", "squashed0.1", "needle1e-5", "squashed1e-5",
+             "squashed1e-9", "needle", "needle-x1e9"],
     )
     def test_polygon_matches_all_edges(self, poly):
         assert len(poly.vertices) >= PREFILTER_MIN_VERTICES
@@ -504,6 +593,7 @@ class TestKernels:
         pts = np.vstack([
             near.reshape(-1, 2),
             cloud.reshape(-1, 2),
+            _vertex_clouds(poly, rng),
             targets,
             lo + rng.random((20_000, 2)) * (hi - lo),
         ])
@@ -514,17 +604,35 @@ class TestKernels:
 
 
 # Screened polygons: sharp, thin and far from the origin, with from 12 to
-# 512 vertices, so from many sectors per vertex to two vertices per sector.
+# 1000 vertices, so from many sectors per vertex to four vertices per sector.
+# Each has a table with its wedge angles.
 SECTOR_CASES = [
     (POLY_100, "polygon100"),
-    (_squashed(POLY_50, 1e-9), "squashed1e-9"),
-    (_needle(1e-9), "needle"),
+    (POLY_1000, "polygon1000"),
+    (FLAT_50, "squashed0.1"),
+    (_needle(1e-5), "needle1e-5"),
     (regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6)), "regular12-far"),
     (regular_polygon(512, 1.0, 0.3), "regular512"),
+]
+# and polygons as large that take the edge loop: for the whole chunk, having
+# no table, or for the points between the radii, having no wedge angles
+LOOP_CASES = [
+    (_squashed(POLY_50, 1e-9), "squashed1e-9"),
+    (_needle(1e-9), "needle"),
+    (TURN_1E16, "turn1e-16"),
 ]
 
 
 @pytest.mark.parametrize("poly", [p for p, _ in SECTOR_CASES], ids=[i for _, i in SECTOR_CASES])
+def test_screened_polygon_has_wedge_angles(poly):
+    assert poly._sectors.angle is not None
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [p for p, _ in SECTOR_CASES + LOOP_CASES],
+    ids=[i for _, i in SECTOR_CASES + LOOP_CASES],
+)
 class TestSectorScreen:
     """The sector screen decides exactly as the all-edges test, also where it
     switches sectors, at the centroid, and for points that are not finite."""
@@ -617,8 +725,8 @@ def test_sampler_memory_is_bounded():
 
 @pytest.mark.parametrize(
     "body",
-    [POLY_50, ELLIPSE],
-    ids=["polygon50", "ellipse"],
+    [POLY_50, POLY_1000, FLAT_50, ELLIPSE],
+    ids=["polygon50", "polygon1000", "squashed0.1", "ellipse"],
 )
 def test_sampler_memory_is_bounded_in_the_plane(body):
     assert _traced_peak(body) < 3_500_000

@@ -442,6 +442,16 @@ class TestMonteCarloVerdict:
         assert code == 1
         assert "inconclusive" in err and "verification failed" not in err
 
+    def test_a_circle_near_the_top_of_binary64_verifies(self, capsys, tmp_path):
+        # a million squared offsets from this circle's box overflow unless they
+        # are summed scaled by a power of two
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps({"type": "circle", "center": [0, 0], "radius": 1e153}))
+        code, out, err = run_cli(capsys, "excise", "--shape", str(path), "--verify", "mc", "--format", "json")
+        assert code == 0, err
+        report = RunReport.from_json(out)
+        assert report.passed and all(map(math.isfinite, report.mc_std_error))
+
     def test_bound_is_four_sigma_in_the_plane_and_holds_the_rate_above(self):
         from statistics import NormalDist
 
