@@ -178,7 +178,8 @@ def sample_region_centroid(
             pts *= np.ldexp(1.0, -e)[:, None]
         for j, d in enumerate(pts):
             sums[j].append(float(d.sum()))
-            sq_sums[j].append(float(np.dot(d, d)))
+            # einsum, not np.dot: BLAS rounds as its thread count has it
+            sq_sums[j].append(float(np.einsum("i,i->", d, d)))
 
     if accepted == 0:
         raise ValueError("no samples accepted; cavity covers the body or box is degenerate")

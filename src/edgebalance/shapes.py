@@ -46,10 +46,11 @@ a point inside the inner one is inside, beyond the outer one outside, by a
 depth far above the edge test's rounding.  Each point between its sector's
 two radii is located in its wedge, between the rays from the centroid to two
 consecutive vertices, by a search over the vertex angles, and tested with the
-edge loop's arithmetic against that wedge's edge and its two neighbours:
-three edges whatever the number of points or vertices.  Where rounding is
-not shown to leave that decision the loop's (``_sectors``), the ring takes the
-loop itself, so every decision is the loop's.
+edge loop's arithmetic against that wedge's edge alone.  It is outside where
+that test fails, since the loop fails the same edge; inside where it passes
+by a depth that leaves every other edge passing too (``_sectors``); and the
+few points between take the loop itself.  So every decision is the loop's,
+and every polygon with a table takes the one route.
 
 Input is checked where it enters, in each class's constructor: every
 coordinate and size must be a finite number, sizes positive, polygons
@@ -59,14 +60,17 @@ the measure a positive normal float and the centroid finite.  A body derived
 from a checked one trusts that check: ``scaled_about`` checks only its origin
 and factor, since a positive homothety keeps a body convex, counterclockwise
 and non-degenerate, and builds the image without the constructor.  Only the
-image's moments are checked, computed by formula as at construction, so that
-a measure the scaling takes out of binary64 is still refused.
+image's moments, and a ball's radius squared, are checked, computed by
+formula as at construction, so that a measure the scaling takes out of
+binary64 is still refused.
 
 Where a ball's r^k or a simplex's determinant overflows, its measure is taken
 in logarithms (``math.lgamma``, ``np.linalg.slogdet``); where a polygon's fan
 overflows, it is redone on offsets scaled by a power of two, and where an
 ellipse's pi * a does, the area is pi * (a * b).  So every measure that
-binary64 holds builds; every other measure is the direct formula's float.
+binary64 holds builds, but for a 1-D ball whose radius squared does not fit,
+which its membership and exit tests would overflow; every other measure is
+the direct formula's float.
 """
 
 import math
@@ -298,8 +302,9 @@ class _SectorTable(NamedTuple):
     cy: float
     inner_sq: np.ndarray
     outer_sq: np.ndarray
-    angle: np.ndarray | None  # None: the ring takes the edge loop
-    first: int
+    angle: np.ndarray
+    wrap: int
+    lines: np.ndarray
 
 
 def _fan(x0: float, y0: float, rest: list) -> tuple[float, float, float]:
@@ -388,11 +393,13 @@ class Polygon(_Polytope):
 
     @cached_property
     def _sectors(self) -> _SectorTable | None:
-        """The screen's table: the centroid C, per sector the squared radii
-        inside and outside of which the edge test is certain, and for the
-        points between them the vertex angles about C, rotated to rise from
-        the smallest, with that vertex's index.  None where the table cannot
-        be trusted, and the edge loop tests every point.
+        """The screen's table: the centroid C; per sector the squared radii
+        inside and outside of which the edge test is certain; for the points
+        between them the vertex angles about C, rotated to rise from the
+        vertex after their one drop of about 2 pi; and per wedge the line that
+        the edge loop tests for its edge, with the depth past which that test
+        decides alone.  None where the table cannot be trusted, and the edge
+        loop tests every point.
 
         Sector s holds the directions whose angle about C lies in
         [-pi + s w, -pi + (s + 1) w), w = 2 pi / PREFILTER_SECTORS.  The
@@ -409,31 +416,35 @@ class Polygon(_Polytope):
         The points between the radii are located by wedge (Shamos 1975;
         Preparata and Shamos 1985, 2.2.1): wedge i, between the rays from C to
         V_i and V_i+1, meets the polygon in the triangle (C, V_i, V_i+1), and
-        one search over the rotated angles finds a point's wedge.  The point
-        takes the loop's own arithmetic on edge i and its two neighbours, so
-        it is decided as by the loop wherever every other edge passes when
-        those three do.  In units of eps = 2**-52, for points within 2R of C,
-        as these are: an angle is computed within 2.5 eps, an edge test within
-        6 eps R of distance (2 eps |p - a|).  So where consecutive vertex
-        angles differ by more than 32 eps, a point that passes the three is in
-        its computed wedge, or within 5 eps of a ray it shares with a
-        neighbour; either way it lies within 6 eps R^2 / rho + 10 eps R of the
-        hull of C and of vertices whose two edges were tested.  Every other
-        edge line lies at least rho > 2e-9 R from C (an inner radius is
-        positive) and at least h from each vertex off it, so the point passes
-        it by more than its rounding where h > 22 eps R^2 / rho; the table
-        asks 32 eps R^2 / rho, which also covers the rounding of h.  Here
-        h >= min_k turn_k / (|e_k| + |e_k+1|), turn_k = e_k x e_k+1: from V_k,
-        an edge line's distance is the support of the polygon less V_k at
-        the edge's outer normal, at least the larger of its values at V_k+1
-        and V_k-1, which over the normals of the edges off V_k is least at the
-        first, the last, or where the two tie.  Those are the distances to
-        line k+1, line k-2 and the chord V_k-1 V_k+1: turn_k / |e_k+1|,
-        turn_k-2 / |e_k-2| and turn_k-1 / |e_k-1 + e_k|.  So where
-        consecutive vertex angles are closer than rounding resolves, or a
-        vertex lies within rounding of an edge line not through it, as at a
-        turn of about 1e-16, the table keeps no angles and the points between
-        the radii take the edge loop.
+        one search over the rotated angles finds a point's wedge.  A point p
+        takes the loop's own arithmetic on edge i alone, c = e_i x (p - V_i)
+        rounded as the loop rounds it.  Where c < 0, or NaN, the loop fails
+        that edge with the same floats: outside, whatever wedge p truly lies
+        in.  Where c >= delta |e_i|, with delta = 32 eps R^2 / rho and
+        eps = 2**-52, the loop passes every edge: inside.  The points between
+        take the loop itself.
+
+        Why that depth suffices, for points within 2R of C, as these are (an
+        inner radius is positive, so the margin is below R, and rho above
+        2e-9 R).  An angle is computed within 2.5 eps.  The search brackets
+        p's computed angle by the computed angles of its wedge's two vertices,
+        also where rounding leaves two of those out of order, since the one
+        drop of 2 pi that the angles start from is never in doubt.  So p lies
+        within 5 eps of the cone of its wedge, and within 10 eps R of a point
+        q of the cone.  The loop's c errs by at most 1.5 eps |p - V| |e|, that
+        is 4.5 eps R |e|, so p lies at least delta - 4.5 eps R inside line i,
+        and q at least d = delta - 14.5 eps R.  The cone's points that deep
+        form the triangle (C, P_i, P_i+1), P_k on the ray from C to V_k; V_i
+        is on line i and V_i+1 within eps R of it, so P_k = C + t (V_k - C)
+        with 1 - t >= (d - eps R) / R.  Every line that the loop tests passes
+        at least rho from C (up to a relative 1e-6) and leaves every vertex
+        within eps R of its inner side: it runs through V_j along the stored
+        e_j, whose direction is within eps / 2 of that of V_j+1 - V_j, and the
+        vertices are convex.  So it passes q at least
+        (d - eps R) rho / R - eps R = 31 eps R - 15.5 eps rho >= 15.5 eps R
+        inside, and p at least 5.5 eps R: more than the 4.5 eps R by which
+        the loop's c can err, and the rounding of delta |e_i| is far below the
+        difference.  Neither the turns nor the spacing of the angles enter.
         """
         cx, cy = self.centroid()
         v, e, length = self.vertex_array - (cx, cy), self.edge_array, self._edge_lengths
@@ -444,22 +455,19 @@ class Polygon(_Polytope):
         # an edge line
         if not big < 1e150:
             return None
-        rho = float(np.min((e[:, 1] * v[:, 0] - e[:, 0] * v[:, 1]) / length))
+        rho = float(self._centroid_distances.min())
         if not rho > 0.0:
             return None
-        # the angles rotated to rise counterclockwise from the smallest, then
-        # the wedge kernel's two conditions (above)
+        # the angles rotated to rise counterclockwise from the vertex after
+        # their one drop of about 2 pi, on edge wrap, which rounding cannot
+        # hide as it can the order of two close angles
         angle = np.arctan2(v[:, 1], v[:, 0])
-        first = int(angle.argmin())
-        angle = np.roll(angle, -first)
-        resolution = 32.0 * sys.float_info.epsilon
-        turn = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        wedge = (np.diff(angle, append=angle[0] + 2.0 * math.pi).min() > resolution
-                 and np.min(turn / (length + np.roll(length, -1))) > resolution * big * (big / rho))
+        wrap = int(np.argmin(np.roll(angle, -1) - angle))
+        angle = np.roll(angle, -1 - wrap)
         margin = PREFILTER_MARGIN * 2.0 * big * (big / rho)  # 2 x radius >= diameter
         # each end ray meets the edge whose vertices' angles span its own
         ray = -math.pi + (2.0 * math.pi / PREFILTER_SECTORS) * np.arange(PREFILTER_SECTORS)
-        edge = (np.searchsorted(angle, ray, side="right") - 1 + first) % len(v)
+        edge = (np.searchsorted(angle, ray, side="right") + wrap) % len(v)
         a, d = v[edge], e[edge]
         # a + s d = t u, crossed with d: t = (a x d) / (u x d)
         facing = np.cos(ray) * d[:, 1] - np.sin(ray) * d[:, 0]
@@ -476,7 +484,10 @@ class Polygon(_Polytope):
         with np.errstate(over="ignore"):  # a margin so wide that the outer square is inf
             outer_sq = outer * outer
         inner_sq = np.where(inner > 0.0, inner * inner, -1.0)
-        return _SectorTable(cx, cy, inner_sq, outer_sq, angle if wedge else None, first)
+        # each edge's vertex and direction, as the loop reads them, and its depth
+        depth = 32.0 * sys.float_info.epsilon * big * (big / rho) * length
+        lines = np.column_stack((self.vertex_array, e, depth))
+        return _SectorTable(cx, cy, inner_sq, outer_sq, angle, wrap, lines)
 
     def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one half-plane per edge, ex * (y - ay) - ey * (x - ax) >= 0, worked
@@ -495,15 +506,18 @@ class Polygon(_Polytope):
         return inside
 
     def _wedge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # _edge_test's arithmetic on the edge of each point's wedge and on its
-        # two neighbours, as (3, points) arrays; see _sectors
+        # _edge_test's arithmetic on the edge of each point's wedge: outside
+        # where it fails, inside where it passes by the edge's depth, and the
+        # loop itself for the points between; see _sectors
         table = self._sectors
-        after = np.searchsorted(table.angle, np.arctan2(y - table.cy, x - table.cx), side="right")
-        after += table.first
-        edge = np.add.outer((-2, -1, 0), after)
-        a = np.take(self.vertex_array, edge, axis=0, mode="wrap")
-        e = np.take(self.edge_array, edge, axis=0, mode="wrap")
-        return np.all((y - a[..., 1]) * e[..., 0] - (x - a[..., 0]) * e[..., 1] >= 0.0, axis=0)
+        wedge = np.searchsorted(table.angle, np.arctan2(y - table.cy, x - table.cx), side="right")
+        ax, ay, ex, ey, depth = np.take(table.lines, wedge + table.wrap, axis=0, mode="wrap").T
+        cross = (y - ay) * ex - (x - ax) * ey
+        inside = cross >= depth
+        near = np.flatnonzero((cross >= 0.0) & ~inside)
+        if near.size:
+            inside[near] = self._edge_test(x[near], y[near])
+        return inside
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
@@ -519,8 +533,7 @@ class Polygon(_Polytope):
         inside = d2 <= np.take(table.inner_sq, sector)
         ring = np.flatnonzero((d2 <= np.take(table.outer_sq, sector)) & ~inside)
         if ring.size:
-            test = self._edge_test if table.angle is None else self._wedge_test
-            inside[ring] = test(x[ring], y[ring])
+            inside[ring] = self._wedge_test(x[ring], y[ring])
         return inside
 
     def on_boundary(self, p, tol: float) -> bool:
@@ -666,6 +679,13 @@ class Hyperball(ConvexBody):
     @property
     def dim(self) -> int:
         return len(self.center)
+
+    def _require_moments(self) -> None:
+        super()._require_moments()
+        # contains and exit_parameter square the radius; only at k = 1 does a
+        # measure that binary64 holds leave room for a square that it does not
+        if self.radius * self.radius == math.inf:
+            raise ValueError(f"{self.kind} radius {self.radius!r} squared overflows binary64")
 
     def _moments(self) -> tuple[float, Point]:
         """pi^(k/2) r^k / Gamma(k/2 + 1), in logarithms where r^k or the product

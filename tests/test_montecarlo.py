@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -240,6 +243,23 @@ def _turn_1e16(poly):
 
 
 TURN_1E16 = _turn_1e16(regular_polygon(11, 1.0, 0.2))
+
+
+def _split_vertex(poly, gap):
+    """``poly`` with its vertex of least angle about the centroid split into
+    two, ``gap`` apart along the tangent there, listed last and first."""
+    v, c = poly.vertex_array, np.asarray(poly.centroid())
+    k = int(np.argmin(np.arctan2(v[:, 1] - c[1], v[:, 0] - c[0])))
+    r = v[k] - c
+    step = 0.5 * gap * np.array([-r[1], r[0]]) / math.hypot(*r)
+    return Polygon(tuple(map(tuple, np.vstack([v[k] + step, v[k + 1:], v[:k], v[k] - step]))))
+
+
+# two vertices whose angles about the centroid are 27 eps apart (26 as computed)
+SPLIT_12 = _split_vertex(regular_polygon(12, 1.0, 0.1), 6e-15)
+# two whose angles round to the same float, the smallest: listed last and
+# first, they hide where the angles drop by 2 pi from an argmin
+WRAP_TIE = _split_vertex(regular_polygon(14, 1.0, 4.066411630084061), 8.376790753942132e-17)
 ELLIPSE = Ellipse(center=(0.3, -0.2), semi_axes=(1.5, 0.7), rotation=0.4)
 
 
@@ -382,6 +402,27 @@ class TestBadArguments:
         assert est == sample_region_centroid(UNIT_SQUARE, None, 5000, seed=5)
 
 
+def test_estimate_does_not_depend_on_the_blas_thread_count():
+    # a sum of squares taken through BLAS rounds as its threads split it: with
+    # np.dot, this cube's std_error differed in its last bit between 1 and 2
+    # OpenBLAS threads
+    code = (
+        "from edgebalance.ndim import Hypercube\n"
+        "from edgebalance.montecarlo import sample_region_centroid\n"
+        "cube = Hypercube(min_corner=(0.1, 0.2, 0.3), side=1.3)\n"
+        "print(repr(sample_region_centroid(cube, None, 100_000, 1)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+    reprs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        reprs.append(run.stdout)
+    assert reprs[0] == reprs[1]
+
+
 class TestFarFromOrigin:
     @pytest.mark.parametrize("offset", [1e3, 1e6, 1e7, 1e8])
     def test_shifted_ball_matches_the_ball_at_the_origin(self, offset):
@@ -472,8 +513,13 @@ class TestKernels:
             FLAT_50,
             _needle(1e-5),
             regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6)),
+            TURN_1E16,
+            _turn_1e16(POLY_1000),
+            SPLIT_12,
+            WRAP_TIE,
         ],
-        ids=["polygon100", "polygon1000", "squashed0.1", "needle1e-5", "regular12-far"],
+        ids=["polygon100", "polygon1000", "squashed0.1", "needle1e-5", "regular12-far",
+             "turn1e-16", "polygon1000-turn1e-16", "split12", "wrap-tie"],
     )
     def test_wedge_kernel_is_the_edge_loop(self, poly):
         # the loop's decision on every point, whether or not the screen would
@@ -497,7 +543,9 @@ class TestKernels:
         # a chunk drawn in the bounding box leaves a few hundred points to the
         # wedge kernel on a round 50-gon, and thousands on the same polygon
         # squashed to a tenth, whose boundary radius swings across each
-        # sector: one kernel call each, whatever the ring's size
+        # sector: one kernel call each, whatever the ring's size, and no call
+        # of the edge loop, since no point lies within the kernel's depth of
+        # its wedge's edge
         calls = []
 
         def spy(name):
@@ -532,20 +580,27 @@ class TestKernels:
             (_squashed(POLY_50, 1e-9), False),
             (TURN_1E16, True),
             (_turn_1e16(POLY_1000), True),
+            (SPLIT_12, True),
+            (WRAP_TIE, True),
         ],
-        ids=["needle1e-9", "squashed1e-9", "turn1e-16", "polygon1000-turn1e-16"],
+        ids=["needle1e-9", "squashed1e-9", "turn1e-16", "polygon1000-turn1e-16", "split12",
+             "wrap-tie"],
     )
-    def test_polygons_without_wedge_angles_take_the_edge_loop(self, monkeypatch, poly, table):
+    def test_ring_takes_the_wedge_kernel_wherever_there_is_a_table(self, monkeypatch, poly, table):
         # the 1e-9 needle and the 50-gon squashed to 1e-9 leave no sector a
-        # positive inner radius, so no table; the other two have a vertex
-        # within 1e-16 of the line of its neighbours, where the wedge
-        # kernel's argument does not hold, so the screen keeps its radii and
-        # the points between them take the loop
+        # positive inner radius, so no table, and the loop tests the whole
+        # chunk; every other screened polygon sends the points between its
+        # radii to the wedge kernel, also with a vertex within 1e-16 of the
+        # line of its neighbours, or two vertex angles within rounding
         assert len(poly.vertices) >= PREFILTER_MIN_VERTICES
-        sectors = poly._sectors
-        assert (sectors is not None) == table
-        assert sectors is None or sectors.angle is None
-        monkeypatch.setattr(Polygon, "_wedge_test", None)  # a call would fail
+        assert (poly._sectors is not None) == table
+        calls = []
+        wedge_test = Polygon._wedge_test
+
+        def spy(poly, x, y):
+            calls.append(len(x))
+            return wedge_test(poly, x, y)
+        monkeypatch.setattr(Polygon, "_wedge_test", spy if table else None)  # None: a call fails
         rng = np.random.default_rng(14)
         lo, hi = poly.bbox()
         pts = np.vstack([poly.vertex_array, _vertex_clouds(poly, rng),
@@ -553,6 +608,39 @@ class TestKernels:
         for layout in _layouts(pts):
             x, y = layout[:, 0], layout[:, 1]
             assert poly.contains(layout).tobytes() == poly._edge_test(x, y).tobytes()
+        assert len(calls) == (2 if table else 0)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [POLY_100, FLAT_50, _needle(1e-5), TURN_1E16, SPLIT_12, WRAP_TIE],
+        ids=["polygon100", "squashed0.1", "needle1e-5", "turn1e-16", "split12", "wrap-tie"],
+    )
+    def test_points_within_the_depth_take_the_edge_loop(self, monkeypatch, poly):
+        # points of every edge moved inward by 1e-17 to 1e-15 of the diameter
+        # pass their wedge's edge by less than its depth, 32 eps R^2 / rho:
+        # the wedge kernel hands them to the loop, and gives its bytes
+        rng = np.random.default_rng(15)
+        v, e = poly.vertex_array, poly.edge_array
+        diameter = float(np.max(np.hypot(*(v[:, None, :] - v[None, :, :]).T)))
+        inward = np.stack([-e[:, 1], e[:, 0]], -1) / poly._edge_lengths[:, None]
+        share = rng.random((len(v), 40, 1))
+        depth = diameter * 10.0 ** rng.uniform(-17.0, -15.0, share.shape)
+        pts = (v[:, None, :] + share * e[:, None, :] + depth * inward[:, None, :]).reshape(-1, 2)
+        edge_test, sizes = Polygon._edge_test, []
+
+        def spy(poly, x, y):
+            sizes.append(len(x))
+            return edge_test(poly, x, y)
+        for layout in _layouts(pts):
+            x, y = layout[:, 0], layout[:, 1]
+            expected = poly._edge_test(x, y).tobytes()
+            monkeypatch.setattr(Polygon, "_edge_test", spy)
+            sizes.clear()
+            assert poly._wedge_test(x, y).tobytes() == expected
+            assert poly.contains(layout).tobytes() == expected
+            monkeypatch.undo()
+            # most of them; the rest fail their edge, or pass a neighbour's by the depth
+            assert len(sizes) == 2 and min(sizes) > len(pts) // 2
 
     @pytest.mark.parametrize(
         "poly",
@@ -565,9 +653,12 @@ class TestKernels:
             _squashed(POLY_50, 1e-9),
             _needle(1e-9),
             _needle(1e-9, scale=1e9),
+            TURN_1E16,
+            SPLIT_12,
+            WRAP_TIE,
         ],
         ids=["polygon100", "polygon1000", "squashed0.1", "needle1e-5", "squashed1e-5",
-             "squashed1e-9", "needle", "needle-x1e9"],
+             "squashed1e-9", "needle", "needle-x1e9", "turn1e-16", "split12", "wrap-tie"],
     )
     def test_polygon_matches_all_edges(self, poly):
         assert len(poly.vertices) >= PREFILTER_MIN_VERTICES
@@ -604,8 +695,9 @@ class TestKernels:
 
 
 # Screened polygons: sharp, thin and far from the origin, with from 12 to
-# 1000 vertices, so from many sectors per vertex to four vertices per sector.
-# Each has a table with its wedge angles.
+# 1000 vertices, so from many sectors per vertex to four vertices per sector,
+# and with a turn of 1e-16 or two vertex angles within rounding.  Each has a
+# table with its wedge angles.
 SECTOR_CASES = [
     (POLY_100, "polygon100"),
     (POLY_1000, "polygon1000"),
@@ -613,19 +705,21 @@ SECTOR_CASES = [
     (_needle(1e-5), "needle1e-5"),
     (regular_polygon(PREFILTER_MIN_VERTICES, 2.0, 0.1, center=(1e6, -3e6)), "regular12-far"),
     (regular_polygon(512, 1.0, 0.3), "regular512"),
+    (TURN_1E16, "turn1e-16"),
+    (SPLIT_12, "split12"),
+    (WRAP_TIE, "wrap-tie"),
 ]
-# and polygons as large that take the edge loop: for the whole chunk, having
-# no table, or for the points between the radii, having no wedge angles
+# and polygons as large that take the edge loop for the whole chunk, having
+# no table
 LOOP_CASES = [
     (_squashed(POLY_50, 1e-9), "squashed1e-9"),
     (_needle(1e-9), "needle"),
-    (TURN_1E16, "turn1e-16"),
 ]
 
 
 @pytest.mark.parametrize("poly", [p for p, _ in SECTOR_CASES], ids=[i for _, i in SECTOR_CASES])
 def test_screened_polygon_has_wedge_angles(poly):
-    assert poly._sectors.angle is not None
+    assert len(poly._sectors.angle) == len(poly.vertices)
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,9 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
         # (circumradius 1e153 is held: its fan is redone on scaled offsets)
         (["excise"], {"type": "regular_polygon", "n": 1000, "circumradius": 1e155},
          "error: polygon measure inf is not"),
+        # a 1-D ball's measure 2r fits, but the square its tests take does not
+        (["excise-kd", "--o=-1e200", "--verify", "mc"], {"type": "hyperball", "center": [0], "radius": 1e200},
+         "error: hyperball radius 1e+200 squared overflows binary64"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
@@ -309,6 +312,16 @@ class TestMeasuresBinary64Holds:
         with pytest.raises(ValueError, match="polygon measure inf"):
             regular_polygon(1000, 1e155)
 
+    def test_a_ball_whose_radius_squared_overflows_is_refused(self):
+        # only at k = 1 does the measure fit where r^2 does not: 2r is 2e200
+        with pytest.raises(ValueError, match=r"hyperball radius 1e\+200 squared overflows"):
+            Hyperball(center=(0.0,), radius=1e200)
+        with pytest.raises(ValueError, match=r"hyperball radius 1e\+200 squared overflows"):
+            Hyperball(center=(0.0,), radius=1.0).scaled_about((0.0,), 1e200)
+        rod = Hyperball(center=(0.0,), radius=1e154)  # r^2 is 1e308
+        assert rod.contains(np.array([[-1e154], [1.1e154]])).tolist() == [True, False]
+        assert rod.exit_parameter((0.0,), (1.0,)) == 1e154
+
     def test_measures_beyond_binary64_are_still_refused(self):
         with pytest.raises(ValueError, match="hypercube measure inf"):
             Hypercube(min_corner=(0.0,) * 64, side=1e5)  # 1e320
@@ -344,6 +357,11 @@ class TestMeasuresBinary64Holds:
         top = Decimal(sys.float_info.max)
         if expected > top * Decimal("1.000000000001"):
             with pytest.raises(ValueError, match="measure inf"):
+                build()
+            return
+        if family == "ball" and size * size == math.inf:
+            # a measure that fits, at k = 1, with a radius whose square does not
+            with pytest.raises(ValueError, match="squared overflows"):
                 build()
             return
         assume(expected < top * Decimal("0.999999999999"))
