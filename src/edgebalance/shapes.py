@@ -62,7 +62,9 @@ and factor, since a positive homothety keeps a body convex, counterclockwise
 and non-degenerate, and builds the image without the constructor.  Only the
 image's moments, and a ball's radius squared, are checked, computed by
 formula as at construction, so that a measure the scaling takes out of
-binary64 is still refused.
+binary64 is still refused.  A polygon's or simplex's image holds only its
+vertex array: its ``vertices`` tuples are made from that array, and kept,
+the first time they are read, since planning and verification never read them.
 
 Where a ball's r^k or a simplex's determinant overflows, its measure is taken
 in logarithms (``math.lgamma``, ``np.linalg.slogdet``); where a polygon's fan
@@ -128,7 +130,8 @@ def _exp(x: float) -> float:
 
 def _unchecked(cls, **values):
     """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
-    without ``__post_init__``: for objects built from others already checked."""
+    without its ``__init__`` or ``__post_init__``: for objects built from
+    others already checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(values)
     return obj
@@ -234,7 +237,8 @@ class _Polytope(ConvexBody):
     facet (negative outside), and ``_facet_rates(u)``, how fast those
     distances change along u; exit and boundary tests follow from them.  The
     vertex polytopes (polygons, simplices) share ``bbox`` and ``_scaled``
-    over their ``vertex_array``; the cube keeps its own.
+    over their ``vertex_array``, and the image's ``vertices`` made on first
+    read; the cube keeps its own.
     """
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +248,15 @@ class _Polytope(ConvexBody):
     def _scaled(self, o: Point, f: float) -> dict:
         v = np.add(o, (self.vertex_array - o) * f)
         v.flags.writeable = False
-        return {"vertices": tuple(map(tuple, v.tolist())), "vertex_array": v}
+        return {"vertex_array": v}
+
+    def __getattr__(self, name: str):
+        # an image built by scaled_about holds only its vertex array: its
+        # vertex tuples are made from it, and kept, where they are first read
+        if name != "vertices" or "vertex_array" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vertices = self.__dict__["vertices"] = tuple(map(tuple, self.vertex_array.tolist()))
+        return vertices
 
     def on_boundary(self, p, tol: float) -> bool:
         # no facet distance below -tol, and one within tol: exact along a facet,
@@ -307,16 +319,16 @@ class _SectorTable(NamedTuple):
     lines: np.ndarray
 
 
-def _fan(x0: float, y0: float, rest: list) -> tuple[float, float, float]:
-    """Area of the triangle fan from (x0, y0) over the vertices ``rest``, and
-    its centroid's offset from (x0, y0)."""
-    acc = ax = ay = 0.0
-    for (px, py), (qx, qy) in zip(rest, rest[1:]):
-        px, py, qx, qy = px - x0, py - y0, qx - x0, qy - y0
-        f = px * qy - qx * py
-        acc += f
-        ax += (px + qx) * f
-        ay += (py + qy) * f
+def _fan(d: np.ndarray) -> tuple[float, float, float]:
+    """Area of the triangle fan from the origin over the rows of ``d``, and its
+    centroid.  Each sum is ``np.add.accumulate``'s last partial, added left to
+    right as a loop adds; a pairwise sum (``np.sum``) would round differently."""
+    p, q = d[:-1], d[1:]
+    terms = np.empty((3, len(p)))
+    f = np.multiply(p[:, 0], q[:, 1], out=terms[0])
+    f -= q[:, 0] * p[:, 1]
+    np.multiply((p + q).T, f, out=terms[1:])
+    acc, ax, ay = np.add.accumulate(terms, axis=1)[:, -1].tolist()
     scale = 1.0 / (3.0 * acc) if acc else math.nan  # a zero area is refused at build
     return 0.5 * acc, ax * scale, ay * scale
 
@@ -361,21 +373,25 @@ class Polygon(_Polytope):
         return fields
 
     def _moments(self) -> tuple[float, Point]:
-        """Area and centroid from a triangle fan at vertex 0.
+        """Area and centroid from a triangle fan at vertex 0, on arrays.
 
         Working relative to vertex 0 keeps the products small when the
-        polygon sits far from the origin.  Where the fan's cubic terms
+        polygon sits far from the origin.  The fan's three sums are taken
+        left to right (``np.add.accumulate``), so they are the floats a loop
+        over the triangles in order gives.  Where the fan's cubic terms
         overflow (offsets from about 1e103), it is redone on the offsets
         scaled below 1 by a power of two; that scaling is exact, so wherever
         both fans are finite they give the same floats.
         """
-        (x0, y0), *rest = self.vertices
-        area, gx, gy = _fan(x0, y0, rest)
-        if not all(map(math.isfinite, (area, gx, gy))):
-            _, e = math.frexp(max(max(abs(x - x0), abs(y - y0)) for x, y in rest))
-            s = math.ldexp(1.0, -e)
-            area, gx, gy = _fan(0.0, 0.0, [((x - x0) * s, (y - y0) * s) for x, y in rest])
-            area, gx, gy = math.ldexp(area, 2 * e), math.ldexp(gx, e), math.ldexp(gy, e)
+        v = self.vertex_array
+        x0, y0 = v[0].tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # a fan that overflows is redone
+            d = v[1:] - v[0]
+            area, gx, gy = _fan(d)
+            if not all(map(math.isfinite, (area, gx, gy))):
+                _, e = math.frexp(float(np.abs(d).max()))
+                area, gx, gy = _fan(d * math.ldexp(1.0, -e))
+                area, gx, gy = math.ldexp(area, 2 * e), math.ldexp(gx, e), math.ldexp(gy, e)
         return area, (x0 + gx, y0 + gy)
 
     @cached_property
@@ -496,7 +512,7 @@ class Polygon(_Polytope):
         inside = np.ones(len(x), dtype=bool)
         cross, term, ok = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=bool)
         with np.errstate(invalid="ignore"):
-            for (ax, ay), (ex, ey) in zip(self.vertices, self.edge_array.tolist()):
+            for (ax, ay), (ex, ey) in zip(self.vertex_array.tolist(), self.edge_array.tolist()):
                 np.subtract(y, ay, out=cross)
                 cross *= ex
                 np.subtract(x, ax, out=term)
@@ -521,7 +537,7 @@ class Polygon(_Polytope):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
-        table = None if len(self.vertices) < PREFILTER_MIN_VERTICES else self._sectors
+        table = None if len(self.vertex_array) < PREFILTER_MIN_VERTICES else self._sectors
         if table is None:
             return self._edge_test(x, y)
         d2 = np.subtract(x, table.cx)
@@ -817,7 +833,7 @@ class Simplex(_Polytope):
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.vertex_array) - 1
 
     def _edge_matrix(self) -> np.ndarray:
         v = self.vertex_array
@@ -874,7 +890,7 @@ class Simplex(_Polytope):
     def contains(self, points: np.ndarray) -> np.ndarray:
         # offsets from vertex 0 as a (k, m) array, one row per coordinate
         d = np.empty((self.dim, len(points)))
-        for j, v0 in enumerate(self.vertices[0]):
+        for j, v0 in enumerate(self.vertex_array[0].tolist()):
             np.subtract(points[:, j], v0, out=d[j])
         lam = self._inverse_edges @ d
         return np.all(lam >= 0.0, axis=0) & (lam.sum(axis=0) <= 1.0)

@@ -1,8 +1,10 @@
 """Properties the balance argument guarantees, checked with Hypothesis."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import re
 import sys
 import tempfile
@@ -456,6 +458,20 @@ def test_cavity_is_the_body_its_numbers_build(seed, family, k, tangent, factor):
     else:
         origin = tuple(rng.uniform(-3.0, 3.0, body.dim).tolist())
     cavity = body.scaled_about(origin, factor)
+    # the image holds its vertex array only: the rest of the protocol works
+    # without the tuples, a copy is the same body, and the tuples made on
+    # first read are the array's numbers as Python floats
+    assert "vertices" not in cavity.__dict__
+    assert cavity.dim == body.dim and cavity.measure() > 0.0
+    lo, hi = cavity.bbox()
+    assert cavity.contains(np.array([cavity.centroid(), hi + 1.0])).tolist() == [True, False]
+    assert "vertices" not in cavity.__dict__
+    assert pickle.loads(pickle.dumps(cavity)) == cavity and copy.deepcopy(cavity) == cavity
+    if hasattr(cavity, "vertex_array"):
+        vertices = cavity.vertices
+        assert vertices == tuple(map(tuple, cavity.vertex_array.tolist()))
+        assert {type(x) for p in vertices for x in p} == {float}
+        assert cavity.vertices is vertices
     try:
         checked = shape_from_dict(json.loads(json.dumps(cavity.to_dict())))
     except ValueError:  # rounding made a nearly straight polygon vertex collinear
@@ -517,6 +533,55 @@ def test_polygon_moments_scale_exactly_by_powers_of_two(seed, n, j):
     scaled = Polygon(vertices)
     assert scaled.measure() == measure
     assert scaled.centroid() == tuple(math.ldexp(c, j) for c in poly.centroid())
+
+
+def loop_moments(vertices) -> tuple[tuple[float, float, float], bool]:
+    """Area and centroid of a polygon from its triangle fan at vertex 0, each
+    sum a plain loop from left to right, redone on offsets scaled below 1 by
+    a power of two where the fan overflows; and whether it was redone."""
+
+    def fan(offsets):
+        acc = ax = ay = 0.0
+        for (px, py), (qx, qy) in zip(offsets, offsets[1:]):
+            f = px * qy - qx * py
+            acc += f
+            ax += (px + qx) * f
+            ay += (py + qy) * f
+        scale = 1.0 / (3.0 * acc) if acc else math.nan
+        return 0.5 * acc, ax * scale, ay * scale
+
+    (x0, y0), *rest = vertices
+    offsets = [(x - x0, y - y0) for x, y in rest]
+    area, gx, gy = fan(offsets)
+    redone = not all(map(math.isfinite, (area, gx, gy)))
+    if redone:
+        _, e = math.frexp(max(max(abs(dx), abs(dy)) for dx, dy in offsets))
+        s = math.ldexp(1.0, -e)
+        area, gx, gy = fan([(dx * s, dy * s) for dx, dy in offsets])
+        area, gx, gy = math.ldexp(area, 2 * e), math.ldexp(gx, e), math.ldexp(gy, e)
+    return (area, x0 + gx, y0 + gy), redone
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 2000), dx=st.floats(-1e9, 1e9), dy=st.floats(-1e9, 1e9),
+       huge=st.booleans(), exponent=st.floats(103.0, 150.0))
+def test_polygon_moments_are_summed_left_to_right(seed, n, dx, dy, huge, exponent):
+    # the fan's sums are taken in vertex order, so its floats are the loop's;
+    # a pairwise sum (np.sum) rounds differently.  Far from the origin a polygon
+    # of 1e-6 of its offset keeps its convexity; from offsets of 1e103 on, the
+    # fan's cubic terms overflow and it is redone scaled
+    size = 10.0**exponent if huge else max(1.0, 1e-6 * max(abs(dx), abs(dy)))
+    rng = np.random.default_rng(seed)
+    base = random_convex_polygon(n, rng, size)
+    try:
+        poly = Polygon(tuple((x + dx, y + dy) for x, y in base.vertices))
+    except ValueError:  # rounding made a nearly straight vertex collinear
+        assume(False)
+    (area, cx, cy), redone = loop_moments(poly.vertices)
+    assert repr(poly.measure()) == repr(area)
+    assert repr(poly.centroid()) == repr((cx, cy))
+    if exponent >= 110.0:  # cubic terms of at least 1e330 / n
+        assert redone == huge
 
 
 def test_warm_sweep_frame_keeps_the_bisection_fallback(monkeypatch):
