@@ -96,11 +96,8 @@ def _rounding_note(chord: "Chord") -> str:
 
 
 def _extent(shape: Shape) -> float:
-    """The longest side of the body's bounding box, kept with the body from its first plan."""
-    if "_extent" not in shape.__dict__:
-        lo, hi = shape.bbox()
-        shape.__dict__["_extent"] = float(np.max(hi - lo))
-    return shape.__dict__["_extent"]
+    lo, hi = shape.bbox()
+    return float(np.max(hi - lo))
 
 
 @dataclass(frozen=True)
@@ -426,8 +423,7 @@ def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> Excis
         raise ValueError("chord endpoints coincide" + _rounding_note(chord))
     inv = 1.0 / scale_ratio
     o = chord.tangent_point
-    return _unchecked(
-        ExcisionPlan,
+    return ExcisionPlan(
         shape=shape,
         chord=chord,
         scale_ratio=scale_ratio,
@@ -534,8 +530,7 @@ def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
     dist = math.dist(com, plan.balance_point)
     length = plan.chord.length
     rel = dist / length
-    return _unchecked(
-        BalanceReport,
+    return BalanceReport(
         distance=dist,
         chord_length=length,
         relative_distance=rel,

@@ -130,8 +130,7 @@ def _exp(x: float) -> float:
 
 def _unchecked(cls, **values):
     """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
-    without its ``__init__`` or ``__post_init__``: for objects built from
-    others already checked."""
+    without ``__post_init__``: for objects built from others already checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(values)
     return obj
@@ -152,6 +151,20 @@ def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
     object.__setattr__(body, "vertices", tuple(map(tuple, v.tolist())))
     object.__setattr__(body, "vertex_array", v)
     return v
+
+
+class _VertexTuples:
+    """The ``vertices`` field of a polygon or simplex.  The constructor stores
+    the tuples; an image built by ``scaled_about`` holds only its
+    ``vertex_array``, and its tuples are made from that array, and kept, the
+    first time they are read.  A non-data descriptor: once stored, the tuples
+    are read from the instance without calling it."""
+
+    def __get__(self, body, owner=None):
+        if body is None:  # read on the class: the dataclass field has no default
+            raise AttributeError("vertices")
+        vertices = body.__dict__["vertices"] = tuple(map(tuple, body.vertex_array.tolist()))
+        return vertices
 
 
 def _refuse_unread_keys(kind: str, data: dict, names) -> None:
@@ -237,8 +250,7 @@ class _Polytope(ConvexBody):
     facet (negative outside), and ``_facet_rates(u)``, how fast those
     distances change along u; exit and boundary tests follow from them.  The
     vertex polytopes (polygons, simplices) share ``bbox`` and ``_scaled``
-    over their ``vertex_array``, and the image's ``vertices`` made on first
-    read; the cube keeps its own.
+    over their ``vertex_array``; the cube keeps its own.
     """
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,14 +261,6 @@ class _Polytope(ConvexBody):
         v = np.add(o, (self.vertex_array - o) * f)
         v.flags.writeable = False
         return {"vertex_array": v}
-
-    def __getattr__(self, name: str):
-        # an image built by scaled_about holds only its vertex array: its
-        # vertex tuples are made from it, and kept, where they are first read
-        if name != "vertices" or "vertex_array" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vertices = self.__dict__["vertices"] = tuple(map(tuple, self.vertex_array.tolist()))
-        return vertices
 
     def on_boundary(self, p, tol: float) -> bool:
         # no facet distance below -tol, and one within tol: exact along a facet,
@@ -338,7 +342,7 @@ class Polygon(_Polytope):
     """Strictly convex polygon, vertices ordered counterclockwise."""
 
     kind = "polygon"
-    vertices: tuple[Point, ...]
+    vertices: tuple[Point, ...] = _VertexTuples()
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -819,7 +823,7 @@ class Simplex(_Polytope):
     """k+1 affinely independent vertices in k dimensions."""
 
     kind = "simplex"
-    vertices: tuple[Point, ...]
+    vertices: tuple[Point, ...] = _VertexTuples()
 
     def __post_init__(self):
         k = len(self.vertices) - 1
