@@ -12,8 +12,11 @@ the k-dimensional families with closed-form volume and centroid, so
 verification stays exact; general convex polytopes (which would need k-dim
 triangulation) are out of scope.  Bodies are checked where they enter, in
 their constructors (finite numbers, positive sizes, non-degenerate simplices,
-1 <= k <= 64); the tangency point must lie on the boundary, where the ray
-from the centroid through it leaves the body.
+1 <= k <= 64).  The tangency point O fixes the whole chord, which runs from O
+through the centroid C and is built from C; O is refused unless it lies,
+within the boundary tolerance, where the ray from C through O leaves the
+body.  That is the one check every plan makes, here and in ``plan_excision``
+(``planar._tangency_chord``).
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
 has beta exactly 1/2, as in the plane.  Simplices are not;
@@ -27,17 +30,13 @@ Dimensions are capped at 64: beyond that the beta = 1/2 ratio is one ulp
 from 2 in binary64 and the geometry adds nothing.
 """
 
-import math
-
 import numpy as np
 
 from .planar import (
-    _BOUNDARY_RTOL,
     Chord,
     ExcisionPlan,
-    _centroid_chord,
-    _extent,
     _solve_excision,
+    _tangency_chord,
     area,
     centroid,
     composite_centroid,
@@ -78,26 +77,19 @@ def excision_with_ratio_kd(
 def plan_excision_kd(shape: ShapeKd, tangent_point) -> ExcisionPlan:
     """Excision tangent at a boundary point, chord through the centroid.
 
-    O fixes the direction u = (C - O)/|OC| towards the centroid C; the chord
-    is built from C, as in ``chord_through_centroid``, and O is refused unless
-    it lies within the boundary tolerance of the chord's tangency end (on a
-    convex body the ray from C through a boundary point leaves there).  As in
-    ``plan_excision``, the scale ratio is the ``positive_root`` value for
-    ``k`` and the chord's beta.  Requires ``beta < k/(k+1)``, otherwise the
-    balance root does not exceed 1 and PhysicalityError is raised.
+    O fixes the direction u = (C - O)/|OC| towards the centroid C.  The chord
+    is built from C by the one check ``plan_excision`` also makes,
+    ``planar._tangency_chord``: O is refused unless it lies within the
+    boundary tolerance of the chord's tangency end (on a convex body the ray
+    from C through a boundary point leaves there).  As in ``plan_excision``,
+    the scale ratio is the ``positive_root`` value for ``k`` and the chord's
+    beta.  Requires ``beta < k/(k+1)``, otherwise the balance root does not
+    exceed 1 and PhysicalityError is raised.
     """
     o = _as_point(tangent_point)
     if len(o) != shape.dim:
         raise ValueError(f"tangency point has dimension {len(o)}, shape has {shape.dim}")
-    c = shape.centroid()
-    oc = math.dist(c, o)
-    scale = max(_extent(shape), 1.0)
-    if oc <= 1e-12 * scale:
-        raise ValueError("tangency point coincides with the centroid")
-    chord = _centroid_chord(shape, tuple((b - a) / oc for a, b in zip(o, c)))
-    if math.dist(chord.tangent_point, o) > _BOUNDARY_RTOL * scale:
-        raise ValueError(f"tangency point {o} is not on the shape boundary")
-    return _solve_excision(shape, chord)
+    return _solve_excision(shape, _tangency_chord(shape, o))
 
 
 def balanced_boundary_point(shape: ShapeKd) -> Point:

@@ -432,20 +432,53 @@ def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> Excis
     )
 
 
+def _tangency_chord(shape: Shape, o: Point, given: Chord | None = None) -> Chord:
+    """The centroid chord whose tangency end is the boundary point O.
+
+    The chord is built from the centroid C along u = (C - O)/|OC|
+    (``_centroid_chord``).  On a convex body the ray from C through a boundary
+    point leaves the body there, so O is refused unless it lies within
+    ``_BOUNDARY_RTOL`` times the extent (at least 1) of the rebuilt tangency
+    end.  A ``given`` chord is refused unless its centroid and far end lie
+    within the same distance of C and of the rebuilt far end.  Each distance
+    is taken along the ray from C, not at right angles to the boundary: a
+    point d from the boundary lies about d / sin(a) from the rebuilt end where
+    the ray meets the boundary at angle a, so on a thin body a point is held
+    to sin(a) times the tolerance.
+    """
+    c = shape.centroid()
+    scale = max(_extent(shape), 1.0)
+    tol = _BOUNDARY_RTOL * scale
+    if given is not None and math.dist(given.centroid, c) > tol:
+        raise ValueError("chord centroid does not match the shape centroid")
+    oc = math.dist(c, o)
+    if oc <= 1e-12 * scale:
+        raise ValueError("tangency point coincides with the centroid")
+    chord = _centroid_chord(shape, tuple((b - a) / oc for a, b in zip(o, c)))
+    if math.dist(chord.tangent_point, o) > tol:
+        raise ValueError(f"tangency point {o} is not on the shape boundary")
+    if given is not None and math.dist(chord.far_point, given.far_point) > tol:
+        raise ValueError(f"chord endpoint {given.far_point} is not on the shape boundary")
+    return chord
+
+
 def plan_excision(shape: Shape, chord: Chord) -> ExcisionPlan:
     """Solve the balance equation for the chord and build the excision.
 
-    The scale ratio is the ``positive_root`` value for ``k`` and ``chord.beta``,
-    which no tolerance moves.  Requires ``chord.beta < k/(k+1)`` (2/3 in the
-    plane); at or above that threshold the balance root does not exceed 1 and
-    no physical cavity exists.
+    The chord must belong to the shape, by the one check that
+    ``plan_excision_kd`` also makes (``_tangency_chord``): the chord rebuilt
+    from the shape's centroid C through the tangency end O must end at O and
+    at the chord's far end, and the chord's centroid must be C, each within
+    ``_BOUNDARY_RTOL`` of the shape's extent (at least 1), the ends measured
+    along the ray from C, not at right angles to the boundary, and so held
+    closer to it on a thin body.  The chord given, not the rebuilt one, is
+    then planned, so the plan keeps its bits.  The scale ratio is the
+    ``positive_root`` value for ``k`` and ``chord.beta``, which no tolerance
+    moves.  Requires ``chord.beta < k/(k+1)`` (2/3 in the plane); at or above
+    that threshold the balance root does not exceed 1 and no physical cavity
+    exists.
     """
-    scale = max(_extent(shape), 1.0)
-    if math.dist(chord.centroid, shape.centroid()) > _BOUNDARY_RTOL * scale:
-        raise ValueError("chord centroid does not match the shape centroid")
-    for p in (chord.tangent_point, chord.far_point):
-        if not shape.on_boundary(p, _BOUNDARY_RTOL * scale):
-            raise ValueError(f"chord endpoint {p} is not on the shape boundary")
+    _tangency_chord(shape, chord.tangent_point, chord)
     return _solve_excision(shape, chord)
 
 

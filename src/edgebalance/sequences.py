@@ -11,6 +11,7 @@ true division of two of them, which CPython rounds correctly once, so
 convergence measurements carry no accumulated rounding.
 """
 
+import math
 from dataclasses import dataclass
 
 DEFAULT_MAX_TERMS = 10_000
@@ -137,8 +138,8 @@ def converged_ratio(k: int, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> f
     does not depend on the seed values, only on k.
     """
     _validate_order(k)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:  # inf would stop at the second ratio
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     terms = [1] * k
     window_sum = k
     prev_ratio = None

@@ -11,31 +11,24 @@ never asks which shape it holds:
 ``contains(points)``       membership mask for an (m, k) float array, boundary inside;
                            it reads the array column by column, so column-major
                            (Fortran-ordered) input is the fast layout
-``on_boundary(p, tol)``    whether p lies within distance ``tol`` of the boundary
 ``exit_parameter(o, u)``   largest t with o + t*u in the body, for o in the body
 ``scaled_about(o, f)``     the image under the homothety about o with factor f > 0
 ``to_dict()``              the JSON form that ``shape_from_dict`` reads back
 ``centrally_symmetric``    True when every chord through the centroid has offset 1/2
 
-The tolerance of ``on_boundary`` is a distance for every body.  Polygons and
-balls test the exact distance to the boundary.  Simplices and cubes test the
-nearest facet's distance (no facet farther than ``tol`` outside, one within
-``tol``), which is the exact distance except beyond a vertex or edge, where
-it is looser.  An ellipse tests ``tol / min(semi_axes)`` in normalised radius,
-a distance only up to the axis ratio.
-
 Polygons, simplices and cubes are polytopes: one half-space base gives them
-``exit_parameter`` and the facet test from each facet's distance and rate.
-It also gives them a two-sided exit for chords through the centroid: the
-facet distances at the centroid are kept with the body, and one evaluation
-of the rates along u yields both ends, the exit along u from the facets of
-negative rate and the exit along -u from those of positive rate, each the
-same float as ``exit_parameter`` gives.
+``exit_parameter`` from each facet's distance and rate.  It also gives them
+a two-sided exit for chords through the centroid: the facet distances at
+the centroid are kept with the body, and one evaluation of the rates along
+u yields both ends, the exit along u from the facets of negative rate and
+the exit along -u from those of positive rate, each the same float as
+``exit_parameter`` gives.
 Polygons and simplices also carry ``vertices`` (tuples of floats) and
 ``vertex_array``, the same numbers as one read-only float64 array built
 once, which their methods read.  A polygon also keeps the edges its
 validation forms as the read-only ``edge_array``, row i being vertex i + 1
-minus vertex i.
+minus vertex i.  Every array a body holds, its caches included, is
+read-only, and so is every array of a copy (``copy``, ``pickle``).
 
 A polygon of at least ``PREFILTER_MIN_VERTICES`` vertices screens the
 points of ``contains`` before its edge test, with a table of
@@ -136,6 +129,12 @@ def _unchecked(cls, **values):
     return obj
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: every array a body holds, cached ones included, is."""
+    a.flags.writeable = False
+    return a
+
+
 def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
     """Store ``body.vertices`` as tuples of floats and as the read-only (n, width)
     float64 ``body.vertex_array``; ragged vertices raise ``shape_error``."""
@@ -191,6 +190,17 @@ class ConvexBody:
 
     kind: ClassVar[str]
     centrally_symmetric: ClassVar[bool] = False
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a copy (``copy``, ``pickle``).  numpy hands the copy's arrays
+        back writeable; each one it holds, alone or in a tuple (a cache such as
+        the sweep frame), is made read-only again, as every array a body holds
+        is in the original."""
+        for value in state.values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    _read_only(a)
+        self.__dict__.update(state)
 
     def _require_moments(self) -> None:
         """Compute the measure and centroid once and keep them; refuse a measure
@@ -248,7 +258,7 @@ class _Polytope(ConvexBody):
 
     A subclass gives ``_facet_distances(p)``, how far p lies inside each
     facet (negative outside), and ``_facet_rates(u)``, how fast those
-    distances change along u; exit and boundary tests follow from them.  The
+    distances change along u; the exits follow from them.  The
     vertex polytopes (polygons, simplices) share ``bbox`` and ``_scaled``
     over their ``vertex_array``; the cube keeps its own.
     """
@@ -258,14 +268,7 @@ class _Polytope(ConvexBody):
         return v.min(axis=0), v.max(axis=0)
 
     def _scaled(self, o: Point, f: float) -> dict:
-        v = np.add(o, (self.vertex_array - o) * f)
-        v.flags.writeable = False
-        return {"vertex_array": v}
-
-    def on_boundary(self, p, tol: float) -> bool:
-        # no facet distance below -tol, and one within tol: exact along a facet,
-        # looser than the true distance only beyond a vertex or edge
-        return bool(abs(self._facet_distances(p).min()) <= tol)
+        return {"vertex_array": _read_only(np.add(o, (self.vertex_array - o) * f))}
 
     def exit_parameter(self, origin, u) -> float:
         # the exit is the nearest crossing among the facets the ray faces
@@ -276,7 +279,7 @@ class _Polytope(ConvexBody):
 
     @cached_property
     def _centroid_distances(self) -> np.ndarray:
-        return self._facet_distances(self.centroid())
+        return _read_only(self._facet_distances(self.centroid()))
 
     def _centroid_exits(self, u) -> tuple[float, float]:
         """``exit_parameter`` from the centroid along u and along -u, from one
@@ -297,9 +300,7 @@ class _Polytope(ConvexBody):
 
 def _edge_array(v: np.ndarray) -> np.ndarray:
     """The read-only edges of a polygon's vertex array, row i vertex i + 1 minus vertex i."""
-    e = np.concatenate((v[1:], v[:1])) - v
-    e.flags.writeable = False
-    return e
+    return _read_only(np.concatenate((v[1:], v[:1])) - v)
 
 
 def _sector_index(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -401,7 +402,7 @@ class Polygon(_Polytope):
     @cached_property
     def _edge_lengths(self) -> np.ndarray:
         e = self.edge_array
-        return np.hypot(e[:, 0], e[:, 1])
+        return _read_only(np.hypot(e[:, 0], e[:, 1]))
 
     def _facet_distances(self, p) -> np.ndarray:
         a, e = self.vertex_array, self.edge_array
@@ -507,6 +508,7 @@ class Polygon(_Polytope):
         # each edge's vertex and direction, as the loop reads them, and its depth
         depth = 32.0 * sys.float_info.epsilon * big * (big / rho) * length
         lines = np.column_stack((self.vertex_array, e, depth))
+        inner_sq, outer_sq, angle, lines = map(_read_only, (inner_sq, outer_sq, angle, lines))
         return _SectorTable(cx, cy, inner_sq, outer_sq, angle, wrap, lines)
 
     def _edge_test(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -555,14 +557,6 @@ class Polygon(_Polytope):
         if ring.size:
             inside[ring] = self._wedge_test(x[ring], y[ring])
         return inside
-
-    def on_boundary(self, p, tol: float) -> bool:
-        # the exact distance to the nearest edge: the facet test would accept
-        # points up to tol / sin(half the vertex angle) beyond a sharp vertex
-        a, e = self.vertex_array, self.edge_array
-        s = ((p[0] - a[:, 0]) * e[:, 0] + (p[1] - a[:, 1]) * e[:, 1]) / (e * e).sum(axis=1)
-        q = a + np.minimum(1.0, np.maximum(0.0, s))[:, None] * e  # nearest point of each edge
-        return bool(np.hypot(p[0] - q[:, 0], p[1] - q[:, 1]).min() <= tol)
 
     def boundary_points(self, count: int) -> list[Point]:
         """``count`` points spaced by arc length from vertex 0."""
@@ -651,12 +645,6 @@ class Ellipse(ConvexBody):
         ex += ey
         return ex <= 1.0
 
-    def on_boundary(self, p, tol: float) -> bool:
-        # in normalised radius: every point within tol of the boundary passes,
-        # and so do some up to tol * max(semi_axes) / min(semi_axes) away
-        q = math.hypot(*self._frame(p[0] - self.center[0], p[1] - self.center[1]))
-        return abs(q - 1.0) <= tol / min(self.semi_axes)
-
     def exit_parameter(self, origin, u) -> float:
         px, py = self._frame(origin[0] - self.center[0], origin[1] - self.center[1])
         qx, qy = self._frame(u[0], u[1])
@@ -732,9 +720,6 @@ class Hyperball(ConvexBody):
             d *= d
             dist_sq += d
         return dist_sq <= self.radius**2
-
-    def on_boundary(self, p, tol: float) -> bool:
-        return abs(math.dist(p, self.center) - self.radius) <= tol
 
     def exit_parameter(self, origin, u) -> float:
         # |origin + t*u - c|^2 = r^2 with origin inside or on the sphere
@@ -874,7 +859,7 @@ class Simplex(_Polytope):
 
     @cached_property
     def _inverse_edges(self) -> np.ndarray:
-        return np.linalg.inv(self._edge_matrix())
+        return _read_only(np.linalg.inv(self._edge_matrix()))
 
     @cached_property
     def _heights(self) -> np.ndarray:
@@ -882,7 +867,7 @@ class Simplex(_Polytope):
         the rows of ``_inverse_edges`` are the gradients of lambda_1..lambda_k,
         and minus their sum is that of lambda_0."""
         g = self._inverse_edges
-        return 1.0 / np.linalg.norm(np.vstack((g.sum(axis=0), g)), axis=1)
+        return _read_only(1.0 / np.linalg.norm(np.vstack((g.sum(axis=0), g)), axis=1))
 
     def _facet_distances(self, p) -> np.ndarray:
         return self.barycentric(p) * self._heights

@@ -28,7 +28,7 @@ from edgebalance.planar import (
     verify_balance,
 )
 from edgebalance.polynomials import PhysicalityError
-from edgebalance.shapes import Simplex
+from edgebalance.shapes import Hypercube, Simplex
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -359,6 +359,31 @@ class TestExcisionPlanning:
         chord = chord_through_centroid(Circle(center=(5.0, 5.0), radius=1.0), 0.0)
         with pytest.raises(ValueError):
             plan_excision(UNIT_SQUARE, chord)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            random_convex_polygon(9, np.random.default_rng(3)),
+            Ellipse(center=(0.3, -0.2), semi_axes=(2.0, 0.5), rotation=0.6),
+            Simplex(vertices=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.2, 1.0, 0.0), (0.1, 0.3, 1.5))),
+            Hypercube(min_corner=(0.5, -1.0, 0.0, 2.0), side=1.5),
+        ],
+        ids=["polygon", "ellipse", "simplex3", "cube4"],
+    )
+    @pytest.mark.parametrize("move", ["shrink", "push"])
+    def test_rejects_chord_with_ends_off_the_boundary(self, body, move):
+        # a chord through the body's own centroid with its ends moved along it:
+        # its line, centroid and beta still fit, its ends do not
+        u = np.arange(1.0, body.dim + 1.0)
+        chord = planar._centroid_chord(body, tuple(u / np.linalg.norm(u)))
+        o, q, c = map(np.asarray, (chord.tangent_point, chord.far_point, chord.centroid))
+        if move == "shrink":  # about the centroid, by 0.9
+            o, q = c + 0.9 * (o - c), c + 0.9 * (q - c)
+        else:  # the far end out by 1e-6 of the chord's length
+            q = q + 1e-6 * (q - o)
+        beta = float(np.linalg.norm(c - o) / np.linalg.norm(q - o))
+        with pytest.raises(ValueError, match="not on the shape boundary"):
+            plan_excision(body, Chord(tuple(o), tuple(q), tuple(c), beta))
 
     def test_explicit_ratio_must_exceed_one(self):
         chord = chord_through_centroid(UNIT_SQUARE, math.pi / 4.0)

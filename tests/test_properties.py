@@ -242,13 +242,13 @@ def test_reused_sweep_frame_changes_no_result(seed, n, simplex, clockwise, fract
 
 @PROPERTY
 @given(seed=seeds, n=st.integers(3, 60), simplex=st.booleans(), clockwise=st.booleans(),
-       exponent=st.floats(-7.0, -3.0), fraction=st.floats(0.0, 1.0))
+       exponent=st.floats(-9.0, -3.0), fraction=st.floats(0.0, 1.0))
 def test_thin_shape_searches_return_ordered_chords_on_the_shape(
     seed, n, simplex, clockwise, exponent, fraction
 ):
     # beta can change by more than tol between neighbouring floating-point angles
     # on a thin shape: a search may pass such a root over, but every chord it
-    # returns must be on target, on the boundary and in angular order
+    # returns must be on target, accepted by plan_excision and in angular order
     if simplex:
         v = np.random.default_rng(seed).normal(size=(3, 2))
         if (np.linalg.det(v[1:] - v[0]) < 0.0) != clockwise:
@@ -264,7 +264,6 @@ def test_thin_shape_searches_return_ordered_chords_on_the_shape(
         find_chord_with_beta(shape, 0.1)
     lo, hi = map(float, re.search(r"span \[(.+), (.+)\]", str(refused.value)).groups())
     target = lo + fraction * (hi - lo)
-    extent = planar._extent(shape)
     (x0, y0), (cx, cy) = shape.vertices[0], shape.centroid()
     theta0 = math.atan2(y0 - cy, x0 - cx)
     for search, goal, turn in [
@@ -281,8 +280,13 @@ def test_thin_shape_searches_return_ordered_chords_on_the_shape(
         previous = -math.inf
         for chord in chords:
             assert abs(chord.beta - goal) <= 1e-12
-            assert all(shape.on_boundary(p, 1e-9 * extent)
-                       for p in (chord.tangent_point, chord.far_point))
+            # the searches read the ends off the sweep rows, plan_excision's check
+            # off the body's exits: it may refuse only a beta too near 2/3 for a
+            # cavity, or a chord too short for its coordinates, never one off the shape
+            try:
+                plan_excision(shape, chord)
+            except ValueError as exc:
+                assert not re.search("boundary|centroid", str(exc)), exc
             # the chord's direction from theta0, to the precision its ends give it
             (ox, oy), (qx, qy) = chord.tangent_point, chord.far_point
             slack = 4.0 * sys.float_info.epsilon * max(map(abs, (ox, oy, qx, qy))) / chord.length
@@ -299,8 +303,8 @@ def test_thin_shape_searches_return_ordered_chords_on_the_shape(
 def test_polytopes_agree_on_facet_distances_and_exits(
     seed, exponent, clockwise, edge, along, tol_exponent, ratio, inside, theta
 ):
-    # a point at signed distance s from an edge's interior is within tol of the
-    # boundary exactly when |s| <= tol, as a polygon and as a simplex alike
+    # a point at signed distance s from an edge's interior is within tol of a
+    # facet exactly when |s| <= tol, as a polygon and as a simplex alike
     v = np.random.default_rng(seed).normal(size=(3, 2))
     v[:, 1] *= 10.0**exponent
     if np.linalg.det(v[1:] - v[0]) < 0.0:
@@ -321,7 +325,8 @@ def test_polytopes_agree_on_facet_distances_and_exits(
     normal = np.array([-e[edge, 1], e[edge, 0]]) / length[edge]
     s = ratio * tol if inside else -ratio * tol
     p = tuple(v[edge] + along * e[edge] + s * normal)
-    assert poly.on_boundary(p, tol) == simplex.on_boundary(p, tol) == (ratio <= 0.5)
+    near = [abs(body._facet_distances(p)).min() <= tol for body in (poly, simplex)]
+    assert near == [ratio <= 0.5] * 2
 
     # exits from the centroid: the facets the two classes cross are the same
     # lines, known to rounding, which moves a crossing at angle a by about
@@ -759,13 +764,17 @@ def test_roots_at_one_over_beta_are_within_a_float(k, beta):
        beta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                       st.sampled_from([1e-6, 0.25, 0.5])))
 def test_roots_climb_with_dimension_toward_one_over_beta(k, beta):
-    # the paper's ladder: 1/beta - x_k = (1 - beta) x_k^(-k) / beta shrinks
-    # as k grows, so x_k <= x_(k+1) <= 1/beta
+    # the paper's hierarchy: 1/beta - x_k = (1 - beta) x_k^(-k) / beta falls
+    # strictly as k grows, so x_k <= x_(k+1) <= 1/beta (equal in binary64
+    # where the gaps fall below an ulp of x)
     assume(beta < physicality_threshold(k) and 1.0 / beta < math.inf)
     ceiling = 1.0 / beta
     root, root_next = (positive_root(BalanceProblem(k=j, beta=beta)) for j in (k, k + 1))
     x, gap = root.value, root.gap
     x_next, gap_next = root_next.value, root_next.gap
+    # strictly, wherever binary64 holds the gaps: at beta = 4e-138 and k = 4
+    # both underflow to 0
+    assert gap_next < gap or gap_next == gap == 0.0
     assert x <= x_next <= ceiling
     if x == x_next:  # only where the two roots are within a float of each other
         assert gap - gap_next <= 2.0 * math.ulp(x)

@@ -1,9 +1,11 @@
 """The shared body protocol: entry validation, translation-robust moments,
 bounded-memory membership, and one pipeline for every dimension."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import sys
 import tracemalloc
@@ -167,16 +169,40 @@ def test_polytopes_carry_one_read_only_array(body):
         assert not cavity.edge_array.flags.writeable
 
 
-def test_on_boundary_tolerance_is_a_distance_on_every_polytope():
-    # (0.5, -1e-12) lies 1e-12 below the long edge of a 1e-7-thin triangle, with
-    # barycentric weight -1e-5: the tolerance must read as a distance either way
-    thin = ((0.0, 0.0), (1.0, 0.0), (0.4, 1e-7))
-    square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    cube = Hypercube(min_corner=(0.0, 0.0), side=1.0)
-    for body in (Polygon(thin), Simplex(vertices=thin), square, cube):
-        assert body.on_boundary((0.5, -1e-12), 1e-9)
-        assert not body.on_boundary((0.5, -2e-9), 1e-9)
-        assert not body.on_boundary((0.5, 2e-9), 1e-9)
+def held_arrays(body) -> list:
+    """Every array in a body's ``__dict__``, alone or in a tuple (a cache)."""
+    values = [a for v in body.__dict__.values() for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for a in values if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize(
+    "route",
+    [copy.copy, copy.deepcopy, lambda body: pickle.loads(pickle.dumps(body))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_keep_their_arrays_read_only(route):
+    # numpy hands a copy's arrays back writeable; a write to one would leave the
+    # copy's kept tuples, moments and sweep frame describing the original
+    polygon = regular_polygon(5, 1.0)
+    find_balanced_chord(polygon)  # keeps the sweep frame with the polygon
+    screened = regular_polygon(40, 1.0)
+    screened.contains(np.zeros((1, 2)))  # keeps the sector table
+    simplex = Simplex(vertices=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    cavities = [body.scaled_about(body.vertex_array[1], 0.5) for body in (polygon, simplex)]
+    assert all("vertices" not in cavity.__dict__ for cavity in cavities)  # tuples never read
+    for body in (polygon, screened, simplex, *cavities):
+        body._centroid_exits(np.eye(body.dim)[0])  # keeps the facet caches
+        assert all(not a.flags.writeable for a in held_arrays(body))
+        twin = route(body)
+        arrays = held_arrays(twin)
+        assert len(arrays) == len(held_arrays(body))
+        assert ("_sweep_frame" in twin.__dict__) == (body is polygon)
+        assert ("_sectors" in twin.__dict__) == (body is screened)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 10.0
+        assert twin == body
+        assert (twin.measure(), twin.centroid()) == (body.measure(), body.centroid())
 
 
 @pytest.mark.parametrize(

@@ -178,9 +178,11 @@ class TestConvergedRatio:
     def test_order_one_is_constant(self):
         assert converged_ratio(1, 1e-12) == 1.0
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            converged_ratio(2, 0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        # an infinite tol once returned 1.8 for the tribonacci constant 1.839...
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            converged_ratio(3, tol)
 
     def test_non_convergence_raises(self):
         with pytest.raises(ConvergenceError):
