@@ -9,18 +9,25 @@ stream, numpy's ``PCG64(SeedSequence((s, 0)))``, as a ``(k, n)`` array:
 coordinate ``j`` of point ``r`` is number ``j*n + r``, drawn by a generator
 advanced to the start of coordinate ``j``'s block.  Runs of at most 1e6
 points keep the numbers they drew when the stream was cut into batches of
-1e6.  Points are taken in chunks of ``CHUNK_ROWS`` that read each block in
-order, so the chunk size changes only how the sums round, never which
-points count.  The draws land in one of two chunk buffers allocated once per
-call, one row per coordinate, the membership kernels' fast layout; the
-points a membership test keeps are gathered by index into the other, and
-the cavity tests only the points the body kept.  Working memory is those
-buffers, ``16 * CHUNK_ROWS * k`` bytes (5.2 MB at k = 10), plus one chunk's
-kernel temporaries, whatever ``n``.  Sums and sums of squares are taken per
-chunk about the centre of the box, which keeps the variance free of
-cancellation far from the origin, and merged with exactly rounded summation.
-Where n squared offsets along an axis could overflow (a side from about
-1e154), that axis's offsets are scaled by a power of two first, which is exact.
+1e6.  Points are taken in chunks of ``2 * CHUNK_ROWS`` coordinates, that is
+``2 * CHUNK_ROWS // k`` points (32,768 in the plane, 6,553 at k = 10, 1,024
+at k = 64), that read each block in order, so the chunk size changes only
+how the sums round, never which points count.  The draws land in one of two
+chunk buffers allocated once per call, one row per coordinate, the
+membership kernels' fast layout; the points a membership test keeps are
+gathered by index into the other, and the cavity tests only the points the
+body kept.  Beside them the call allocates one work block, two floats per
+coordinate of a chunk, and lends it to every membership test as scratch
+(``contains(points, work)``), so the k-D kernels allocate nothing the size
+of a chunk.  Working memory is those three blocks, at most
+``64 * CHUNK_ROWS`` bytes (2 MiB) at every k, plus the kept points' index
+and masks, whatever ``n``.  Sums and sums of squares are taken per chunk
+about the centre of the box, which keeps the variance free of cancellation
+far from the origin, and merged with exactly rounded summation; each
+coordinate's chunk sums are folded, exactly, into a few floats whenever
+they outnumber the coordinates, so they too stay bounded.  Where n squared
+offsets along an axis could overflow (a side from about 1e154), that axis's
+offsets are scaled by a power of two first, which is exact.
 
 Rejection from the bounding box degrades with dimension (the ball fills
 fewer than 0.25% of its box at k = 10), so treat k <= 10 as the practical
@@ -35,7 +42,9 @@ import numpy as np
 
 from .shapes import Shape
 
-CHUNK_ROWS = 1 << 15  # points per chunk: the fastest of 2^13..2^16 on the mc_oracle benchmark
+# points per chunk in the plane, half a chunk's coordinates: the fastest of
+# 2^13..2^16 on the mc_oracle benchmark
+CHUNK_ROWS = 1 << 15
 
 
 def bounding_box(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +124,16 @@ def _compact(pts: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(pts, idx, axis=1, out=kept, mode="clip")
 
 
+def _fold(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of ``terms``, so that ``math.fsum``
+    rounds both lists alike: the rounded sum, then the rounded remainder, and
+    so on, each at most half an ulp of the one before."""
+    folded: list[float] = []
+    while total := math.fsum(terms + [-x for x in folded]):
+        folded.append(total)
+    return folded
+
+
 def sample_region_centroid(
     shape: Shape, cavity: Shape | None, n: int, seed: int
 ) -> McEstimate:
@@ -150,36 +169,43 @@ def sample_region_centroid(
     half = 0.5 * span
     e = np.where(half < math.sqrt(0.5 * sys.float_info.max / n), 0, np.frexp(half)[1])
 
-    # the points of a chunk and the ones a test keeps, one row per coordinate:
-    # one chunk each, reused by every chunk
-    size = min(CHUNK_ROWS, n) * dim
-    cols, kept = np.empty(size), np.empty(size)
-    lows, widths = lo.tolist(), span.tolist()
+    # a chunk holds 2 * CHUNK_ROWS coordinates at every k; the points of a
+    # chunk and the ones a test keeps, one row per coordinate, and the
+    # membership kernels' scratch, two floats per coordinate: one block each,
+    # reused by every chunk
+    rows = min(2 * CHUNK_ROWS // dim, n)
+    size = rows * dim
+    cols, kept, work = np.empty(size), np.empty(size), np.empty(2 * size)
+    lows, widths = lo[:, None], span[:, None]
+    scale = np.ldexp(1.0, -e)[:, None] if e.any() else None
     accepted = 0
     sums: list[list[float]] = [[] for _ in range(dim)]
     sq_sums: list[list[float]] = [[] for _ in range(dim)]
     rngs = _coordinate_rngs(seed, dim, n)
-    for offset in range(0, n, CHUNK_ROWS):
-        m = min(CHUNK_ROWS, n - offset)
+    for offset in range(0, n, rows):
+        m = min(rows, n - offset)
         pts = cols[: m * dim].reshape(dim, m)
-        for rng, row, low, width in zip(rngs, pts, lows, widths):
+        for rng, row in zip(rngs, pts):
             rng.random(out=row)  # the next m numbers of this coordinate's block
-            row *= width
-            row += low
-        pts = _compact(pts, shape.contains(pts.T), kept)
+        pts *= widths
+        pts += lows
+        pts = _compact(pts, shape.contains(pts.T, work), kept)
         if cavity is not None:
-            in_cavity = cavity.contains(pts.T)
+            in_cavity = cavity.contains(pts.T, work)
             # gather into whichever buffer the body's points do not occupy
             spare = kept if np.may_share_memory(pts, cols) else cols
             pts = _compact(pts, np.logical_not(in_cavity, out=in_cavity), spare)
         accepted += pts.shape[1]
         pts -= centre[:, None]
-        if e.any():
-            pts *= np.ldexp(1.0, -e)[:, None]
-        for j, d in enumerate(pts):
-            sums[j].append(float(d.sum()))
-            # einsum, not np.dot: BLAS rounds as its thread count has it
-            sq_sums[j].append(float(np.einsum("i,i->", d, d)))
+        if scale is not None:
+            pts *= scale
+        # einsum, not np.dot: BLAS rounds as its thread count has it
+        squares = np.einsum("ij,ij->i", pts, pts).tolist()
+        for acc, acc_sq, s, q in zip(sums, sq_sums, pts.sum(axis=1).tolist(), squares):
+            acc.append(s)
+            acc_sq.append(q)
+        if len(sums[0]) > dim:  # about 2 k^2 partial sums are kept, whatever n
+            sums, sq_sums = [_fold(s) for s in sums], [_fold(s) for s in sq_sums]
 
     if accepted == 0:
         raise ValueError("no samples accepted; cavity covers the body or box is degenerate")

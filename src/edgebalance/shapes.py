@@ -8,9 +8,16 @@ never asks which shape it holds:
 ``centroid()``             exact centroid, as a tuple; both moments are computed
                            and checked once, where the body is built, and kept
 ``bbox()``                 (lower, upper) corners of the axis-aligned bounding box
-``contains(points)``       membership mask for an (m, k) float array, boundary inside;
+``contains(points, work=None)``
+                           membership mask for an (m, k) float array, boundary inside;
                            it reads the array column by column, so column-major
-                           (Fortran-ordered) input is the fast layout
+                           (Fortran-ordered) input is the fast layout.  ``work``, a
+                           flat float64 block of at least 2 m k floats, is scratch
+                           that the ball, cube and simplex kernels work their (k, m)
+                           arrays in, in whole-array calls, writing before they read
+                           it; the Monte Carlo sampler lends one block, two floats per
+                           coordinate of a chunk of 2 * CHUNK_ROWS coordinates, to
+                           every call.  Without it a kernel allocates its own.
 ``exit_parameter(o, u)``   largest t with o + t*u in the body, for o in the body
 ``scaled_about(o, f)``     the image under the homothety about o with factor f > 0
 ``to_dict()``              the JSON form that ``shape_from_dict`` reads back
@@ -127,6 +134,15 @@ def _unchecked(cls, **values):
     obj = object.__new__(cls)
     obj.__dict__.update(values)
     return obj
+
+
+def _scratch(work: np.ndarray | None, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An uninitialised ``dtype`` array of ``shape``: the front of the flat
+    float64 block ``work``, viewed as ``dtype``, where one is lent, else a new
+    one.  A block too small for it raises ValueError."""
+    if work is None:
+        return np.empty(shape, dtype)
+    return work.view(dtype)[: math.prod(shape)].reshape(shape)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -541,7 +557,7 @@ class Polygon(_Polytope):
             inside[near] = self._edge_test(x[near], y[near])
         return inside
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
         table = None if len(self.vertex_array) < PREFILTER_MIN_VERTICES else self._sectors
         if table is None:
@@ -626,7 +642,7 @@ class Ellipse(ConvexBody):
         c = np.asarray(self.center)
         return c - half, c + half
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         # _frame's arithmetic in place, operation for operation
         cr, sr = math.cos(self.rotation), math.sin(self.rotation)
         a, b = self.semi_axes
@@ -713,12 +729,16 @@ class Hyperball(ConvexBody):
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        dist_sq, d = np.zeros(len(points)), np.empty(len(points))
-        for j, c in enumerate(self.center):
-            np.subtract(points[:, j], c, out=d)
-            d *= d
-            dist_sq += d
+    def contains(self, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        # the squared offsets as a (k, m) array, summed over the rows in
+        # coordinate order, as a loop over the coordinates adds them
+        x = points.T
+        k, m = x.shape
+        block = _scratch(work, (k + 1, m))
+        d, dist_sq = block[:k], block[k]
+        np.subtract(x, np.asarray(self.center)[:, None], out=d)
+        d *= d
+        np.add.reduce(d, axis=0, out=dist_sq)
         return dist_sq <= self.radius**2
 
     def exit_parameter(self, origin, u) -> float:
@@ -782,12 +802,15 @@ class Hypercube(_Polytope):
         lo = np.asarray(self.min_corner)
         return lo, lo + self.side
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        inside = np.ones(len(points), dtype=bool)
-        for j, lo in enumerate(self.min_corner):
-            column = points[:, j]
-            inside &= (column >= lo) & (column <= lo + self.side)
-        return inside
+    def contains(self, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        # both bounds of every coordinate as a (2k, m) array of flags
+        x = points.T
+        k, m = x.shape
+        lo, hi = self.bbox()
+        flags = _scratch(work, (2 * k, m), bool)
+        np.greater_equal(x, lo[:, None], out=flags[:k])
+        np.less_equal(x, hi[:, None], out=flags[k:])
+        return np.logical_and.reduce(flags, axis=0)
 
     def _facet_distances(self, p) -> np.ndarray:
         lo, hi = self.bbox()
@@ -876,13 +899,20 @@ class Simplex(_Polytope):
         rate = self._inverse_edges @ np.asarray(u, dtype=float)
         return np.concatenate(([-rate.sum()], rate)) * self._heights
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        # offsets from vertex 0 as a (k, m) array, one row per coordinate
-        d = np.empty((self.dim, len(points)))
-        for j, v0 in enumerate(self.vertex_array[0].tolist()):
-            np.subtract(points[:, j], v0, out=d[j])
-        lam = self._inverse_edges @ d
-        return np.all(lam >= 0.0, axis=0) & (lam.sum(axis=0) <= 1.0)
+    def contains(self, points: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        # offsets from vertex 0 and their weights lambda_1..lambda_k, each a
+        # (k, m) array, one row per coordinate
+        x = points.T
+        k, m = x.shape
+        block = _scratch(work, (2 * k, m))
+        d, lam = block[:k], block[k:]
+        np.subtract(x, self.vertex_array[0][:, None], out=d)
+        np.matmul(self._inverse_edges, d, out=lam)
+        # lambda_0 >= 0 is a weight sum <= 1; d's first row, free now, takes
+        # the sum and then the least weight (NaN where a weight is NaN)
+        inside = np.add.reduce(lam, axis=0, out=d[0]) <= 1.0
+        inside &= np.minimum.reduce(lam, axis=0, out=d[0]) >= 0.0
+        return inside
 
 
 Shape2D = Polygon | Circle | Ellipse
