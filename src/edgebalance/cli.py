@@ -206,7 +206,7 @@ def _load_shape(path: str) -> tuple[dict, planar.Shape]:
 
 def _parse_vector(flag: str, text: str) -> tuple[float, ...]:
     try:
-        vector = tuple(float(part) for part in text.split(","))
+        vector = tuple([float(part) for part in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
     if not all(math.isfinite(x) for x in vector):

@@ -218,10 +218,10 @@ def sample_region_centroid(
     else:
         std_error = np.full(dim, math.inf)
     return McEstimate(
-        centroid_estimate=tuple(float(x) for x in centre + np.ldexp(mean, e)),
+        centroid_estimate=tuple((centre + np.ldexp(mean, e)).tolist()),
         samples_accepted=accepted,
         samples_total=n,
-        std_error=tuple(float(x) for x in np.ldexp(std_error, e)),
+        std_error=tuple(np.ldexp(std_error, e).tolist()),
         seed=seed,
         box_volume=box_volume,
     )

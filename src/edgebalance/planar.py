@@ -163,8 +163,8 @@ def _centroid_chord(shape: Shape, u) -> Chord:
         beta = t_back / (t_far + t_back)
     return _unchecked(
         Chord,
-        tangent_point=tuple(a - t_back * b for a, b in zip(c, u)),
-        far_point=tuple(a + t_far * b for a, b in zip(c, u)),
+        tangent_point=tuple([a - t_back * b for a, b in zip(c, u)]),
+        far_point=tuple([a + t_far * b for a, b in zip(c, u)]),
         centroid=c,
         beta=beta,
     )
@@ -428,7 +428,7 @@ def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> Excis
         chord=chord,
         scale_ratio=scale_ratio,
         cavity=shape.scaled_about(o, inv),
-        balance_point=tuple(a + (b - a) * inv for a, b in zip(o, chord.far_point)),
+        balance_point=tuple([a + (b - a) * inv for a, b in zip(o, chord.far_point)]),
     )
 
 
@@ -454,7 +454,7 @@ def _tangency_chord(shape: Shape, o: Point, given: Chord | None = None) -> Chord
     oc = math.dist(c, o)
     if oc <= 1e-12 * scale:
         raise ValueError("tangency point coincides with the centroid")
-    chord = _centroid_chord(shape, tuple((b - a) / oc for a, b in zip(o, c)))
+    chord = _centroid_chord(shape, tuple([(b - a) / oc for a, b in zip(o, c)]))
     if math.dist(chord.tangent_point, o) > tol:
         raise ValueError(f"tangency point {o} is not on the shape boundary")
     if given is not None and math.dist(chord.far_point, given.far_point) > tol:
@@ -512,10 +512,10 @@ def composite_centroid(plan: ExcisionPlan) -> Point:
     for e in (0, math.frexp(a)[1]):
         w, w_cav = math.ldexp(a, -e), math.ldexp(a_cav, -e)
         inv = 1.0 / (w - w_cav)
-        com = tuple(
+        com = tuple([
             (w * c - w_cav * c_cav) * inv
             for c, c_cav in zip(plan.shape.centroid(), plan.cavity.centroid())
-        )
+        ])
         if all(map(math.isfinite, com)):
             break
     return com
@@ -627,6 +627,6 @@ def random_convex_polygon(
         xs -= xs.mean()
         ys -= ys.mean()
         try:
-            return Polygon(tuple(zip(xs.tolist(), ys.tolist())))
+            return Polygon(list(zip(xs.tolist(), ys.tolist())))
         except ValueError:
             continue  # angular ties are measure zero but cheap to resample

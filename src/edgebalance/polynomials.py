@@ -183,14 +183,6 @@ def _closed_step(beta: float, k: int, x: float) -> float:
     return (beta * d - (1.0 - beta) * (1.0 - t)) * d / ((1.0 - beta) * (1.0 - (k + 1) * t + k * t / x))
 
 
-def _step(beta: float, k: int, x: float) -> float:
-    """Newton step on ``q``: by Horner within ``1/k`` of 1, else in closed form."""
-    d = x - 1.0
-    if -1.0 < d * k < 1.0:
-        return _concave_step(beta, k, x)
-    return _closed_step(beta, k, x)
-
-
 def _gap(beta: float, k: int, x: float) -> float:
     """``1/beta - x`` by the gap identity, ``(1 - beta) * x^-k / beta``.
 
@@ -259,16 +251,23 @@ def positive_root(problem: BalanceProblem) -> RootResult:
     physical = beta < threshold or (beta == threshold and Fraction(threshold) * (k + 1) < k)
     iterations = 0
     if k == 1:
-        x = (1.0 - beta) / beta
+        x, gap = (1.0 - beta) / beta, 1.0
     else:
         lower = 1.0 if physical else (1.0 - beta) ** (1.0 / k)
-        x = max(lower, ceiling - _step(beta, k, ceiling))
-        iterations = 1
+        # one loop takes the first step, from the ceiling, kept wherever it
+        # lands (``below`` starts at -inf), and then the climb, which stops once
+        # a step no longer rises; a step raised to ``lower`` stops it just the same
+        x, below = ceiling, -math.inf
         while iterations < _MAX_NEWTON:
-            x_next = x - _step(beta, k, x)
-            if not x_next > x:
+            if -1.0 < (x - 1.0) * k < 1.0:
+                x_next = x - _concave_step(beta, k, x)
+            else:
+                x_next = x - _closed_step(beta, k, x)
+            if not x_next >= lower:
+                x_next = lower
+            if not x_next > below:
                 break
-            x = x_next
+            x = below = x_next
             iterations += 1
         c = beta - 1.0
         fx, dfx = beta, 0.0
@@ -283,6 +282,7 @@ def positive_root(problem: BalanceProblem) -> RootResult:
         if 8.0 * k * gap <= x:
             x = ceiling - gap
             iterations += 1
+            gap = _gap(beta, k, x)
     half = max(_BRACKET_WIDTH * x / 8.0, 4.0 * math.ulp(x))
     for widenings in range(2):
         lo, hi = x - half, x + half
@@ -298,7 +298,7 @@ def positive_root(problem: BalanceProblem) -> RootResult:
         bracket=(lo, hi),
         physical=physical,
         iterations=iterations + widenings,
-        gap=1.0 if k == 1 else _gap(beta, k, x),
+        gap=gap,
     )
 
 

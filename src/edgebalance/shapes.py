@@ -101,7 +101,10 @@ Point = tuple[float, ...]
 
 
 def _as_point(p) -> Point:
-    return tuple(map(float, p))
+    # built from a list, at its final length: a tuple built from an iterator
+    # starts at 10 slots and is resized, so each call moves one tuple between
+    # CPython's per-size free lists until they hold thousands idle
+    return tuple([float(x) for x in p])
 
 
 def _require_finite(what: str, *values: float) -> None:
@@ -117,7 +120,7 @@ def _check_dim(k: int) -> None:
 
 
 def _scale_point(p: Point, origin, factor: float) -> Point:
-    return tuple(o + (x - o) * factor for x, o in zip(p, origin))
+    return tuple([o + (x - o) * factor for x, o in zip(p, origin)])
 
 
 def _exp(x: float) -> float:
@@ -163,7 +166,7 @@ def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{body.kind} vertices must be finite numbers")
     v.flags.writeable = False
-    object.__setattr__(body, "vertices", tuple(map(tuple, v.tolist())))
+    object.__setattr__(body, "vertices", tuple([tuple(p) for p in v.tolist()]))
     object.__setattr__(body, "vertex_array", v)
     return v
 
@@ -178,7 +181,7 @@ class _VertexTuples:
     def __get__(self, body, owner=None):
         if body is None:  # read on the class: the dataclass field has no default
             raise AttributeError("vertices")
-        vertices = body.__dict__["vertices"] = tuple(map(tuple, body.vertex_array.tolist()))
+        vertices = body.__dict__["vertices"] = tuple([tuple(p) for p in body.vertex_array.tolist()])
         return vertices
 
 
@@ -796,7 +799,7 @@ class Hypercube(_Polytope):
 
     def _moments(self) -> tuple[float, Point]:
         half = 0.5 * self.side
-        return self.side**self.dim, tuple(c + half for c in self.min_corner)
+        return self.side**self.dim, tuple([c + half for c in self.min_corner])
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.min_corner)
@@ -939,11 +942,11 @@ def regular_polygon(
     cx, cy = _as_point(center)
     step = 2.0 * math.pi / n
     return Polygon(
-        tuple(
+        [
             (cx + circumradius * math.cos(orientation + step * i),
              cy + circumradius * math.sin(orientation + step * i))
             for i in range(n)
-        )
+        ]
     )
 
 
