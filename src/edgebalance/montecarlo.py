@@ -87,7 +87,10 @@ class McEstimate:
 
     ``std_error`` is the per-coordinate sample standard deviation divided by
     the square root of the accepted count; the acceptance fraction times
-    ``box_volume`` estimates the region's area/volume.
+    ``box_volume`` estimates the region's area/volume.  A box whose volume
+    binary64 does not hold (a 10-ball of radius 3.6e30 holds its measure,
+    about 1e306, but not its box's) has ``box_volume`` and ``region_measure``
+    inf; the centroid estimate is unaffected.
     """
 
     centroid_estimate: tuple[float, ...]
@@ -144,7 +147,8 @@ def sample_region_centroid(
     an ``n`` that is not an integer of at least 1000, a seed that is not a
     non-negative integer (numpy integers count as integers), a cavity of
     another dimension, and when nothing is accepted (cavity covering the
-    body, or hopeless acceptance).
+    body, a degenerate box, or a body that fills too little of its box, as a
+    64-ball fills about 1.7e-39 of its box).
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"sample count must be an integer, got {n!r}")
@@ -162,7 +166,7 @@ def sample_region_centroid(
     span = hi - lo
     centre = 0.5 * (lo + hi)
     dim = lo.size
-    box_volume = float(np.prod(span))
+    box_volume = math.prod(span.tolist())  # inf, with no warning, beyond binary64
     # offsets from the centre reach half the span: on an axis where n of their
     # squares could overflow, sum them times 2**-e (exact) and scale its
     # results back; other axes keep e = 0
@@ -208,7 +212,8 @@ def sample_region_centroid(
             sums, sq_sums = [_fold(s) for s in sums], [_fold(s) for s in sq_sums]
 
     if accepted == 0:
-        raise ValueError("no samples accepted; cavity covers the body or box is degenerate")
+        raise ValueError("no samples accepted; the cavity covers the body, the box is "
+                         "degenerate, or the body fills too little of its box")
     # exactly rounded merge keeps the result independent of chunk order
     mean = np.array([math.fsum(s) for s in sums]) / accepted
     total_sq = np.array([math.fsum(s) for s in sq_sums])

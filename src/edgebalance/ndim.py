@@ -11,11 +11,13 @@ planar ones included; hyperballs, axis-aligned hypercubes and simplices are
 the k-dimensional families with closed-form volume and centroid, so
 verification stays exact; general convex polytopes (which would need k-dim
 triangulation) are out of scope.  Bodies are checked where they enter, in
-their constructors (finite numbers, positive sizes, non-degenerate simplices,
-1 <= k <= 64).  The tangency point O fixes the whole chord, which runs from O
-through the centroid C and is built from C; O is refused unless it lies,
-within the boundary tolerance, where the ray from C through O leaves the
-body.  That is the one check every plan makes, here and in ``plan_excision``
+their constructors (finite numbers, positive sizes, simplices whose edge
+matrix has its least singular value above 1e-12 times its greatest, so that
+no rotation, scale or shift changes the verdict, 1 <= k <= 64).  The
+tangency point O fixes the whole chord, which runs from O through the
+centroid C and is built from C; O is refused unless it lies, within the
+boundary tolerance, where the ray from C through O leaves the body.  That is
+the one check every plan makes, here and in ``plan_excision``
 (``planar._tangency_chord``).
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
@@ -104,7 +106,7 @@ def balanced_boundary_point(shape: ShapeKd) -> Point:
     if shape.centrally_symmetric:
         x0, *rest = c
         return (x0 - shape.exit_parameter(c, (-1.0,) + (0.0,) * len(rest)), *rest)
-    if len(shape.vertices) != shape.dim + 1:
+    if len(shape.vertex_array) != shape.dim + 1:
         raise ValueError("balanced_boundary_point needs a centrally symmetric body or a simplex")
     v0, v1 = shape.vertex_array[:2]
     return _as_point(np.asarray(c) + (v1 - v0) / (shape.dim + 1))

@@ -52,7 +52,9 @@ from .shapes import (  # the planar shape API is re-exported from here
     Polygon,
     Shape,
     Shape2D,
+    Simplex,
     _as_point,
+    _edge_array,
     _unchecked,
     regular_polygon,
     shape_from_dict,
@@ -235,10 +237,10 @@ def _sweep_frame(shape: Shape2D) -> tuple:
     """
     if "_sweep_frame" in shape.__dict__:
         return shape.__dict__["_sweep_frame"]
-    v, e = shape.vertex_array, getattr(shape, "edge_array", None)
-    if e is None:  # a 2-D simplex forms its own edges, walked counterclockwise
-        v = v[[0, 2, 1]] if np.linalg.det(v[1:] - v[0]) < 0.0 else v
-        e = np.concatenate((v[1:], v[:1])) - v
+    v = shape.vertex_array
+    if isinstance(shape, Simplex) and np.linalg.det(v[1:] - v[0]) < 0.0:
+        v = v[[0, 2, 1]]  # its edges walked counterclockwise, as a polygon's are
+    e = _edge_array(v)
     p = v - np.asarray(shape.centroid())
     d = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]  # d_i, with n_i = (e_y, -e_x)
     theta0 = math.atan2(p[0, 1], p[0, 0])

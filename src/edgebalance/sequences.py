@@ -12,7 +12,10 @@ convergence measurements carry no accumulated rounding.
 """
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice, pairwise
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -61,6 +64,17 @@ def _validate_order(k: int) -> None:
         raise ValueError(f"order must be a positive integer, got {k!r}")
 
 
+def _terms(seeds: tuple[int, ...]) -> Iterator[int]:
+    """The seeds, then without end each term the sum of the k before it, the
+    window sum kept up to date in O(1) integer operations a term."""
+    window, window_sum = deque(seeds), sum(seeds)
+    yield from seeds
+    while True:
+        yield window_sum
+        window.append(window_sum)
+        window_sum += window_sum - window.popleft()
+
+
 def generate(k: int, seeds: list[int] | tuple[int, ...], count: int) -> KnacciSequence:
     """Generate the first ``count`` terms from ``k`` seed values.
 
@@ -82,13 +96,7 @@ def generate(k: int, seeds: list[int] | tuple[int, ...], count: int) -> KnacciSe
     if count < k:
         raise ValueError(f"count must be at least the order ({k}), got {count}")
 
-    terms = list(seeds)
-    window_sum = sum(seeds)
-    while len(terms) < count:
-        nxt = window_sum
-        window_sum += nxt - terms[len(terms) - k]
-        terms.append(nxt)
-    return KnacciSequence(k=k, seeds=seeds, terms=tuple(terms))
+    return KnacciSequence(k=k, seeds=seeds, terms=tuple(islice(_terms(seeds), count)))
 
 
 def doubling_prefix(k: int, count: int) -> DoublingSequence:
@@ -96,23 +104,14 @@ def doubling_prefix(k: int, count: int) -> DoublingSequence:
 
     Each term after the seed block is the sum of every term before it,
     so the values run 1, 1, 2, 4, 8, 16, ... with ratios exactly 2 from the
-    second nonzero term on.
+    second nonzero term on: term k + j is 2^j, and the doubling runs from
+    index k + 1 to the end.
     """
     _validate_order(k)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    terms = [0] * (k - 1) + [1]
-    total = 1
-    while len(terms) < count:
-        terms.append(total)
-        total += total
-    terms = terms[:count]
-
-    span = None
-    for i in range(1, len(terms)):
-        if terms[i - 1] > 0 and terms[i] == 2 * terms[i - 1]:
-            span = (i, len(terms) - 1)
-            break
+    terms = ([0] * (k - 1) + [1] + [1 << j for j in range(count - k)])[:count]
+    span = (k + 1, count - 1) if count > k + 1 else None
     return DoublingSequence(k=k, terms=tuple(terms), doubling_span=span)
 
 
@@ -140,15 +139,11 @@ def converged_ratio(k: int, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> f
     _validate_order(k)
     if not 0.0 < tol < math.inf:  # inf would stop at the second ratio
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    terms = [1] * k
-    window_sum = k
     prev_ratio = None
     small_streak = 0
-    while len(terms) < max_terms:
-        nxt = window_sum
-        window_sum += nxt - terms[len(terms) - k]
-        terms.append(nxt)
-        r = terms[-1] / terms[-2]
+    # the ratio of each term past the seeds to the one before, within max_terms
+    for prev, term in pairwise(islice(_terms((1,) * k), k - 1, max(max_terms, 0))):
+        r = term / prev
         if prev_ratio is not None:
             if abs(r - prev_ratio) < tol:
                 small_streak += 1

@@ -30,12 +30,14 @@ the centroid are kept with the body, and one evaluation of the rates along
 u yields both ends, the exit along u from the facets of negative rate and
 the exit along -u from those of positive rate, each the same float as
 ``exit_parameter`` gives.
-Polygons and simplices also carry ``vertices`` (tuples of floats) and
-``vertex_array``, the same numbers as one read-only float64 array built
-once, which their methods read.  A polygon also keeps the edges its
-validation forms as the read-only ``edge_array``, row i being vertex i + 1
-minus vertex i.  Every array a body holds, its caches included, is
-read-only, and so is every array of a copy (``copy``, ``pickle``).
+Polygons and simplices hold their vertices as ``vertex_array``, one
+read-only float64 array built once, which their methods read.  Two facts are
+derived from it on first read, and kept: ``vertices``, the same numbers as
+tuples of Python floats, and a polygon's read-only ``edge_array``, row i
+being vertex i + 1 minus vertex i (a polygon built from input keeps the
+edges its validation forms).  Every array a body holds, its caches
+included, is read-only, and so is every array of a copy (``copy``,
+``pickle``).
 
 A polygon of at least ``PREFILTER_MIN_VERTICES`` vertices screens the
 points of ``contains`` before its edge test, with a table of
@@ -55,16 +57,18 @@ and every polygon with a table takes the one route.
 Input is checked where it enters, in each class's constructor: every
 coordinate and size must be a finite number, sizes positive, polygons
 strictly convex, counterclockwise and winding exactly once (checked in
-vectorised form on the array), simplices non-degenerate, dimensions in 1..64,
-the measure a positive normal float and the centroid finite.  A body derived
-from a checked one trusts that check: ``scaled_about`` checks only its origin
-and factor, since a positive homothety keeps a body convex, counterclockwise
-and non-degenerate, and builds the image without the constructor.  Only the
-image's moments, and a ball's radius squared, are checked, computed by
-formula as at construction, so that a measure the scaling takes out of
-binary64 is still refused.  A polygon's or simplex's image holds only its
-vertex array: its ``vertices`` tuples are made from that array, and kept,
-the first time they are read, since planning and verification never read them.
+vectorised form on the array), simplices affinely independent (the least
+singular value of the edges out of vertex 0 above 1e-12 times the greatest,
+a numerical rank that rotation, scale and shift leave alone), dimensions in
+1..64, the measure a positive normal float and the centroid finite.  A body
+derived from a checked one trusts that check: ``scaled_about`` checks only
+its origin and factor, since a positive homothety keeps a body convex,
+counterclockwise and non-degenerate, and builds the image without the
+constructor.  Only the image's moments, and a ball's radius squared, are
+checked, computed by formula as at construction, so that a measure the
+scaling takes out of binary64 is still refused.  A polygon's or simplex's
+image holds only its vertex array, and planning and verification read
+neither its tuples nor its edges.
 
 Where a ball's r^k or a simplex's determinant overflows, its measure is taken
 in logarithms (``math.lgamma``, ``np.linalg.slogdet``); where a polygon's fan
@@ -123,14 +127,6 @@ def _scale_point(p: Point, origin, factor: float) -> Point:
     return tuple([o + (x - o) * factor for x, o in zip(p, origin)])
 
 
-def _exp(x: float) -> float:
-    """exp(x), inf beyond binary64."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _unchecked(cls, **values):
     """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
     without ``__post_init__``: for objects built from others already checked."""
@@ -155,27 +151,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
-    """Store ``body.vertices`` as tuples of floats and as the read-only (n, width)
-    float64 ``body.vertex_array``; ragged vertices raise ``shape_error``."""
+    """Store the input ``body.vertices`` as the read-only (n, width) float64
+    ``body.vertex_array`` in its place; ragged vertices raise ``shape_error``."""
+    vertices = body.__dict__.pop("vertices")
     try:
-        v = np.array(body.vertices, dtype=float)
+        v = np.array(vertices, dtype=float)
     except ValueError:  # ragged, or a value that float() refuses and _as_point names
-        v = [_as_point(p) for p in body.vertices]
-    if getattr(v, "shape", None) != (len(body.vertices), width):
+        v = [_as_point(p) for p in vertices]
+    if getattr(v, "shape", None) != (len(vertices), width):
         raise ValueError(shape_error)
     if not np.isfinite(v).all():
         raise ValueError(f"{body.kind} vertices must be finite numbers")
-    v.flags.writeable = False
-    object.__setattr__(body, "vertices", tuple([tuple(p) for p in v.tolist()]))
-    object.__setattr__(body, "vertex_array", v)
+    object.__setattr__(body, "vertex_array", _read_only(v))
     return v
 
 
 class _VertexTuples:
-    """The ``vertices`` field of a polygon or simplex.  The constructor stores
-    the tuples; an image built by ``scaled_about`` holds only its
-    ``vertex_array``, and its tuples are made from that array, and kept, the
-    first time they are read.  A non-data descriptor: once stored, the tuples
+    """The ``vertices`` field of a polygon or simplex: tuples of Python floats
+    made from ``vertex_array``, and kept, the first time they are read, by
+    every body, built or scaled.  A non-data descriptor: once kept, the tuples
     are read from the instance without calling it."""
 
     def __get__(self, body, owner=None):
@@ -226,7 +220,7 @@ class ConvexBody:
         that is not a positive normal float, or a centroid not finite."""
         try:
             measure, centroid = self._moments()
-        except OverflowError:  # a cube's side raised to the power k, a polygon's area scaled back
+        except OverflowError:  # a power, an exponential, or a polygon's area scaled back
             measure, centroid = math.inf, ()
         if not sys.float_info.min <= measure < math.inf:
             raise ValueError(f"{self.kind} measure {measure!r} is not a positive normal float")
@@ -370,7 +364,7 @@ class Polygon(_Polytope):
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
         v = _vertex_array(self, 2, "polygon vertices must be 2-D points")
         e = _edge_array(v)
-        object.__setattr__(self, "edge_array", e)
+        object.__setattr__(self, "edge_array", e)  # the cached property, seeded
         f = np.concatenate((e[1:], e[:1]))  # edge i + 1, meeting edge i at vertex i + 1
         with np.errstate(over="ignore", invalid="ignore"):  # finite but huge coordinates
             turn = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
@@ -391,10 +385,10 @@ class Polygon(_Polytope):
     def dim(self) -> int:
         return 2
 
-    def _scaled(self, o: Point, f: float) -> dict:
-        fields = super()._scaled(o, f)
-        fields["edge_array"] = _edge_array(fields["vertex_array"])
-        return fields
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Row i is vertex i + 1 minus vertex i, read-only."""
+        return _edge_array(self.vertex_array)
 
     def _moments(self) -> tuple[float, Point]:
         """Area and centroid from a triangle fan at vertex 0, on arrays.
@@ -723,7 +717,7 @@ class Hyperball(ConvexBody):
         except OverflowError:
             measure = math.inf
         if measure == math.inf:
-            measure = _exp(
+            measure = math.exp(
                 0.5 * k * math.log(math.pi) + k * math.log(self.radius) - math.lgamma(0.5 * k + 1.0)
             )
         return measure, self.center
@@ -840,9 +834,10 @@ class Simplex(_Polytope):
         k = len(self.vertices) - 1
         _check_dim(k)
         _vertex_array(self, k, f"a {k}-simplex needs {k + 1} vertices of dimension {k}")
-        scale = float(np.max(np.abs(self._edge_matrix()))) or 1.0
-        # |det| >= 1e-12 scale^k, in logarithms so that neither side overflows
-        if not self._determinant[1] >= math.log(1e-12) + k * math.log(scale):
+        # numerical rank (Golub and Van Loan, 5.4), which rotation, scale and
+        # shift leave alone; a product, so that a singular matrix divides nothing
+        s = np.linalg.svd(self._edge_matrix(), compute_uv=False)
+        if not s[-1] > 1e-12 * s[0]:
             raise ValueError("simplex vertices are affinely dependent")
         self._require_moments()
 
@@ -861,24 +856,15 @@ class Simplex(_Polytope):
         )
         return np.concatenate(([1.0 - lam.sum()], lam))
 
-    @cached_property
-    def _determinant(self) -> tuple[float, float]:
-        """|det| of the edge matrix, one factorisation for the degeneracy test
-        and the measure, and its logarithm: from ``slogdet`` where the
-        determinant overflows, or underflows to 0 (a measure refused, but not
-        as affinely dependent)."""
-        edges = self._edge_matrix()
+    def _moments(self) -> tuple[float, Point]:
+        """|det| / k! of the edge matrix and the vertex mean; log |det|
+        (``slogdet``) where the determinant overflows although the measure
+        may not."""
+        k, edges = self.dim, self._edge_matrix()
         with np.errstate(over="ignore"):
             det = abs(float(np.linalg.det(edges)))
-        return det, math.log(det) if 0.0 < det < math.inf else float(np.linalg.slogdet(edges)[1])
-
-    def _moments(self) -> tuple[float, Point]:
-        """|det| / k! and the vertex mean; log |det| where the determinant
-        overflows although the measure may not."""
-        k = self.dim
-        det, log_det = self._determinant
         if det == math.inf:
-            measure = _exp(log_det - math.lgamma(k + 1.0))
+            measure = math.exp(float(np.linalg.slogdet(edges)[1]) - math.lgamma(k + 1.0))
         else:
             measure = det / math.factorial(k)
         return measure, _as_point(self.vertex_array.mean(axis=0))

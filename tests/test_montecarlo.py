@@ -499,6 +499,23 @@ class TestHugeBodies:
         assert b.centroid_estimate == (math.ldexp(a.centroid_estimate[0], 508), a.centroid_estimate[1])
         assert b.std_error == (math.ldexp(a.std_error[0], 508), a.std_error[1])
 
+    def test_a_box_beyond_binary64_has_an_infinite_volume(self):
+        # this 10-ball's measure is about 1e306, but its box's volume (7.2e30)^10
+        # is not a float: the volume is inf, taken without a RuntimeWarning
+        # (raised as an error here), and the estimate is finite
+        ball = Hyperball(center=(0.0,) * 10, radius=3.6e30)
+        est = sample_region_centroid(ball, None, 10_000, 2)
+        assert est.box_volume == est.region_measure == math.inf
+        assert est.samples_accepted > 0
+        assert all(map(math.isfinite, est.centroid_estimate + est.std_error))
+
+    def test_a_body_that_fills_too_little_of_its_box_is_named(self):
+        # a 64-ball fills about 1.7e-39 of its box: no cavity covers it and its
+        # box is not degenerate, yet no point lands in it
+        ball = Hyperball(center=(0.0,) * 64, radius=1e5)
+        with pytest.raises(ValueError, match="no samples accepted.*fills too little of its box"):
+            sample_region_centroid(ball, None, 1000, 1)
+
 
 def _layouts(pts):
     return [np.ascontiguousarray(pts), np.asfortranarray(pts)]

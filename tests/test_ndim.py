@@ -93,8 +93,26 @@ class TestCentroid:
 
 class TestShapeValidation:
     def test_rejects_degenerate_simplex(self):
-        with pytest.raises(ValueError, match="dependent"):
-            Simplex(vertices=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
+        # collinear vertices, and vertices that all coincide at k = 1, 2, 5
+        for vertices in ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), *(((0.5,) * k,) * (k + 1) for k in (1, 2, 5)):
+            with pytest.raises(ValueError, match="simplex vertices are affinely dependent"):
+                Simplex(vertices=vertices)
+
+    def test_well_conditioned_images_of_a_simplex_are_built(self):
+        # the unit corner 11-simplex under A = Q1 diag(s) Q2, s log-uniform in
+        # [1, 1e3] with both ends taken: cond(A) = 1e3, nine decades short of
+        # the singular values' 1e-12 threshold.  A rule that compared |det|
+        # with the largest edge coordinate to the power k refused 95 of these
+        k = 11
+        rng = np.random.default_rng(0)
+        corner = np.vstack([np.zeros(k), np.eye(k)])
+        for _ in range(200):
+            q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+            u = rng.uniform(0.0, 1.0, k)
+            u[0], u[-1] = 0.0, 1.0
+            a = (q1 * 1e3**u) @ q2
+            simplex = Simplex(vertices=tuple(map(tuple, corner @ a.T)))
+            assert simplex.measure() == pytest.approx(abs(np.linalg.det(a)) / math.factorial(k))
 
     def test_rejects_wrong_vertex_dimensions(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,24 @@ def test_polytopes_carry_one_read_only_array(body):
         assert not cavity.edge_array.flags.writeable
 
 
+def test_a_cavity_builds_no_edges_or_tuples_unless_they_are_read():
+    # a built polygon keeps the edges its validation forms, but not its input:
+    # its tuples are made from its array on first read, the input as floats
+    given = [[0, 0], [3, 0.5], [4, 2], [1, 3]]
+    polygon = Polygon(given)
+    assert "edge_array" in polygon.__dict__ and "vertices" not in polygon.__dict__
+    assert polygon.vertices == tuple(tuple(float(x) for x in p) for p in given)
+    assert all(type(x) is float for p in polygon.vertices for x in p)
+    # planning and exact verification read neither of the cavity's
+    plan = plan_excision(polygon, find_balanced_chord(polygon))
+    assert verify_balance(plan).passed
+    assert "edge_array" not in plan.cavity.__dict__ and "vertices" not in plan.cavity.__dict__
+    v = plan.cavity.vertex_array
+    edges = plan.cavity.edge_array
+    assert edges.tobytes() == (np.roll(v, -1, axis=0) - v).tobytes()
+    assert plan.cavity.edge_array is edges and not edges.flags.writeable
+
+
 def held_arrays(body) -> list:
     """Every array in a body's ``__dict__``, alone or in a tuple (a cache)."""
     values = [a for v in body.__dict__.values() for a in (v if isinstance(v, tuple) else (v,))]
@@ -493,8 +511,8 @@ def test_scaled_about_checks_its_own_arguments(body):
 
 
 def test_a_simplex_cavity_takes_one_determinant(monkeypatch):
-    # and so does a simplex built from input: its degeneracy test and its
-    # measure read the same factorisation
+    # and so does a simplex built from input, for its measure: its degeneracy
+    # test reads the singular values, which take no determinant
     vertices = tuple(map(tuple, np.random.default_rng(4).normal(size=(6, 5))))
     calls = 0
     det = np.linalg.det

@@ -452,6 +452,19 @@ class TestMonteCarloVerdict:
         report = RunReport.from_json(out)
         assert report.passed and all(map(math.isfinite, report.mc_std_error))
 
+    def test_a_ball_whose_box_overflows_verifies(self, capsys, tmp_path):
+        # the measure of this 10-ball is about 1e306, the volume of its box
+        # beyond binary64: exit 0 with no RuntimeWarning (raised as an error here)
+        path = tmp_path / "ball10.json"
+        path.write_text(json.dumps({"type": "hyperball", "center": [0] * 10, "radius": 3.6e30}))
+        code, out, err = run_cli(
+            capsys, "excise-kd", "--shape", str(path), "--o=-3.6e30" + ",0" * 9, "--verify", "mc",
+            "--format", "json",
+        )
+        assert code == 0, err
+        report = RunReport.from_json(out)
+        assert report.passed and report.mc_accepted >= cli.MC_MIN_ACCEPTED
+
     def test_bound_is_four_sigma_in_the_plane_and_holds_the_rate_above(self):
         from statistics import NormalDist
 

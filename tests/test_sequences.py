@@ -185,8 +185,11 @@ class TestConvergedRatio:
             converged_ratio(3, tol)
 
     def test_non_convergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            converged_ratio(2, 1e-15, max_terms=6)
+        # six terms stop short of the limit; a budget of no more terms than
+        # seeds leaves no ratio at all
+        for k, max_terms in ((2, 6), (5, 5), (5, 3), (5, 0), (3, -1)):
+            with pytest.raises(ConvergenceError):
+                converged_ratio(k, 1e-15, max_terms=max_terms)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_agrees_with_root_solver(self, k):
