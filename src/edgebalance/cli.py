@@ -218,9 +218,8 @@ def cmd_excise(args) -> int:
     from . import planar
 
     started = time.perf_counter()
+    # the chord search and chord_through_centroid refuse a body that is not planar
     shape_dict, shape = _load_shape(args.shape)
-    if shape.dim != 2:
-        raise ValueError(f"excise needs a planar shape, got dimension {shape.dim}; use excise-kd")
     if args.theta == "auto":
         chord = planar.find_balanced_chord(shape, tol=args.tol)
     else:

@@ -15,9 +15,9 @@ their constructors (finite numbers, positive sizes, simplices whose edge
 matrix has its least singular value above 1e-12 times its greatest, so that
 no rotation, scale or shift changes the verdict, 1 <= k <= 64).  The
 tangency point O fixes the whole chord, which runs from O through the
-centroid C and is built from C; O is refused unless it lies, within the
-boundary tolerance, where the ray from C through O leaves the body.  That is
-the one check every plan makes, here and in ``plan_excision``
+centroid C and is built from C; O is refused unless it lies, within 1e-9
+times the body's extent, where the ray from C through O leaves the body.
+That is the one check every plan makes, here and in ``plan_excision``
 (``planar._tangency_chord``).
 
 Balls and cubes are centrally symmetric, so every chord through the centroid
@@ -81,11 +81,13 @@ def plan_excision_kd(shape: ShapeKd, tangent_point) -> ExcisionPlan:
 
     O fixes the direction u = (C - O)/|OC| towards the centroid C.  The chord
     is built from C by the one check ``plan_excision`` also makes,
-    ``planar._tangency_chord``: O is refused unless it lies within the
-    boundary tolerance of the chord's tangency end (on a convex body the ray
-    from C through a boundary point leaves there).  As in ``plan_excision``,
-    the scale ratio is the ``positive_root`` value for ``k`` and the chord's
-    beta.  Requires ``beta < k/(k+1)``, otherwise the balance root does not
+    ``planar._tangency_chord``: O is refused unless it lies within 1e-9
+    times the body's extent (the largest side of its bounding box) of the
+    chord's tangency end (on a convex body the ray from C through a boundary
+    point leaves there).  The tolerance scales with the body, so a circle
+    of radius 1e-12 refuses a point 100 radii out, as a unit circle does.  As
+    in ``plan_excision``, the scale ratio is the ``positive_root`` value for
+    ``k`` and the chord's beta.  Requires ``beta < k/(k+1)``, otherwise the balance root does not
     exceed 1 and PhysicalityError is raised.
     """
     o = _as_point(tangent_point)

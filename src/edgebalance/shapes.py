@@ -604,9 +604,11 @@ class Ellipse(ConvexBody):
         center = _as_point(self.center)
         if len(center) != 2:
             raise ValueError(f"ellipse center must be a 2-D point, got {center}")
-        a, b = self.semi_axes
+        semi_axes = _as_point(self.semi_axes)
+        if len(semi_axes) != 2:
+            raise ValueError(f"ellipse semi_axes must be two numbers, got {semi_axes}")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "semi_axes", (float(a), float(b)))
+        object.__setattr__(self, "semi_axes", semi_axes)
         object.__setattr__(self, "rotation", float(self.rotation))
         _require_finite(
             "ellipse center, semi-axes and rotation", *center, *self.semi_axes, self.rotation
@@ -923,6 +925,9 @@ def regular_polygon(
         raise ValueError(f"need at least 3 sides, got {n}")
     if n > MAX_REGULAR_POLYGON_SIDES:
         raise ValueError(f"at most {MAX_REGULAR_POLYGON_SIDES} sides, got {n}")
+    for name, value in (("circumradius", circumradius), ("orientation", orientation)):
+        if not math.isfinite(value):
+            raise ValueError(f"regular polygon {name} must be a finite number, got {value!r}")
     if not circumradius > 0.0:
         raise ValueError(f"circumradius must be positive, got {circumradius}")
     cx, cy = _as_point(center)

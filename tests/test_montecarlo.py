@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -892,6 +893,42 @@ def _traced_peak(body, n=1_000_000):
 )
 def test_sampler_memory_is_bounded(body):
     assert _traced_peak(body) < 4_000_000
+
+
+CLI_PEAK = """
+import sys
+from edgebalance import cli, montecarlo, ndim, planar, svg
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:"))
+
+base = peak_mb()
+code = cli.main(sys.argv[1:])
+print(code, peak_mb() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM, Linux only")
+def test_a_cli_check_of_a_64_cube_peaks_under_10_mb_above_its_imports(tmp_path):
+    # the peak resident set of the whole run, which tracemalloc does not see
+    # (numpy's and the interpreter's own pages), read around cli.main in a
+    # fresh interpreter so that neither the imports nor earlier tests count.
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts from the resident set
+    # its parent had when it forked, which hides the run's own growth.  About
+    # 3.5 MB with chunks of 2 * CHUNK_ROWS coordinates (1,024 points at
+    # k = 64); about 23 MB with chunks of 32,768 points at every k
+    shape = tmp_path / "cube64.json"
+    shape.write_text(json.dumps({"type": "hypercube", "min_corner": [0] * 64, "side": 1}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", CLI_PEAK, "excise-kd", "--shape", str(shape),
+         "--o=0" + ",0.5" * 63, "--verify", "mc", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    code, grew = run.stdout.split()[-2:]
+    assert int(code) == 0 and float(grew) < 10.0, run.stderr
 
 
 def test_sampler_memory_is_bounded_up_to_refusal():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from edgebalance.planar import (
     verify_balance,
 )
 from edgebalance.polynomials import PhysicalityError
-from edgebalance.shapes import Hypercube, Simplex
+from edgebalance.shapes import Hyperball, Hypercube, Simplex
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -590,6 +593,35 @@ class TestBoundaryPoints:
         for p in boundary_points(Circle(center=(1.0, 1.0), radius=2.0), 17):
             assert math.dist(p, (1.0, 1.0)) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "body",
+        [Hyperball(center=(0.0, 0.0, 0.0), radius=1.0), Hyperball(center=(0.0, 0.0), radius=1.0),
+         Hypercube(min_corner=(0.0, 0.0), side=1.0), Simplex(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))],
+        ids=lambda b: f"{b.kind}{b.dim}",
+    )
+    def test_other_bodies_are_refused_by_kind_and_dimension(self, body):
+        with pytest.raises(ValueError, match=f"got a {body.kind} of dimension {body.dim}"):
+            boundary_points(body, 8)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [find_balanced_chord, scan_balanced_chords, lambda s: find_chord_with_beta(s, 0.4),
+     lambda s: chord_through_centroid(s, 0.3)],
+    ids=["find_balanced_chord", "scan_balanced_chords", "find_chord_with_beta", "chord_through_centroid"],
+)
+@pytest.mark.parametrize(
+    "body",
+    [Hyperball(center=(0.0, 0.0, 0.0), radius=1.0), Hyperball(center=(0.0,), radius=1.0),
+     Simplex(vertices=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))],
+    ids=lambda b: f"{b.kind}{b.dim}",
+)
+def test_planar_entries_refuse_a_body_that_is_not_planar(entry, body):
+    # not numpy's "shapes (3,) and (2,) not aligned", nor a RuntimeWarning and
+    # "too many values to unpack" from the sweep
+    with pytest.raises(ValueError, match=f"a planar shape is needed, got a {body.kind} of dimension {body.dim}"):
+        entry(body)
+
 
 class TestRandomConvexPolygon:
     def test_exact_vertex_count(self):
@@ -601,3 +633,26 @@ class TestRandomConvexPolygon:
         a = random_convex_polygon(12, np.random.default_rng(99))
         b = random_convex_polygon(12, np.random.default_rng(99))
         assert a == b
+
+    def test_a_scale_that_no_polygon_is_drawn_at_is_refused(self):
+        # Every draw at these scales was refused and redrawn without end.  A
+        # fresh interpreter with a timeout, so that a hang fails the test, not
+        # the suite: zero and scales that are not finite are refused by name,
+        # and at 1e-200 and 1e200, where the polygon check refuses every draw,
+        # its last refusal is raised.
+        code = (
+            "import numpy as np\n"
+            "from edgebalance.planar import random_convex_polygon\n"
+            "for scale in (0.0, float('nan'), float('inf'), -float('inf'), 1e-200, 1e200):\n"
+            "    try:\n"
+            "        random_convex_polygon(5, np.random.default_rng(0), scale=scale)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(planar.__file__)))
+        run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[:4] == [f"scale must be finite and nonzero, got {s}" for s in ("0.0", "nan", "inf", "-inf")]
+        assert len(lines) == 6

@@ -42,6 +42,7 @@ from edgebalance.planar import (
 from edgebalance.polynomials import (
     MAX_DIMENSION,
     BalanceProblem,
+    PhysicalityError,
     RootSolverError,
     physicality_threshold,
     positive_root,
@@ -554,6 +555,33 @@ def test_cavity_is_the_body_its_numbers_build(seed, family, k, tangent, factor):
         if hasattr(checked, name):
             assert getattr(cavity, name).tobytes() == getattr(checked, name).tobytes()
             assert not getattr(cavity, name).flags.writeable
+
+
+def plan_outcome(body, o) -> tuple:
+    """The plan's beta and ratio as hex, or the refusal with its numbers left out."""
+    try:
+        plan = plan_excision_kd(body, o)
+    except (ValueError, PhysicalityError) as exc:
+        return type(exc).__name__, re.sub(r"-?\d[\d.e+-]*", "#", str(exc))
+    return plan.beta.hex(), plan.scale_ratio.hex()
+
+
+@PROPERTY
+@given(seed=seeds, family=st.sampled_from(FAMILIES), k=st.integers(1, 12),
+       offset=st.sampled_from([0.0, 1e-3, -1e-3, 0.5, -0.5, -1.0]), power=st.integers(-80, 80))
+def test_belonging_verdict_and_ratio_do_not_depend_on_scale(seed, family, k, offset, power):
+    # The paper's ratio does not depend on the body's size, and neither may the
+    # belonging check.  O is a chord's tangency end moved along the chord by
+    # offset times its tangency side: on the boundary, 1e-3 of it in or out (a
+    # million tolerances), halfway, or at the centroid.  Scaling the body and O
+    # by 2^power is exact, and up to k = 12 keeps every measure a normal float,
+    # so the verdict and the bits of beta and the ratio must not change.
+    body = body_of(family, seed, k)
+    chord = planar._centroid_chord(body, unit_vector(np.random.default_rng([seed, 3]), body.dim))
+    o = [t + offset * (t - c) for t, c in zip(chord.tangent_point, chord.centroid)]
+    factor = math.ldexp(1.0, power)
+    scaled = body.scaled_about((0.0,) * body.dim, factor)
+    assert plan_outcome(scaled, [x * factor for x in o]) == plan_outcome(body, o)
 
 
 def rebuilt(chord: Chord) -> Chord:

@@ -65,6 +65,11 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
         (["excise-kd", "--o=-inf,0,0"], BALL3, "finite"),
         (["excise-kd", "--o=-1,nan,0"], BALL3, "finite"),
         (["excise"], BALL3, "planar shape"),
+        (["excise"], {"type": "simplex", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "a planar shape is needed, got a simplex of dimension 3"),
+        # the ray from the centroid through this point leaves the ball at (0.1, -1.1, 0.25)
+        (["excise-kd", "--o=0.1,-0.9,0.25"], {"type": "hyperball", "center": [0.1, -0.4, 0.25], "radius": 0.7},
+         "error: tangency point (0.1, -0.9, 0.25) is not on the shape boundary"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]}, "malformed"),
         (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "at most 100000 sides"),
         # each polygon check, with its own message
@@ -91,6 +96,16 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
          "ellipse shape does not take 'rotaton'"),
         (["excise"], {"type": "circle", "center": [0, 0], "radius": 1, "colour": "red"},
          "circle shape does not take 'colour'"),
+        # each field is named, not only the arithmetic it would break
+        (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": [1]},
+         "ellipse semi_axes must be two numbers, got (1.0,)"),
+        (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": [1, 1, 1]},
+         "ellipse semi_axes must be two numbers, got (1.0, 1.0, 1.0)"),
+        # 1e400 reads as inf
+        (["excise"], {**PENTAGON, "orientation": 1e400},
+         "regular polygon orientation must be a finite number, got inf"),
+        (["excise"], {**PENTAGON, "circumradius": 1e400},
+         "regular polygon circumradius must be a finite number, got inf"),
         # a measure or centroid that binary64 cannot hold is refused where the body is built
         (["excise-kd", "--o=0" + ",0" * 63], {"type": "hypercube", "min_corner": [0] * 64, "side": 1e5},
          "error: hypercube measure inf is not"),
@@ -119,6 +134,28 @@ def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, mes
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, shape",
+    [
+        # r^64 is 1e320, but the measure is about 3.1e300
+        (["excise-kd", "--o=-1e5" + ",0" * 63], {"type": "hyperball", "center": [0] * 64, "radius": 1e5}),
+        # at the loader's cap: the fan's moments and the cavity are built on arrays
+        (["excise", "--verify", "exact", "--svg", "figure.svg"], {**PENTAGON, "n": 100_000}),
+    ],
+    ids=["ball64-radius-1e5", "polygon-at-the-cap"],
+)
+def test_input_at_the_edges_of_what_is_held_is_planned(tmp_path, monkeypatch, capsys, command, shape):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(shape))
+    code = cli.main([command[0], "--shape", str(path), *command[1:], "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+    if "--svg" in command:
+        assert (tmp_path / "figure.svg").read_text().startswith("<svg")
 
 
 def test_tolerance_below_angle_resolution_is_refused(tmp_path, capsys):

@@ -386,6 +386,36 @@ class TestExciseKdCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_symmetric_plan_has_the_order_k_constant(self, capsys, tmp_path, k):
+        # the chord is built from the centroid, so a ball's or a cube's beta is
+        # 1/2 and its scale ratio the value `constant k` prints, bit for bit
+        import numpy as np
+
+        from edgebalance.ndim import shape_kd_from_dict
+
+        code, out, _ = run_cli(capsys, "constant", str(k), "--format", "json")
+        assert code == 0
+        value = json.loads(out)["value"]
+        rng = np.random.default_rng(700 + k)
+        corner, size = rng.uniform(-1.0, 1.0, k).tolist(), float(rng.uniform(0.5, 2.0))
+        for shape in ({"type": "hyperball", "center": corner, "radius": size},
+                      {"type": "hypercube", "min_corner": corner, "side": size}):
+            body = shape_kd_from_dict(shape)
+            c, u = np.asarray(body.centroid()), rng.standard_normal(k)
+            u /= np.linalg.norm(u)
+            o = c + body.exit_parameter(c, u) * u
+            path = tmp_path / f"{shape['type']}.json"
+            path.write_text(json.dumps(shape))
+            code, out, err = run_cli(
+                capsys, "excise-kd", "--shape", str(path), "--o=" + ",".join(map(repr, o.tolist())),
+                "--format", "json",
+            )
+            assert code == 0, err
+            report = json.loads(out)
+            assert report["beta"] == 0.5
+            assert report["scale_ratio"] == value
+
     def test_rod_exits_one(self, capsys, tmp_path):
         path = tmp_path / "rod.json"
         path.write_text(json.dumps({"type": "hyperball", "center": [0.0], "radius": 1.0}))
