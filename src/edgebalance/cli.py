@@ -205,13 +205,11 @@ def _load_shape(path: str) -> tuple[dict, planar.Shape]:
 
 
 def _parse_vector(flag: str, text: str) -> tuple[float, ...]:
+    """The numbers of ``text``; the library refuses one that is not finite."""
     try:
-        vector = tuple([float(part) for part in text.split(",")])
+        return tuple([float(part) for part in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-    if not all(math.isfinite(x) for x in vector):
-        raise ValueError(f"{flag} expects finite numbers, got {text!r}")
-    return vector
 
 
 def cmd_excise(args) -> int:

@@ -71,8 +71,10 @@ def excision_with_ratio_kd(
 ) -> ExcisionPlan:
     """Plan with an explicit ratio; verification fails unless it solves the
     balance equation for the chord's offset."""
-    o, q, c = (np.asarray(p, dtype=float) for p in (tangent_point, far_point, shape.centroid()))
-    beta = float(np.linalg.norm(c - o) / np.linalg.norm(q - o))
+    o = _as_point(tangent_point, "tangency point", shape.dim)
+    q = _as_point(far_point, "far point", shape.dim)
+    c = shape.centroid()
+    beta = float(np.linalg.norm(np.subtract(c, o)) / np.linalg.norm(np.subtract(q, o)))
     return excision_with_ratio(shape, Chord(o, q, c, beta), scale_ratio)
 
 
@@ -90,9 +92,7 @@ def plan_excision_kd(shape: ShapeKd, tangent_point) -> ExcisionPlan:
     ``k`` and the chord's beta.  Requires ``beta < k/(k+1)``, otherwise the balance root does not
     exceed 1 and PhysicalityError is raised.
     """
-    o = _as_point(tangent_point)
-    if len(o) != shape.dim:
-        raise ValueError(f"tangency point has dimension {len(o)}, shape has {shape.dim}")
+    o = _as_point(tangent_point, "tangency point", shape.dim)
     return _solve_excision(shape, _tangency_chord(shape, o))
 
 
@@ -111,4 +111,4 @@ def balanced_boundary_point(shape: ShapeKd) -> Point:
     if len(shape.vertex_array) != shape.dim + 1:
         raise ValueError("balanced_boundary_point needs a centrally symmetric body or a simplex")
     v0, v1 = shape.vertex_array[:2]
-    return _as_point(np.asarray(c) + (v1 - v0) / (shape.dim + 1))
+    return tuple((np.asarray(c) + (v1 - v0) / (shape.dim + 1)).tolist())

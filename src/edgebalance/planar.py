@@ -56,6 +56,7 @@ from .shapes import (  # the planar shape API is re-exported from here
     Shape,
     Shape2D,
     Simplex,
+    _as_number,
     _as_point,
     _edge_array,
     _unchecked,
@@ -127,12 +128,14 @@ class Chord:
     beta: float
 
     def __post_init__(self):
-        o, q, c = _as_point(self.tangent_point), _as_point(self.far_point), _as_point(self.centroid)
+        o = _as_point(self.tangent_point, "chord tangent_point")
+        q = _as_point(self.far_point, "chord far_point", len(o))
+        c = _as_point(self.centroid, "chord centroid", len(o))
+        beta = _as_number(self.beta, "chord beta")
         object.__setattr__(self, "tangent_point", o)
         object.__setattr__(self, "far_point", q)
         object.__setattr__(self, "centroid", c)
-        if not len(o) == len(q) == len(c):
-            raise ValueError("chord points must share one dimension")
+        object.__setattr__(self, "beta", beta)
         d = math.dist(q, o)
         if d == 0.0:
             raise ValueError("chord endpoints coincide")
@@ -144,9 +147,9 @@ class Chord:
         off_line = math.hypot(*[(z - a) - along * (b - a) for a, b, z in zip(o, q, c)])
         if off_line > _COLLINEAR_RTOL * max(d, *map(abs, c)):
             raise ValueError("centroid is not on the chord line" + _rounding_note(self))
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if abs(self.beta - along) > _BETA_ATOL:
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"chord beta must be in (0, 1), got {beta}")
+        if abs(beta - along) > _BETA_ATOL:
             raise ValueError("beta inconsistent with the stored points" + _rounding_note(self))
 
     @property

@@ -131,8 +131,8 @@ class RootResult:
     the condition for the root to exceed 1 (a cavity strictly smaller than
     the body); at the float nearest ``k/(k+1)`` such a root may still round
     to 1.0.
-    ``iterations`` counts the steps that moved the value (Newton steps and
-    the closing gap step of ``positive_root``) plus the bracket widenings.
+    ``iterations`` counts the steps that moved the value: Newton steps and
+    the closing gap step of ``positive_root``.
     ``gap`` is ``1/beta - value`` by the gap identity, ``(1 - beta) *
     value^-k / beta`` (exactly 1 at k = 1).  It keeps about ``k`` floats of
     relative accuracy where ``1/beta`` and the value are equal or adjacent
@@ -237,10 +237,10 @@ def positive_root(problem: BalanceProblem) -> RootResult:
 
     The value is certified by the signs of ``p``, evaluated exactly as
     ``evaluate`` does in one loop, at the ends of a fixed bracket about it,
-    ``1e-13 * value / 4`` wide, or twice that if the signs do not differ
-    there; never narrower than eight floats, above the rounding noise of
-    Horner's rule.  Raises RootSolverError if neither bracket shows the sign
-    change, or if ``1/beta`` overflows.
+    ``1e-13 * value / 4`` wide and never narrower than eight floats, above
+    the rounding noise of Horner's rule.  Raises RootSolverError if the
+    bracket shows no sign change (no root in k = 1..64 is known to), or if
+    ``1/beta`` overflows.
     """
     beta, k = problem.beta, problem.k
     ceiling = 1.0 / beta
@@ -284,20 +284,16 @@ def positive_root(problem: BalanceProblem) -> RootResult:
             iterations += 1
             gap = _gap(beta, k, x)
     half = max(_BRACKET_WIDTH * x / 8.0, 4.0 * math.ulp(x))
-    for widenings in range(2):
-        lo, hi = x - half, x + half
-        p_lo, p_x, p_hi = _signs(beta, k, lo, x, hi)
-        if p_lo < 0.0 < p_hi:
-            break
-        half *= 2.0
-    else:
-        raise RootSolverError(f"p changes sign nowhere within {half / 2.0!r} of {x!r}")
+    lo, hi = x - half, x + half
+    p_lo, p_x, p_hi = _signs(beta, k, lo, x, hi)
+    if not p_lo < 0.0 < p_hi:
+        raise RootSolverError(f"p changes sign nowhere within {half!r} of {x!r}")
     return RootResult(
         value=x,
         residual=abs(p_x),
         bracket=(lo, hi),
         physical=physical,
-        iterations=iterations + widenings,
+        iterations=iterations,
         gap=gap,
     )
 

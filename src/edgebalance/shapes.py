@@ -54,7 +54,15 @@ by a depth that leaves every other edge passing too (``_sectors``); and the
 few points between take the loop itself.  So every decision is the loop's,
 and every polygon with a table takes the one route.
 
-Input is checked where it enters, in each class's constructor: every
+Input is checked where it enters, in each class's constructor.  Every
+point and number a caller gives is read by one reader, ``_as_point`` and
+``_as_number``, which names the body and the field it refuses.  From
+Python a number field takes any real number (``numbers.Real``: Python and
+numpy ints and floats, fractions), and a point field a list, tuple or numpy
+array of them; each is stored as Python floats.  A JSON shape file gives
+only what JSON holds, and a string (even ``"1"``), a boolean or null where
+a number or a point belongs is refused, never read character by character
+or as 0 or 1; so are a nested list and an integer beyond binary64.  Every
 coordinate and size must be a finite number, sizes positive, polygons
 strictly convex, counterclockwise and winding exactly once (checked in
 vectorised form on the array), simplices affinely independent (the least
@@ -80,6 +88,7 @@ the direct formula's float.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
@@ -104,23 +113,55 @@ PREFILTER_SECTORS = 256
 Point = tuple[float, ...]
 
 
-def _as_point(p) -> Point:
-    # built from a list, at its final length: a tuple built from an iterator
-    # starts at 10 slots and is resized, so each call moves one tuple between
-    # CPython's per-size free lists until they hold thousands idle
-    return tuple([float(x) for x in p])
+def _as_number(x, what: str) -> float:
+    """A caller's number as a finite Python float, else ValueError naming ``what``.
+
+    Any real number (``numbers.Real``: Python and numpy ints and floats,
+    fractions) is read; a boolean, a string, None, a list, an integer beyond
+    binary64, inf and NaN are refused.
+    """
+    value = x
+    if type(x) is not float:
+        try:
+            value = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an integer or fraction beyond binary64
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return value
 
 
-def _require_finite(what: str, *values: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite numbers")
+def _as_list(items, what: str) -> list:
+    """A caller's list, else ValueError naming ``what``: any iterable but a
+    string or a mapping (a JSON object), so that a string is never read
+    character by character."""
+    if not isinstance(items, (str, bytes, dict)):
+        try:
+            return list(items)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a list, got {items!r}")
 
 
-def _check_dim(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
-    if k > MAX_DIMENSION:
-        raise ValueError(f"dimension capped at {MAX_DIMENSION}, got {k}")
+def _as_point(p, what: str, dim: int | None = None) -> Point:
+    """A caller's point as a tuple of finite Python floats, else ValueError
+    naming ``what``: a list of numbers (each read as ``_as_number`` reads it),
+    ``dim`` of them, or 1 to ``MAX_DIMENSION`` where ``dim`` is None."""
+    coordinate = f"{what} coordinate"
+    # floats (numpy's float64 among them) are taken inline, other numbers read
+    # one by one; the tuple is built from a list, at its final length: one built
+    # from an iterator starts at 10 slots and is resized, so each call would move
+    # one tuple between CPython's per-size free lists until they hold thousands idle
+    point = tuple([x if type(x) is float else float(x) if isinstance(x, float) else _as_number(x, coordinate)
+                   for x in _as_list(p, what)])
+    # a sum of floats is finite only where every term is; where it is not, or
+    # overflows, the terms are read one by one
+    if not math.isfinite(sum(point)):
+        for x in point:
+            _as_number(x, coordinate)
+    if not (len(point) == dim if dim else 1 <= len(point) <= MAX_DIMENSION):
+        raise ValueError(f"{what} must be {dim or f'1 to {MAX_DIMENSION}'} numbers, got {len(point)}")
+    return point
 
 
 def _scale_point(p: Point, origin, factor: float) -> Point:
@@ -150,18 +191,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _vertex_array(body, width: int, shape_error: str) -> np.ndarray:
-    """Store the input ``body.vertices`` as the read-only (n, width) float64
-    ``body.vertex_array`` in its place; ragged vertices raise ``shape_error``."""
-    vertices = body.__dict__.pop("vertices")
-    try:
-        v = np.array(vertices, dtype=float)
-    except ValueError:  # ragged, or a value that float() refuses and _as_point names
-        v = [_as_point(p) for p in vertices]
-    if getattr(v, "shape", None) != (len(vertices), width):
-        raise ValueError(shape_error)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{body.kind} vertices must be finite numbers")
+def _vertex_array(body, vertices: list, width: int) -> np.ndarray:
+    """Store ``vertices``, the list read from the input ``body.vertices``, as
+    the read-only (n, width) float64 ``body.vertex_array`` in its place, each
+    vertex read by ``_as_point``."""
+    del body.__dict__["vertices"]
+    v = np.array([_as_point(p, f"{body.kind} vertex", width) for p in vertices])
     object.__setattr__(body, "vertex_array", _read_only(v))
     return v
 
@@ -245,10 +280,8 @@ class ConvexBody:
         fields (``_scaled``) without the constructor.  Its moments are computed
         by formula and refused as at construction.
         """
-        o, f = _as_point(origin), float(factor)
-        if len(o) != self.dim:
-            raise ValueError(f"homothety origin has dimension {len(o)}, {self.kind} has {self.dim}")
-        _require_finite("homothety origin and factor", *o, f)
+        o = _as_point(origin, "homothety origin", self.dim)
+        f = _as_number(factor, "homothety factor")
         if not f > 0.0:
             raise ValueError(f"homothety factor must be positive, got {f}")
         body = _unchecked(type(self), **self._scaled(o, f))
@@ -359,10 +392,10 @@ class Polygon(_Polytope):
     vertices: tuple[Point, ...] = _VertexTuples()
 
     def __post_init__(self):
-        n = len(self.vertices)
-        if n < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-        v = _vertex_array(self, 2, "polygon vertices must be 2-D points")
+        vertices = _as_list(self.vertices, "polygon vertices")
+        if len(vertices) < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {len(vertices)}")
+        v = _vertex_array(self, vertices, 2)
         e = _edge_array(v)
         object.__setattr__(self, "edge_array", e)  # the cached property, seeded
         f = np.concatenate((e[1:], e[:1]))  # edge i + 1, meeting edge i at vertex i + 1
@@ -601,18 +634,9 @@ class Ellipse(ConvexBody):
     rotation: float = 0.0
 
     def __post_init__(self):
-        center = _as_point(self.center)
-        if len(center) != 2:
-            raise ValueError(f"ellipse center must be a 2-D point, got {center}")
-        semi_axes = _as_point(self.semi_axes)
-        if len(semi_axes) != 2:
-            raise ValueError(f"ellipse semi_axes must be two numbers, got {semi_axes}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "semi_axes", semi_axes)
-        object.__setattr__(self, "rotation", float(self.rotation))
-        _require_finite(
-            "ellipse center, semi-axes and rotation", *center, *self.semi_axes, self.rotation
-        )
+        object.__setattr__(self, "center", _as_point(self.center, "ellipse center", 2))
+        object.__setattr__(self, "semi_axes", _as_point(self.semi_axes, "ellipse semi_axes", 2))
+        object.__setattr__(self, "rotation", _as_number(self.rotation, "ellipse rotation"))
         if not (self.semi_axes[0] > 0.0 and self.semi_axes[1] > 0.0):
             raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
         self._require_moments()
@@ -687,14 +711,13 @@ class Ellipse(ConvexBody):
 class Hyperball(ConvexBody):
     kind = "hyperball"
     centrally_symmetric = True
+    _center_dim: ClassVar[int | None] = None  # any dimension in 1..MAX_DIMENSION
     center: Point
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        _check_dim(self.dim)
-        _require_finite(f"{self.kind} center and radius", *self.center, self.radius)
+        object.__setattr__(self, "center", _as_point(self.center, f"{self.kind} center", self._center_dim))
+        object.__setattr__(self, "radius", _as_number(self.radius, f"{self.kind} radius"))
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         self._require_moments()
@@ -758,11 +781,7 @@ class Circle(Hyperball):
     """The 2-D ball."""
 
     kind = "circle"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.dim != 2:
-            raise ValueError(f"circle center must be a 2-D point, got {self.center}")
+    _center_dim = 2
 
     def boundary_points(self, count: int) -> list[Point]:
         cx, cy = self.center
@@ -781,10 +800,8 @@ class Hypercube(_Polytope):
     side: float
 
     def __post_init__(self):
-        object.__setattr__(self, "min_corner", _as_point(self.min_corner))
-        object.__setattr__(self, "side", float(self.side))
-        _check_dim(self.dim)
-        _require_finite("hypercube corner and side", *self.min_corner, self.side)
+        object.__setattr__(self, "min_corner", _as_point(self.min_corner, "hypercube min_corner"))
+        object.__setattr__(self, "side", _as_number(self.side, "hypercube side"))
         if not self.side > 0.0:
             raise ValueError(f"side must be positive, got {self.side}")
         self._require_moments()
@@ -833,9 +850,11 @@ class Simplex(_Polytope):
     vertices: tuple[Point, ...] = _VertexTuples()
 
     def __post_init__(self):
-        k = len(self.vertices) - 1
-        _check_dim(k)
-        _vertex_array(self, k, f"a {k}-simplex needs {k + 1} vertices of dimension {k}")
+        vertices = _as_list(self.vertices, "simplex vertices")
+        k = len(vertices) - 1
+        if not 1 <= k <= MAX_DIMENSION:
+            raise ValueError(f"simplex vertices must be 2 to {MAX_DIMENSION + 1} points, got {k + 1}")
+        _vertex_array(self, vertices, k)
         # numerical rank (Golub and Van Loan, 5.4), which rotation, scale and
         # shift leave alone; a product, so that a singular matrix divides nothing
         s = np.linalg.svd(self._edge_matrix(), compute_uv=False)
@@ -869,7 +888,7 @@ class Simplex(_Polytope):
             measure = math.exp(float(np.linalg.slogdet(edges)[1]) - math.lgamma(k + 1.0))
         else:
             measure = det / math.factorial(k)
-        return measure, _as_point(self.vertex_array.mean(axis=0))
+        return measure, tuple(self.vertex_array.mean(axis=0).tolist())
 
     @cached_property
     def _inverse_edges(self) -> np.ndarray:
@@ -919,18 +938,19 @@ def regular_polygon(
 ) -> Polygon:
     """Regular n-gon as an explicit vertex list, first vertex at ``orientation``.
 
-    ``n`` is capped at ``MAX_REGULAR_POLYGON_SIDES``.
+    ``n``, an integer, is capped at ``MAX_REGULAR_POLYGON_SIDES``.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 sides, got {n}")
-    if n > MAX_REGULAR_POLYGON_SIDES:
-        raise ValueError(f"at most {MAX_REGULAR_POLYGON_SIDES} sides, got {n}")
-    for name, value in (("circumradius", circumradius), ("orientation", orientation)):
-        if not math.isfinite(value):
-            raise ValueError(f"regular polygon {name} must be a finite number, got {value!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"regular polygon n must be an integer, got {n!r}")
+    if not 3 <= n <= MAX_REGULAR_POLYGON_SIDES:
+        raise ValueError(
+            f"regular polygon n must be at least 3 and at most {MAX_REGULAR_POLYGON_SIDES} sides, got {n}"
+        )
+    circumradius = _as_number(circumradius, "regular polygon circumradius")
+    orientation = _as_number(orientation, "regular polygon orientation")
     if not circumradius > 0.0:
-        raise ValueError(f"circumradius must be positive, got {circumradius}")
-    cx, cy = _as_point(center)
+        raise ValueError(f"regular polygon circumradius must be positive, got {circumradius}")
+    cx, cy = _as_point(center, "regular polygon center", 2)
     step = 2.0 * math.pi / n
     return Polygon(
         [
@@ -981,8 +1001,8 @@ def shape_from_dict(data: dict) -> Shape:
         raise ValueError(f"unknown shape type {kind!r}")
     try:
         return SHAPE_LOADERS[kind](data)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed {kind} shape: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed {kind} shape: missing {exc}") from exc
 
 
 def shape_to_dict(shape: Shape) -> dict:

@@ -119,7 +119,7 @@ class TestShapeValidation:
             Simplex(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 3.0)))
 
     def test_rejects_dimension_above_cap(self):
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(ValueError, match="hyperball center must be 1 to 64 numbers, got 65"):
             Hyperball(center=(0.0,) * 65, radius=1.0)
 
     def test_rejects_nonpositive_sizes(self):

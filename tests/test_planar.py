@@ -170,6 +170,11 @@ class TestChords:
     def test_complement_on_circle(self):
         assert beta_complement(Circle(center=(0.0, 0.0), radius=1.0), 0.2) == (0.5, 0.5)
 
+    def test_scan_on_a_circle_returns_the_horizontal_chord_alone(self):
+        # every direction balances a round body, so the scan gives one chord
+        circle = Circle(center=(1.0, 2.0), radius=0.5)
+        assert scan_balanced_chords(circle) == [chord_through_centroid(circle, 0.0)]
+
     def test_complement_identity_on_random_polygons(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

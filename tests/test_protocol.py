@@ -10,6 +10,7 @@ import re
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,16 +19,28 @@ from hypothesis import strategies as st
 
 from edgebalance import cli
 from edgebalance.montecarlo import contains
-from edgebalance.ndim import ExcisionPlanKd, Hyperball, Hypercube, Simplex, plan_excision_kd
+from edgebalance.ndim import (
+    ExcisionPlanKd,
+    Hyperball,
+    Hypercube,
+    Simplex,
+    balanced_boundary_point,
+    excision_with_ratio_kd,
+    plan_excision_kd,
+)
 from edgebalance.planar import (
+    Chord,
     Circle,
     Ellipse,
     ExcisionPlan,
     Polygon,
     area,
+    boundary_points,
     centroid,
+    composite_centroid,
     excision_with_ratio,
     find_balanced_chord,
+    find_chord_with_beta,
     plan_excision,
     random_convex_polygon,
     regular_polygon,
@@ -70,15 +83,16 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
         # the ray from the centroid through this point leaves the ball at (0.1, -1.1, 0.25)
         (["excise-kd", "--o=0.1,-0.9,0.25"], {"type": "hyperball", "center": [0.1, -0.4, 0.25], "radius": 0.7},
          "error: tangency point (0.1, -0.9, 0.25) is not on the shape boundary"),
-        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]}, "malformed"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]},
+         "polygon vertex coordinate must be a finite number, got 1000"),
         (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "at most 100000 sides"),
         # each polygon check, with its own message
         (["excise"], {"type": "polygon", "vertices": HEPTAGRAM}, "total turning is 12.566"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, INF]]}, "finite"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1, 2]]},
-         "polygon vertices must be 2-D points"),
+         "polygon vertex must be 2 numbers, got 3"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0]]},
-         "polygon vertices must be 2-D points"),
+         "polygon vertex must be 2 numbers, got 1"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0]]},
          "polygon needs at least 3 vertices, got 2"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 2], [1, 2], [0, 2]]},
@@ -88,7 +102,7 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [2, 0], [1, 0.5], [2, 2], [0, 2]]},
          "vertices must be strictly convex and wind counterclockwise"),
         (["excise-kd", "--o=0,0"], {"type": "simplex", "vertices": [[0, 0], [1, 0], [0, 1, 2]]},
-         "a 2-simplex needs 3 vertices of dimension 2"),
+         "simplex vertex must be 2 numbers, got 3"),
         # a key no loader reads would be dropped without a word: the pentagon
         # would sit at the origin and the ellipse would not be rotated
         (["excise"], {**PENTAGON, "center": [5, 5]}, "regular_polygon shape does not take 'center'"),
@@ -98,9 +112,9 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
          "circle shape does not take 'colour'"),
         # each field is named, not only the arithmetic it would break
         (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": [1]},
-         "ellipse semi_axes must be two numbers, got (1.0,)"),
+         "ellipse semi_axes must be 2 numbers, got 1"),
         (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": [1, 1, 1]},
-         "ellipse semi_axes must be two numbers, got (1.0, 1.0, 1.0)"),
+         "ellipse semi_axes must be 2 numbers, got 3"),
         # 1e400 reads as inf
         (["excise"], {**PENTAGON, "orientation": 1e400},
          "regular polygon orientation must be a finite number, got inf"),
@@ -125,11 +139,60 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
         # a 1-D ball's measure 2r fits, but the square its tests take does not
         (["excise-kd", "--o=-1e200", "--verify", "mc"], {"type": "hyperball", "center": [0], "radius": 1e200},
          "error: hyperball radius 1e+200 squared overflows binary64"),
+        # a JSON value of the wrong kind is refused by field, never read as a number:
+        # a string is not taken apart character by character, nor a boolean read as 0 or 1
+        (["excise"], {"type": "circle", "center": "00", "radius": 1},
+         "error: circle center must be a list, got '00'"),
+        (["excise-kd", "--o=1,0"], {"type": "circle", "center": "00", "radius": 1},
+         "error: circle center must be a list, got '00'"),
+        (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": "12"},
+         "error: ellipse semi_axes must be a list, got '12'"),
+        (["excise"], {"type": "ellipse", "center": [0, 0], "semi_axes": [2, 1], "rotation": "1"},
+         "error: ellipse rotation must be a finite number, got '1'"),
+        (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], ["0", "1"]]},
+         "error: polygon vertex coordinate must be a finite number, got '0'"),
+        (["excise"], {"type": "polygon", "vertices": [[False, False], [True, False], [False, True]]},
+         "error: polygon vertex coordinate must be a finite number, got False"),
+        (["excise"], {**PENTAGON, "circumradius": True},
+         "error: regular polygon circumradius must be a finite number, got True"),
+        (["excise"], {**PENTAGON, "n": 5.5}, "error: regular polygon n must be an integer, got 5.5"),
+        (["excise"], {**PENTAGON, "n": "5"}, "error: regular polygon n must be an integer, got '5'"),
+        (["excise"], {**PENTAGON, "n": True}, "error: regular polygon n must be an integer, got True"),
+        (["excise-kd", "--o=-1,0,0"], {**BALL3, "radius": [1]},
+         "error: hyperball radius must be a finite number, got [1]"),
+        (["excise-kd", "--o=-1,0,0"], {**BALL3, "center": 5},
+         "error: hyperball center must be a list, got 5"),
+        (["excise-kd", "--o=-1,0,0"], {**BALL3, "radius": None},
+         "error: hyperball radius must be a finite number, got None"),
+        (["excise-kd", "--o=0,0"], {"type": "hypercube", "min_corner": [0, 0], "side": True},
+         "error: hypercube side must be a finite number, got True"),
+        # an empty or one-number point names its field and the count it got
+        (["excise-kd", "--o=0"], {"type": "simplex", "vertices": []},
+         "error: simplex vertices must be 2 to 65 points, got 0"),
+        (["excise-kd", "--o=0"], {"type": "simplex", "vertices": [[0]]},
+         "error: simplex vertices must be 2 to 65 points, got 1"),
+        (["excise-kd", "--o=0"], {**BALL3, "center": []},
+         "error: hyperball center must be 1 to 64 numbers, got 0"),
+        (["excise"], {**PENTAGON, "n": 2},
+         "error: regular polygon n must be at least 3 and at most 100000 sides, got 2"),
+        (["excise"], {**PENTAGON, "circumradius": 0},
+         "error: regular polygon circumradius must be positive, got 0.0"),
+        (["excise"], {"type": "ellipse", "center": [0, 0, 0], "semi_axes": [2, 1]},
+         "error: ellipse center must be 2 numbers, got 3"),
+        (["excise"], {"type": "circle", "center": [0, 0, 0], "radius": 1},
+         "error: circle center must be 2 numbers, got 3"),
+        # the command line's own input: a shape file that is not JSON, and bad flag values
+        (["excise"], "{", "is not valid JSON"),
+        (["excise-kd", "--o=a,b"], BALL3, "error: --o expects comma-separated numbers, got 'a,b'"),
+        (["excise", "--theta", "abc"], PENTAGON,
+         "error: --theta must be 'auto' or a finite number, got 'abc'"),
+        (["excise", "--svg", "no-such-directory/figure.svg"], PENTAGON,
+         "error: cannot write SVG figure no-such-directory/figure.svg"),
     ],
 )
 def test_invalid_input_is_refused_at_entry(tmp_path, capsys, command, shape, message):
     path = tmp_path / "shape.json"
-    path.write_text(json.dumps(shape))
+    path.write_text(shape if isinstance(shape, str) else json.dumps(shape))
     code = cli.main([command[0], "--shape", str(path), *command[1:]])
     err = capsys.readouterr().err
     assert code == 2
@@ -169,6 +232,127 @@ def test_tolerance_below_angle_resolution_is_refused(tmp_path, capsys):
 def test_regular_polygon_size_is_capped():
     with pytest.raises(ValueError, match="at most 100000 sides"):
         shape_from_dict({**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1})
+
+
+SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+DISC = Circle(center=(0.0, 0.0), radius=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the chord constructor's own checks
+        (lambda: Chord((0, 0), (1, 0, 0), (0.5, 0), 0.5), "chord far_point must be 2 numbers, got 3"),
+        (lambda: Chord((0, 0), (0, 0), (0, 0), 0.5), "chord endpoints coincide"),
+        (lambda: Chord((0, 0), (1, 0), (2, 0), 0.5), "centroid must lie strictly between the chord ends"),
+        (lambda: Chord((0, 0), (1, 0), (0.5, 0), 1.5), r"chord beta must be in \(0, 1\), got 1.5"),
+        (lambda: Chord((0, 0), (1, 0), (0.5, 0), 0.4), "beta inconsistent with the stored points"),
+        (lambda: Chord("00", "20", "10", 0.5), "chord tangent_point must be a list, got '00'"),
+        (lambda: Chord((0, 0), (1, 0), (0.5, 0), "0.5"), "chord beta must be a finite number, got '0.5'"),
+        # the planning and search entries
+        (lambda: find_chord_with_beta(SQUARE, 1.0), r"beta target must be in \(0, 1\), got 1.0"),
+        (lambda: balanced_boundary_point(SQUARE), "needs a centrally symmetric body or a simplex"),
+        (lambda: plan_excision_kd(Hyperball(center=(0, 0, 0), radius=1), (1, 0)),
+         "tangency point must be 3 numbers, got 2"),
+        (lambda: plan_excision_kd(DISC, "10"), "tangency point must be a list, got '10'"),
+        (lambda: plan_excision_kd(DISC, (True, False)),
+         "tangency point coordinate must be a finite number, got True"),
+        (lambda: excision_with_ratio_kd(DISC, (-1, 0), "10", 2.0), "far point must be a list, got '10'"),
+        # a hand-built plan whose cavity is the body itself
+        (lambda: composite_centroid(ExcisionPlan(SQUARE, find_balanced_chord(SQUARE), 2.0, SQUARE, (0.5, 0.5))),
+         "cavity measure must be strictly smaller than the body measure"),
+        (lambda: boundary_points(SQUARE, 0), "count must be positive, got 0"),
+        (lambda: DISC.scaled_about((0, 1), "0.5"), "homothety factor must be a finite number, got '0.5'"),
+        # a body's fields, read from Python as from JSON
+        (lambda: Circle(center="12", radius=1), "circle center must be a list, got '12'"),
+        (lambda: Hypercube(min_corner="00", side=1), "hypercube min_corner must be a list, got '00'"),
+        (lambda: Hypercube(min_corner=(0, 0), side=True), "hypercube side must be a finite number, got True"),
+        (lambda: Hyperball(center=(0, 0), radius=10**400),
+         "hyperball radius must be a finite number, got 1000"),
+        (lambda: Hyperball(center=(0, 0), radius=None), "hyperball radius must be a finite number, got None"),
+        (lambda: Hyperball(center=np.zeros((2, 1)), radius=1),
+         "hyperball center coordinate must be a finite number"),
+        (lambda: Simplex(vertices=np.eye(3)[:2]), "simplex vertex must be 1 numbers, got 3"),
+        (lambda: regular_polygon(5.0, 1.0), "regular polygon n must be an integer, got 5.0"),
+        (lambda: regular_polygon(5, 1.0, center=(0, 0, 0)),
+         "regular polygon center must be 2 numbers, got 3"),
+    ],
+)
+def test_the_library_refuses_invalid_input_at_entry(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_real_numbers_of_every_python_type_are_read_as_floats():
+    # numpy scalars and arrays, fractions and plain ints read as the floats they hold
+    body = Hyperball(center=np.array([1, 2]), radius=Fraction(3, 2))
+    assert body == Hyperball(center=(1.0, 2.0), radius=1.5)
+    assert all(type(x) is float for x in (*body.center, body.radius))
+    cube = Hypercube(min_corner=(np.float32(0.5), np.int64(2)), side=np.float64(2.0))
+    assert repr(cube) == repr(Hypercube(min_corner=(0.5, 2.0), side=2.0))
+
+
+# one valid dictionary of each shape type the loader reads; every number and
+# list in it is a slot that a value of the wrong kind may take
+VALID_SHAPES = [
+    {"type": "polygon", "vertices": [[0, 0], [2, 0], [1, 1.5]]},
+    {"type": "circle", "center": [0, 0], "radius": 1},
+    {"type": "ellipse", "center": [0, 0], "semi_axes": [2, 1], "rotation": 0.5},
+    {**PENTAGON, "orientation": 0.3},
+    BALL3,
+    {"type": "hypercube", "min_corner": [0, 0, 0], "side": 1},
+    {"type": "simplex", "vertices": [[0, 0], [1, 0], [0, 1]]},
+]
+
+
+def _slots(value, path):
+    yield path, value
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _slots(item, path + (i,))
+
+
+LOADER_SLOTS = [
+    (shape, path, value)
+    for shape in VALID_SHAPES
+    for field, field_value in shape.items() if field != "type"
+    for path, value in _slots(field_value, (field,))
+]
+TEXT = st.one_of(st.text(max_size=4), st.floats().map(repr), st.integers(-99, 99).map(str))
+OBJECT = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+BEYOND_BINARY64 = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+WRONG_FOR_A_NUMBER = st.one_of(TEXT, st.booleans(), st.none(), OBJECT, st.lists(st.integers(), max_size=3),
+                               BEYOND_BINARY64)
+WRONG_FOR_A_LIST = st.one_of(TEXT, st.booleans(), st.none(), OBJECT, st.floats(-9, 9), st.integers(-9, 9),
+                             BEYOND_BINARY64)
+
+
+@pytest.mark.parametrize(
+    "shape, path, value",
+    LOADER_SLOTS,
+    ids=[f"{s['type']}-{'-'.join(map(str, p))}" for s, p, _ in LOADER_SLOTS],
+)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_loader_refuses_a_value_of_the_wrong_kind_by_field(shape, path, value, data):
+    if isinstance(value, list):
+        wrong = WRONG_FOR_A_LIST
+    elif path == ("n",):  # an integer: a fraction is as wrong as a string
+        wrong = WRONG_FOR_A_NUMBER | st.floats()
+    else:
+        wrong = WRONG_FOR_A_NUMBER
+    bad = copy.deepcopy(shape)
+    *parents, last = path
+    slot = bad
+    for key in parents:
+        slot = slot[key]
+    slot[last] = data.draw(wrong)
+    with pytest.raises(ValueError) as refused:
+        shape_from_dict(json.loads(json.dumps(bad)))
+    message = str(refused.value)
+    assert shape["type"].replace("_", " ") in message
+    field = path[0]
+    assert any(name in message for name in ((field, "vertex") if field == "vertices" else (field,))), message
 
 
 def test_pentagram_is_not_a_polygon():
@@ -540,7 +724,7 @@ def test_scaled_about_checks_its_own_arguments(body):
             body.scaled_about(o, factor)
     with pytest.raises(ValueError, match="finite"):
         body.scaled_about((NAN,) + o[1:], 0.5)
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match=f"homothety origin must be {body.dim} numbers, got {body.dim + 1}"):
         body.scaled_about(o + (0.0,), 0.5)
     # numbers of any type come back as Python floats, as the constructor stores them
     cavity = body.scaled_about(np.asarray(o), np.float64(0.5))

@@ -1,17 +1,22 @@
 """Root solver values and step counts that must not drift."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgebalance import sequences
 from edgebalance.polynomials import (
     MAX_DIMENSION,
     BalanceProblem,
     RootSolverError,
+    _BRACKET_WIDTH,
     _closed_step,
     _concave_step,
+    _signs,
     build_general,
     evaluate,
     knacci_constant,
@@ -50,8 +55,36 @@ def test_root_beyond_the_float_range_is_refused():
             positive_root(BalanceProblem(k=k, beta=5e-324))
 
 
+@st.composite
+def offsets(draw):
+    """(k, beta) for k in 1..64 and any beta in (0, 1) whose 1/beta is finite,
+    often within a few thousand floats of the threshold k/(k+1)."""
+    k = draw(st.integers(1, MAX_DIMENSION))
+    steps = draw(st.integers(-3000, 3000))
+    near = physicality_threshold(k)
+    for _ in range(abs(steps)):
+        near = math.nextafter(near, 1.0 if steps > 0 else 0.0)
+    beta = draw(st.just(near) | st.floats(sys.float_info.min, 1.0, exclude_max=True))
+    assume(1.0 / beta < math.inf)
+    return k, beta
+
+
+@given(offsets())
+@settings(max_examples=2000, deadline=None)
+def test_the_one_bracket_shows_the_sign_change(case):
+    # positive_root certifies every root in one bracket, 1e-13 * value / 4 wide
+    # and at least eight floats: no root is known that needs a wider one
+    k, beta = case
+    root = positive_root(BalanceProblem(k=k, beta=beta))
+    x = root.value
+    half = max(_BRACKET_WIDTH * x / 8.0, 4.0 * math.ulp(x))
+    assert root.bracket == (x - half, x + half)
+    p_lo, _, p_hi = _signs(beta, k, x - half, x, x + half)
+    assert p_lo < 0.0 < p_hi
+
+
 def test_a_few_steps_per_root():
-    # Newton steps, the gap step and widenings, over k = 1..64 and a beta grid
+    # Newton steps and the gap step, over k = 1..64 and a beta grid
     steps = [
         positive_root(BalanceProblem(k=k, beta=(j + 0.5) / 64)).iterations
         for k in range(1, 65)
