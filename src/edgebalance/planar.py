@@ -43,8 +43,7 @@ import numpy as np
 from .polynomials import (
     BalanceProblem,
     PhysicalityError,
-    build_general,
-    evaluate,
+    _unchecked,
     physicality_threshold,
     positive_root,
 )
@@ -59,7 +58,6 @@ from .shapes import (  # the planar shape API is re-exported from here
     _as_number,
     _as_point,
     _edge_array,
-    _unchecked,
     regular_polygon,
     shape_from_dict,
     shape_to_dict,
@@ -103,8 +101,11 @@ def _rounding_note(chord: "Chord") -> str:
 
 
 def _extent(shape: Shape) -> float:
-    lo, hi = shape.bbox()
-    return float(np.max(hi - lo))
+    """The largest side of the body's bounding box, kept with the body from its first use."""
+    if "_extent" not in shape.__dict__:
+        lo, hi = shape.bbox()
+        shape.__dict__["_extent"] = float(np.max(hi - lo))
+    return shape.__dict__["_extent"]
 
 
 def _require_planar(shape: Shape) -> None:
@@ -387,7 +388,9 @@ def scan_balanced_chords(shape: Shape2D, *, tol: float = 1e-12) -> list[Chord]:
     """Every beta = 1/2 chord, one per root in [theta0, theta0 + pi), by angle.
 
     Complements mean a full turn carries the same chords twice, so the
-    sweep covers a half-turn from the direction of vertex 0.  On very thin
+    sweep covers a half-turn from the direction of vertex 0.  Since
+    beta(theta + pi) = 1 - beta(theta), beta - 1/2 changes sign an odd number
+    of times on it, so the count is odd wherever the roots are simple.  On very thin
     polygons beta can change by more than ``tol`` between neighbouring
     floating-point angles; such roots are left out, and ValueError is raised
     if every root is.  For centrally symmetric shapes every direction
@@ -564,9 +567,15 @@ class BalanceReport:
 
 
 def balance_residual(plan: ExcisionPlan) -> float:
-    """The balance polynomial of the plan's dimension and offset at its ratio."""
-    poly = build_general(BalanceProblem(k=plan.shape.dim, beta=plan.beta))
-    return evaluate(poly, plan.scale_ratio)
+    """The balance polynomial of the plan's dimension and offset at its ratio:
+    ``evaluate``'s Horner loop over the coefficients of ``build_general``, bit
+    for bit, without building either."""
+    beta, x = plan.beta, plan.scale_ratio
+    c = beta - 1.0
+    acc = 0.0 * x + beta  # evaluate's first step, from 0.0: NaN at an infinite ratio
+    for _ in range(plan.shape.dim):
+        acc = acc * x + c
+    return acc
 
 
 def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:

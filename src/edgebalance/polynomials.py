@@ -13,14 +13,35 @@ All numeric work is plain binary64.  ``positive_root`` climbs to the simple
 positive root by Newton's method on ``p(x) / x^k``, increasing and concave
 for ``x > 0``, at O(1) a step, and certifies it by the signs of ``p`` at the
 ends of a fixed bracket of about 1e-13 relative.
+
+The physicality threshold ``beta < k/(k+1)`` is the Minkowski–Radon bound:
+the centroid divides every chord through it in a ratio of at most k : 1
+(Grünbaum 1963), so every centroid chord of a convex body has beta in
+``[1/(k+1), k/(k+1)]``, with equality only at the apex of a cone.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 MAX_DIMENSION = 64
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
+    without ``__post_init__``: for objects built from others already checked.
+
+    ``positive_root`` builds its ``RootResult`` this way, ``ConvexBody.scaled_about``
+    the image of a body, and ``planar._centroid_chord`` and
+    ``planar._chords_with_offset`` the chords they read off a body's exits.
+    ``values`` name every field, in field order, so the instance compares,
+    hashes, copies and pickles as one built by the constructor.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 class RootSolverError(RuntimeError):
@@ -51,36 +72,45 @@ class BalanceProblem:
 
     ``beta`` is the ratio of the centroid's distance from the tangency end
     of the chord to the full chord length; it must lie strictly between
-    0 and 1.  Rational inputs (``fractions.Fraction``) are accepted and
-    converted to the nearest float on their own side of ``k/(k+1)``.
+    0 and 1.  A Python ``int`` k in 1..64 and a Python ``float`` beta in
+    (0, 1) are taken after two ``type(...) is`` tests.  Any other integer
+    (``numbers.Integral`` but a boolean: numpy integers) is stored as a
+    Python ``int``, and any other real number (``numbers.Real``: numpy
+    floats) as a float; anything else raises TypeError.  Rational inputs
+    (``fractions.Fraction``) are converted to the nearest float on their
+    own side of ``k/(k+1)``.
     """
 
     k: int
     beta: float
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise TypeError(f"dimension must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.k}")
-        if self.k > MAX_DIMENSION:
+        k, beta = self.k, self.beta
+        if type(k) is int and type(beta) is float and 0 < k <= MAX_DIMENSION and 0.0 < beta < 1.0:
+            return
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+            raise TypeError(f"dimension must be an integer, got {k!r}")
+        k = int(k)
+        if k < 1:
+            raise ValueError(f"dimension must be >= 1, got {k}")
+        if k > MAX_DIMENSION:
             raise ValueError(
                 f"dimension capped at {MAX_DIMENSION}; beyond that the root is "
                 f"indistinguishable from its limit in binary64"
             )
-        beta = self.beta
         if isinstance(beta, Fraction):
             # round to the float on the rational's side of k/(k+1), so that the
             # root's ``physical`` flag describes the offset as given
-            physical = beta * (self.k + 1) < self.k
+            physical = beta * (k + 1) < k
             beta = float(beta)
-            if (Fraction(beta) * (self.k + 1) < self.k) != physical:
+            if (Fraction(beta) * (k + 1) < k) != physical:
                 beta = math.nextafter(beta, 0.0 if physical else 1.0)
-        if not isinstance(beta, (int, float)):
+        if not isinstance(beta, numbers.Real):
             raise TypeError(f"beta must be a real number, got {self.beta!r}")
         beta = float(beta)
         if not 0.0 < beta < 1.0 or math.isnan(beta):
             raise ValueError(f"beta must lie strictly in (0, 1), got {beta}")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "beta", beta)
 
 
@@ -138,6 +168,9 @@ class RootResult:
     relative accuracy where ``1/beta`` and the value are equal or adjacent
     floats, and their difference says nothing, and it stays a normal float
     where ``value^-k`` alone would underflow (tiny ``beta``).
+
+    ``positive_root`` builds it without the constructor (``_unchecked``); it
+    compares, hashes, copies and pickles like one built by the constructor.
     """
 
     value: float
@@ -288,14 +321,8 @@ def positive_root(problem: BalanceProblem) -> RootResult:
     p_lo, p_x, p_hi = _signs(beta, k, lo, x, hi)
     if not p_lo < 0.0 < p_hi:
         raise RootSolverError(f"p changes sign nowhere within {half!r} of {x!r}")
-    return RootResult(
-        value=x,
-        residual=abs(p_x),
-        bracket=(lo, hi),
-        physical=physical,
-        iterations=iterations,
-        gap=gap,
-    )
+    return _unchecked(RootResult, value=x, residual=abs(p_x), bracket=(lo, hi),
+                      physical=physical, iterations=iterations, gap=gap)
 
 
 def knacci_constant(k: int) -> RootResult:

@@ -96,7 +96,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .polynomials import MAX_DIMENSION
+from .polynomials import MAX_DIMENSION, _unchecked
 
 # Polygons with at least this many vertices screen points by angular sectors
 # about the centroid before the edge loop; below it the loop alone is cheaper.
@@ -166,14 +166,6 @@ def _as_point(p, what: str, dim: int | None = None) -> Point:
 
 def _scale_point(p: Point, origin, factor: float) -> Point:
     return tuple([o + (x - o) * factor for x, o in zip(p, origin)])
-
-
-def _unchecked(cls, **values):
-    """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
-    without ``__post_init__``: for objects built from others already checked."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
 
 
 def _scratch(work: np.ndarray | None, shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -871,10 +863,14 @@ class Simplex(_Polytope):
         return (v[1:] - v[0]).T  # columns are edges out of vertex 0
 
     def barycentric(self, p) -> np.ndarray:
-        """All k+1 barycentric weights of ``p`` (sum to 1, inside iff all >= 0)."""
-        lam = np.linalg.solve(
-            self._edge_matrix(), np.asarray(p, dtype=float) - self.vertex_array[0]
-        )
+        """All k+1 barycentric weights of ``p`` (sum to 1, inside iff all >= 0).
+
+        ``p`` is read by ``_as_point`` as the "barycentric point": a list of k
+        real numbers.  A string, a boolean, None, NaN, an infinity, a nested
+        list or a point of another dimension raises ValueError naming it.
+        """
+        p = _as_point(p, "barycentric point", self.dim)
+        lam = np.linalg.solve(self._edge_matrix(), np.subtract(p, self.vertex_array[0]))
         return np.concatenate(([1.0 - lam.sum()], lam))
 
     def _moments(self) -> tuple[float, Point]:

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 import edgebalance
 
+from edgebalance import planar
 from edgebalance.ndim import (
     ExcisionPlanKd,
     Hyperball,
@@ -135,6 +138,13 @@ class TestShapeValidation:
             expected[i] = 1.0
             np.testing.assert_allclose(lam, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("point", [["0.25", "0.25"], [True, False], [0.25, math.nan], [0.25], None])
+    def test_barycentric_point_is_read_strictly(self, point):
+        # a string was read as its number, and a boolean as 0 or 1
+        triangle = Simplex(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="barycentric point"):
+            barycentric_coordinates(triangle, point)
+
 
 class TestPlanning:
     def test_ball_diameter_gives_tribonacci_ratio(self):
@@ -183,6 +193,35 @@ class TestPlanning:
         assert plan.beta == pytest.approx(0.25, abs=1e-12)
         # the chord exits at the opposite vertex (the origin)
         assert plan.far_point == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["simplex", "ball", "polygon", "ellipse"])
+    def test_extent_is_computed_once_and_travels_with_copies(self, family, monkeypatch):
+        # planning reads the body's extent (the largest side of its bounding
+        # box) from the body after the first plan; a cube's exit test reads its
+        # box on every plan, so it is not counted here
+        rng = np.random.default_rng(7)
+        body = {
+            "simplex": lambda: random_simplex(5, rng),
+            "ball": lambda: Hyperball(center=(0.5, -1.0, 2.0), radius=1.5),
+            "polygon": lambda: planar.random_convex_polygon(9, rng),
+            "ellipse": lambda: planar.Ellipse(center=(1.0, 2.0), semi_axes=(3.0, 1.0), rotation=0.4),
+        }[family]()
+        cls, calls = type(body), []
+        bbox = cls.bbox
+        monkeypatch.setattr(cls, "bbox", lambda shape: calls.append(shape) or bbox(shape))
+        o = balanced_boundary_point(body) if family != "polygon" else body.vertices[0]
+        plans = [repr(plan_excision_kd(body, o)) for _ in range(5)]
+        assert len(calls) == 1 and len(set(plans)) == 1
+        for twin in (copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
+            assert twin == body
+            assert repr(plan_excision_kd(twin, o)) == plans[0]
+            assert repr(verify_balance_kd(plan_excision_kd(twin, o))) == repr(
+                verify_balance_kd(plan_excision_kd(body, o))
+            )
+        assert len(calls) == 1
+        fresh = copy.deepcopy(cls.from_dict(body.to_dict()))
+        assert repr(plan_excision_kd(fresh, o)) == plans[0]
+        assert len(calls) == 2
 
 
 class TestVerification:

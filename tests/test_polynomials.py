@@ -21,6 +21,37 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
+T, V = TypeError, ValueError
+ONE_BELOW = math.nextafter(1.0, 0.0)
+# BalanceProblem(k, beta) on a fixed table: the error raised, or the beta
+# stored.  A Fraction k/(k+1) is stored as the float above the threshold
+# float, which lies below it, so that the root stays unphysical.
+VERDICTS = [
+    (1, 0.5, 0.5), (2, 0.5, 0.5), (64, 0.5, 0.5), (0, 0.5, V), (-1, 0.5, V), (65, 0.5, V),
+    (True, 0.5, T), (False, 0.5, T), (3.0, 0.5, T), ("3", 0.5, T), (None, 0.5, T),
+    (Fraction(3), 0.5, T), (np.bool_(True), 0.5, T),
+    (3, 1e-300, 1e-300), (3, 5e-324, 5e-324), (3, ONE_BELOW, ONE_BELOW),
+    (3, 0.0, V), (3, -0.0, V), (3, 1.0, V), (3, -0.5, V), (3, 1.5, V), (3, 1, V), (3, 0, V),
+    (3, True, V), (3, False, V), (3, math.nan, V), (3, math.inf, V), (3, -math.inf, V),
+    (3, "0.5", T), (3, None, T), (3, np.bool_(True), T),
+    (3, Fraction(1, 3), 1.0 / 3.0), (3, Fraction(1, 2), 0.5), (3, Fraction(0), V), (3, Fraction(1), V),
+    (3, np.float64(0.5), 0.5),
+] + [
+    case
+    for k in (2, 10, 33)
+    for f, below in [(k / (k + 1), math.nextafter(k / (k + 1), 0.0))]
+    for case in ((k, Fraction(k, k + 1), math.nextafter(f, 1.0)), (k, Fraction(f), f), (k, f, f),
+                 (k, Fraction(below), below))
+]
+# numpy scalars: any integer k (a TypeError before) and any real beta (a
+# TypeError before, now read as the float it holds)
+NUMPY_VERDICTS = [
+    (np.int64(3), 0.5, 0.5), (np.int32(64), 0.5, 0.5), (np.uint8(2), 0.5, 0.5),
+    (np.int64(0), 0.5, V), (np.int64(65), 0.5, V),
+    (3, np.float32(0.5), 0.5), (3, np.float32(math.nan), V), (3, np.int64(1), V), (3, np.int64(0), V),
+]
+
+
 def exact_value(k: int, beta: Fraction, x: Fraction) -> Fraction:
     """Independent oracle: exact rational Horner evaluation."""
     acc = Fraction(beta)
@@ -70,6 +101,22 @@ class TestBuildGeneral:
     def test_accepts_fraction_beta(self):
         problem = BalanceProblem(k=2, beta=Fraction(1, 3))
         assert problem.beta == pytest.approx(1.0 / 3.0, abs=0.0)
+
+    @pytest.mark.parametrize("k, beta, verdict", VERDICTS + NUMPY_VERDICTS)
+    def test_verdict_table(self, k, beta, verdict):
+        if isinstance(verdict, type):
+            with pytest.raises(verdict):
+                BalanceProblem(k=k, beta=beta)
+            return
+        problem = BalanceProblem(k=k, beta=beta)
+        assert type(problem.k) is int and problem.k == k
+        assert type(problem.beta) is float and problem.beta.hex() == verdict.hex()
+
+    def test_numpy_scalars_give_the_python_problem_and_root(self):
+        for problem in (BalanceProblem(k=np.int64(3), beta=0.5), BalanceProblem(k=3, beta=np.float32(0.5))):
+            assert problem == BalanceProblem(k=3, beta=0.5)
+            assert type(problem.k) is int and type(problem.beta) is float
+            assert positive_root(problem) == positive_root(BalanceProblem(k=3, beta=0.5))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
     @pytest.mark.parametrize("beta", BETA_GRID)

@@ -28,6 +28,7 @@ from edgebalance.planar import (
     Chord,
     Circle,
     Ellipse,
+    ExcisionPlan,
     Polygon,
     _chords_with_offset,
     chord_through_centroid,
@@ -44,6 +45,9 @@ from edgebalance.polynomials import (
     BalanceProblem,
     PhysicalityError,
     RootSolverError,
+    _unchecked,
+    build_general,
+    evaluate,
     physicality_threshold,
     positive_root,
 )
@@ -871,3 +875,73 @@ def test_roots_climb_with_dimension_toward_one_over_beta(k, beta):
     if x == x_next:  # only where the two roots are within a float of each other
         assert gap - gap_next <= 2.0 * math.ulp(x)
     assert abs((ceiling - x) - gap) <= 4.0 * math.ulp(ceiling)
+
+
+CUBES = {k: Hypercube(min_corner=(0.0,) * k, side=1.0) for k in range(1, MAX_DIMENSION + 1)}
+
+
+@settings(PROPERTY, max_examples=300)
+@given(k=st.integers(1, MAX_DIMENSION), beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       ratio=st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0]))
+def test_balance_residual_is_evaluate_bit_for_bit(k, beta, ratio):
+    # balance_residual runs evaluate's Horner loop itself, without a problem or a polynomial
+    assume(beta < k / (k + 1))
+    plan = ExcisionPlan(shape=CUBES[k], chord=_unchecked(Chord, beta=beta), scale_ratio=ratio,
+                        cavity=None, balance_point=())
+    expected = evaluate(build_general(BalanceProblem(k=k, beta=beta)), ratio)
+    assert planar.balance_residual(plan).hex() == expected.hex()
+
+
+def jittered_simplex(seed: int, k: int) -> Simplex:
+    """A well-conditioned random simplex: the unit corner simplex, jittered and moved."""
+    rng = np.random.default_rng(seed)
+    vertices = (np.vstack([np.zeros(k), np.eye(k)]) + rng.uniform(-0.2, 0.2, (k + 1, k))) * rng.uniform(0.5, 2.0)
+    return Simplex(vertices=tuple(map(tuple, vertices + rng.uniform(-1.0, 1.0, k))))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(seed=seeds, n=st.integers(3, 60))
+def test_balanced_chords_are_odd_in_number_and_reverse_to_the_complement(seed, n):
+    # beta(theta + pi) = 1 - beta(theta), so beta - 1/2 changes sign an odd
+    # number of times on a half turn wherever its roots are simple
+    poly = polygon(seed, n)
+    chords = scan_balanced_chords(poly)
+    assert len(chords) % 2 == 1
+    for chord in chords:
+        (ox, oy), (qx, qy) = chord.tangent_point, chord.far_point
+        reverse = chord_through_centroid(poly, math.atan2(qy - oy, qx - ox) + math.pi)
+        assert abs(reverse.beta - (1.0 - chord.beta)) <= 1e-12
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, k=st.integers(2, 20))
+def test_cone_apexes_are_refused(seed, k):
+    # a vertex of a simplex (a triangle in the plane) is the apex of a cone over
+    # its opposite facet, where beta reaches k/(k+1) and no cavity fits
+    for body in (jittered_simplex(seed, k), random_convex_polygon(3, np.random.default_rng(seed))):
+        for vertex in body.vertices:
+            with pytest.raises(PhysicalityError):
+                plan_excision_kd(body, vertex)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(seed=seeds, k=st.integers(2, 20), n=st.integers(3, 80))
+def test_every_boundary_point_away_from_an_apex_plans(seed, k, n):
+    # the centroid divides every chord through it at most k : 1 (Minkowski and
+    # Radon), so every boundary point but a cone apex has a cavity
+    rng = np.random.default_rng(seed)
+    simplex, poly = jittered_simplex(seed, k), polygon(seed, n)
+    # a point on a facet of the simplex, every weight of its k vertices at least 1/(20k)
+    skip = int(rng.integers(0, k + 1))
+    weights = rng.uniform(0.05, 1.0, k)
+    facet = np.delete(simplex.vertex_array, skip, axis=0)
+    on_facet = tuple((weights / weights.sum() @ facet).tolist())
+    # a point on an edge of the polygon, at least 1% of the edge from either end
+    i, t = int(rng.integers(0, n)), float(rng.uniform(0.01, 0.99))
+    (ax, ay), (bx, by) = poly.vertices[i], poly.vertices[(i + 1) % n]
+    on_edge = (ax + t * (bx - ax), ay + t * (by - ay))
+    for body, o in ((simplex, on_facet), (poly, on_edge)):
+        # [1/(k+1), k/(k+1)], widened by 4 ulps of each end for the rounding of a computed beta
+        lo, hi = 1.0 / (body.dim + 1), body.dim / (body.dim + 1)
+        plan = plan_excision_kd(body, o)
+        assert lo - 4.0 * math.ulp(lo) <= plan.beta <= hi + 4.0 * math.ulp(hi) and plan.scale_ratio > 1.0

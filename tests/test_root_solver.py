@@ -1,6 +1,9 @@
 """Root solver values and step counts that must not drift."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from edgebalance import sequences
 from edgebalance.polynomials import (
     MAX_DIMENSION,
     BalanceProblem,
+    RootResult,
     RootSolverError,
     _BRACKET_WIDTH,
     _closed_step,
@@ -53,6 +57,23 @@ def test_root_beyond_the_float_range_is_refused():
     for k in (1, 2, 64):
         with pytest.raises(RootSolverError, match="overflows"):
             positive_root(BalanceProblem(k=k, beta=5e-324))
+
+
+@pytest.mark.parametrize("k, beta", [(1, 0.5), (2, 0.5), (3, 0.75), (10, 1e-300), (64, 0.9999)])
+def test_solver_result_is_a_constructed_result(k, beta):
+    # positive_root builds its result without the constructor
+    root = positive_root(BalanceProblem(k=k, beta=beta))
+    built = RootResult(**dataclasses.asdict(root))
+    assert root == built and built == root
+    assert repr(root) == repr(built)
+    assert hash(root) == hash(built)
+    assert dataclasses.replace(root) == built
+    assert dataclasses.replace(root, iterations=0) == dataclasses.replace(built, iterations=0)
+    for twin in (copy.deepcopy(root), copy.copy(root), pickle.loads(pickle.dumps(root))):
+        assert type(twin) is RootResult
+        assert twin == built and repr(twin) == repr(built) and hash(twin) == hash(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root.value = 1.0
 
 
 @st.composite
