@@ -35,7 +35,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from . import sequences
-from .polynomials import MAX_DIMENSION, PhysicalityError, knacci_constant
+from .polynomials import MAX_DIMENSION, PhysicalityError, _as_integer, knacci_constant
 from .report import RunReport, csv_text, shape_digest
 
 if TYPE_CHECKING:
@@ -43,6 +43,9 @@ if TYPE_CHECKING:
 
 
 def _tolerance(text: str) -> float:
+    """``--tol``, refused here unless finite and positive: ``table`` and the
+    excise commands clamp it with ``max(tol, floor)``, which would pass a
+    negative or NaN tolerance on without a word."""
     tol = float(text)
     if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
@@ -105,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_order(k: int) -> None:
-    if k < 1 or k > MAX_DIMENSION:
-        raise ValueError(f"k must be in 1..{MAX_DIMENSION}, got {k}")
-
-
 def _emit(fmt: str, rows: list[dict], text, payload=None) -> None:
     """Print a result: ``rows`` as CSV, ``payload`` (``rows`` if None) as JSON, or
     ``text()``, a callable so that a long text is only built when it is printed."""
@@ -122,7 +120,6 @@ def _emit(fmt: str, rows: list[dict], text, payload=None) -> None:
 
 
 def cmd_constant(args) -> int:
-    _check_order(args.k)
     root = knacci_constant(args.k)
     row = {"k": args.k, "value": root.value, "residual": root.residual, "physical": root.physical}
     _emit(args.format, [row], lambda: f"{root.value!r}\nresidual {root.residual!r}", row)
@@ -130,7 +127,8 @@ def cmd_constant(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_order(args.k_max)
+    # without the floor of 1, --k-max 0 would print an empty table and exit 0
+    _as_integer(args.k_max, "--k-max", 1, MAX_DIMENSION)
     rows = []
     for k in range(1, args.k_max + 1):
         root = knacci_constant(k)
@@ -163,7 +161,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_seq(args) -> int:
-    _check_order(args.k)
+    _as_integer(args.k, "k", 1, MAX_DIMENSION)
     if args.count > sequences.DEFAULT_MAX_TERMS:  # doubling terms make memory grow as count^2
         raise ValueError(f"--count is capped at {sequences.DEFAULT_MAX_TERMS}, got {args.count}")
     if args.seeds == "doubling":
@@ -224,10 +222,8 @@ def cmd_excise(args) -> int:
         try:
             theta = float(args.theta)
         except ValueError:
-            theta = math.nan
-        if not math.isfinite(theta):
-            raise ValueError(f"--theta must be 'auto' or a finite number, got {args.theta!r}")
-        chord = planar.chord_through_centroid(shape, theta)
+            raise ValueError(f"--theta must be 'auto' or a finite number, got {args.theta!r}") from None
+        chord = planar.chord_through_centroid(shape, theta)  # which refuses inf and NaN
     # the library built the chord on this shape: plan it without re-testing its ends
     plan = planar._solve_excision(shape, chord)
     return _verify_and_report(args, shape_dict, plan, started)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polynomials import _as_integer, _as_point
 from .shapes import Shape
 
 # points per chunk in the plane, half a chunk's coordinates: the fastest of
@@ -52,33 +53,34 @@ def bounding_box(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     return shape.bbox()
 
 
-def _dimension_error(shape: Shape, pts: np.ndarray, ndim: int) -> ValueError:
-    got = f"dimension {pts.shape[-1]}" if pts.ndim == ndim else f"an array of shape {pts.shape}"
-    k = shape.dim
-    return ValueError(f"a {k}-D {shape.kind} takes points of dimension {k}, got {got}")
-
-
 def contains(shape: Shape, points: np.ndarray) -> np.ndarray:
     """Vectorized closed-region membership for an (n, dim) point array.
 
-    Raises ValueError for points of another dimension: the body kernels
-    read only the first ``dim`` columns and would not notice.
+    Raises ValueError for an array that does not hold integers or floats (a
+    string, a boolean, None or a nested list among its entries), and for
+    points of another dimension: the body kernels read only the first
+    ``dim`` columns and would not notice.  One dtype test reads the array;
+    its entries are not read one by one.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
+    if pts.dtype.kind not in "iuf":
+        raise ValueError(f"points must be an array of numbers, got an array of {pts.dtype}")
+    pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != shape.dim:
-        raise _dimension_error(shape, pts, 2)
+        got = f"dimension {pts.shape[-1]}" if pts.ndim == 2 else f"an array of shape {pts.shape}"
+        k = shape.dim
+        raise ValueError(f"a {k}-D {shape.kind} takes points of dimension {k}, got {got}")
     return shape.contains(pts)
 
 
 def point_in_shape(shape: Shape, p) -> bool:
     """Exact membership of a single point (boundary counts as inside).
 
-    Raises ValueError for a point of another dimension.
+    The point is read by ``_as_point`` as the "point": ``shape.dim`` real
+    numbers, else ValueError.
     """
-    pts = np.asarray(p, dtype=float)
-    if pts.shape != (shape.dim,):
-        raise _dimension_error(shape, pts, 1)
-    return bool(shape.contains(pts[None, :])[0])
+    p = _as_point(p, "point", shape.dim)
+    return bool(shape.contains(np.array([p]))[0])
 
 
 @dataclass(frozen=True)
@@ -143,21 +145,17 @@ def sample_region_centroid(
     """Estimate the centroid of ``shape`` minus ``cavity`` from ``n`` box samples.
 
     ``cavity`` may be None to sample the full shape.  Points are accepted
-    when inside the shape and not inside the cavity.  Raises ValueError for
-    an ``n`` that is not an integer of at least 1000, a seed that is not a
-    non-negative integer (numpy integers count as integers), a cavity of
-    another dimension, and when nothing is accepted (cavity covering the
-    body, a degenerate box, or a body that fills too little of its box, as a
-    64-ball fills about 1.7e-39 of its box).
+    when inside the shape and not inside the cavity.  ``n`` and ``seed`` are
+    read by ``_as_integer``, so numpy integers count as integers: ValueError
+    for an ``n`` that is not an integer of at least 1000 (fewer give no
+    meaningful error bar) and at most ``sys.maxsize``, and for a seed that is
+    not a non-negative integer.  Also ValueError for a cavity of another
+    dimension, and when nothing is accepted (cavity covering the body, a
+    degenerate box, or a body that fills too little of its box, as a 64-ball
+    fills about 1.7e-39 of its box).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"sample count must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples for a meaningful error bar, got {n}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    n = _as_integer(n, "sample count", 1000, sys.maxsize)
+    seed = _as_integer(seed, "seed", 0, None)
     if cavity is not None and cavity.dim != shape.dim:
         raise ValueError(
             f"cavity dimension {cavity.dim} differs from the body's dimension {shape.dim}"

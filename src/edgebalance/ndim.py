@@ -45,13 +45,13 @@ from .planar import (
     excision_with_ratio,
     verify_balance,
 )
+from .polynomials import _as_point
 from .shapes import (  # the k-dimensional shape API is re-exported from here
     Hyperball,
     Hypercube,
     Point,
     ShapeKd,
     Simplex,
-    _as_point,
     shape_from_dict,
     shape_to_dict,
 )

@@ -43,6 +43,9 @@ import numpy as np
 from .polynomials import (
     BalanceProblem,
     PhysicalityError,
+    _as_integer,
+    _as_number,
+    _as_point,
     _unchecked,
     physicality_threshold,
     positive_root,
@@ -55,8 +58,6 @@ from .shapes import (  # the planar shape API is re-exported from here
     Shape,
     Shape2D,
     Simplex,
-    _as_number,
-    _as_point,
     _edge_array,
     regular_polygon,
     shape_from_dict,
@@ -186,14 +187,17 @@ def _centroid_chord(shape: Shape, u) -> Chord:
 
 
 def chord_through_centroid(shape: Shape2D, theta: float) -> Chord:
-    """Chord through the centroid of a planar shape along direction ``theta``:
-    the tangency end is the boundary crossing opposite the direction."""
+    """Chord through the centroid of a planar shape along direction ``theta``
+    (a finite number, in radians): the tangency end is the boundary crossing
+    opposite the direction."""
+    theta = _as_number(theta, "theta")
     _require_planar(shape)
     return _centroid_chord(shape, (math.cos(theta), math.sin(theta)))
 
 
 def beta_complement(shape: Shape2D, theta: float) -> tuple[float, float]:
     """Offsets of the same chord traversed both ways; the pair sums to 1."""
+    theta = _as_number(theta, "theta")
     return (
         chord_through_centroid(shape, theta).beta,
         chord_through_centroid(shape, theta + math.pi).beta,
@@ -298,8 +302,9 @@ def _chords_with_offset(shape: Shape2D, target: float, tol: float, turn: float) 
     yield the horizontal chord.  A body that is not planar raises ValueError.
     """
     _require_planar(shape)
-    if not 0.0 < tol < math.inf:  # inf would pass any chord as a root
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = _as_number(tol, "tol")  # inf would pass any chord as a root
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if shape.centrally_symmetric:
         if abs(target - 0.5) > tol:
             raise ValueError("centrally symmetric shapes only admit beta = 1/2")
@@ -379,6 +384,7 @@ def find_chord_with_beta(shape: Shape2D, beta_target: float, tol: float = 1e-12)
     floating-point angle resolves within ``tol`` are passed over, as in
     ``scan_balanced_chords``; if that leaves none, ValueError says so.
     """
+    beta_target = _as_number(beta_target, "beta target")
     if not 0.0 < beta_target < 1.0:
         raise ValueError(f"beta target must be in (0, 1), got {beta_target}")
     return next(_chords_with_offset(shape, beta_target, tol, 2.0 * math.pi))
@@ -432,8 +438,10 @@ def excision_with_ratio(shape: Shape, chord: Chord, scale_ratio: float) -> Excis
     """Build a plan with an explicit scale ratio (no balance solve).
 
     Useful for what-if checks; ``verify_balance`` will fail unless the ratio
-    solves the balance polynomial for the chord's beta.
+    solves the balance polynomial for the chord's beta.  ``scale_ratio`` is
+    read as a finite number before it is tested for a cavity.
     """
+    scale_ratio = _as_number(scale_ratio, "scale ratio")
     if not scale_ratio > 1.0 + _MIN_EXCISION_MARGIN:
         raise PhysicalityError(
             f"scale ratio {scale_ratio} leaves no cavity strictly inside the body"
@@ -585,8 +593,9 @@ def verify_balance(plan: ExcisionPlan, tol: float = 1e-10) -> BalanceReport:
     is the rounding noise of the check, not a bound on the error of the
     exact geometry; Monte Carlo checks the moments independently.
     """
-    if not 0.0 < tol < math.inf:  # inf would pass every plan, NaN or <= 0 none
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = _as_number(tol, "tol")  # inf would pass every plan, NaN none
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     com = composite_centroid(plan)
     dist = math.dist(com, plan.balance_point)
     length = plan.chord.length
@@ -611,7 +620,8 @@ def regular_polygon_betas(n: int) -> tuple[float, float]:
     Even n is rejected: every vertex-to-vertex chord there already has
     beta = 1/2.
     """
-    if n < 3 or n % 2 == 0:
+    n = _as_integer(n, "n", 3, sys.maxsize)
+    if n % 2 == 0:
         raise ValueError(f"defined for odd n >= 3, got {n}")
     c = math.cos(math.pi / n)
     return (1.0 / (1.0 + c), c / (1.0 + c))
@@ -623,9 +633,7 @@ def boundary_points(shape: Shape2D, count: int) -> list[Point]:
     if not isinstance(shape, Shape2D):
         raise ValueError(f"boundary points are drawn on a polygon, an ellipse or a circle, "
                          f"got a {shape.kind} of dimension {shape.dim}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    return shape.boundary_points(count)
+    return shape.boundary_points(_as_integer(count, "count", 1, sys.maxsize))
 
 
 def random_convex_polygon(
@@ -636,16 +644,16 @@ def random_convex_polygon(
     Valtr's construction: draw coordinate pools, split each into two
     monotone chains, pair the resulting displacement components at random,
     and sort the displacement vectors by angle.  The angular sort makes the
-    cumulative path convex and counterclockwise.  ``scale`` must be finite
-    and nonzero.  A draw the polygon check refuses (an angular tie, which
-    has measure zero) is redrawn, up to ``_POLYGON_DRAWS`` draws in all; the
-    last refusal is raised, as for a scale at which every polygon's area is
-    beyond binary64.
+    cumulative path convex and counterclockwise.  ``n_vertices`` must be an
+    integer of at least 3, and ``scale`` a finite nonzero number.  A draw the
+    polygon check refuses (an angular tie, which has measure zero) is
+    redrawn, up to ``_POLYGON_DRAWS`` draws in all; the last refusal is
+    raised, as for a scale at which every polygon's area is beyond binary64.
     """
-    if n_vertices < 3:
-        raise ValueError(f"need at least 3 vertices, got {n_vertices}")
-    if not (math.isfinite(scale) and scale != 0.0):
-        raise ValueError(f"scale must be finite and nonzero, got {scale!r}")
+    n_vertices = _as_integer(n_vertices, "n_vertices", 3, sys.maxsize)
+    scale = _as_number(scale, "scale")
+    if scale == 0.0:
+        raise ValueError(f"scale must be nonzero, got {scale!r}")
 
     def deltas(values: np.ndarray) -> np.ndarray:
         values = np.sort(values)

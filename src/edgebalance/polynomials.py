@@ -18,6 +18,20 @@ The physicality threshold ``beta < k/(k+1)`` is the Minkowski–Radon bound:
 the centroid divides every chord through it in a ratio of at most k : 1
 (Grünbaum 1963), so every centroid chord of a convex body has beta in
 ``[1/(k+1), k/(k+1)]``, with equality only at the apex of a cone.
+
+This module is also the one home of caller-input reading.  Every public
+entry of the package reads each number and point a caller gives through
+one of three readers, which name the parameter or field they refuse:
+``_as_number`` (any real number, ``numbers.Real``: Python and numpy ints
+and floats, fractions, as a finite Python float), ``_as_integer`` (any
+integer, ``numbers.Integral``: Python and numpy ints, in a range, as a
+Python int) and ``_as_point`` (a list, tuple or numpy array of such real
+numbers, as a tuple of Python floats).  A string (even ``"1"``), a boolean,
+None, a list where a number belongs, a nested list, NaN, an infinity, an
+integer beyond binary64 and a float where an integer belongs (``5.0``) are
+refused with ValueError, never read character by character or as 0 or 1.
+The module imports no numpy, so ``shapes``, ``planar``, ``sequences`` and
+the number commands of the CLI all read through it.
 """
 
 import math
@@ -27,6 +41,74 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 MAX_DIMENSION = 64
+
+
+def _as_number(x, what: str) -> float:
+    """A caller's number as a finite Python float, else ValueError naming ``what``.
+
+    Any real number (``numbers.Real``: Python and numpy ints and floats,
+    fractions) is read; a boolean, a string, None, a list, an integer beyond
+    binary64, inf and NaN are refused.
+    """
+    value = x
+    if type(x) is not float:
+        try:
+            value = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an integer or fraction beyond binary64
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return value
+
+
+def _as_integer(x, what: str, lo: int, hi: int | None) -> int:
+    """A caller's integer in ``lo..hi`` as a Python int, else ValueError naming ``what``.
+
+    Any integer (``numbers.Integral``: Python and numpy ints) is read; a
+    boolean, a float (even ``5.0``), a string, None and a list are refused.
+    ``hi`` None leaves the integer unbounded above, as exact integer
+    arithmetic takes it.
+    """
+    if type(x) is not int:
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+        x = int(x)
+    if x < lo or hi is not None and x > hi:
+        raise ValueError(f"{what} must be {f'at least {lo}' if x < lo else f'at most {hi}'}, got {x}")
+    return x
+
+
+def _as_list(items, what: str) -> list:
+    """A caller's list, else ValueError naming ``what``: any iterable but a
+    string or a mapping (a JSON object), so that a string is never read
+    character by character."""
+    if not isinstance(items, (str, bytes, dict)):
+        try:
+            return list(items)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a list, got {items!r}")
+
+
+def _as_point(p, what: str, dim: int | None = None) -> tuple[float, ...]:
+    """A caller's point as a tuple of finite Python floats, else ValueError
+    naming ``what``: a list of numbers (each read as ``_as_number`` reads it),
+    ``dim`` of them, or 1 to ``MAX_DIMENSION`` where ``dim`` is None."""
+    coordinate = f"{what} coordinate"
+    # floats (numpy's float64 among them) are taken inline, other numbers read
+    # one by one; the tuple is built from a list, at its final length: one built
+    # from an iterator starts at 10 slots and is resized, so each call would move
+    # one tuple between CPython's per-size free lists until they hold thousands idle
+    point = tuple([x if type(x) is float else float(x) if isinstance(x, float) else _as_number(x, coordinate)
+                   for x in _as_list(p, what)])
+    # a sum of floats is finite only where every term is; where it is not, or
+    # overflows, the terms are read one by one
+    if not math.isfinite(sum(point)):
+        for x in point:
+            _as_number(x, coordinate)
+    if not (len(point) == dim if dim else 1 <= len(point) <= MAX_DIMENSION):
+        raise ValueError(f"{what} must be {dim or f'1 to {MAX_DIMENSION}'} numbers, got {len(point)}")
+    return point
 
 
 def _unchecked(cls, **values):
@@ -59,10 +141,9 @@ def physicality_threshold(k: int) -> float:
     The balance polynomial evaluates to ``(k + 1)*beta - k`` at ``x = 1``,
     so a root greater than 1 exists exactly when ``beta < k/(k + 1)``.
     The float itself may lie on either side; ``positive_root`` decides it
-    exactly.
+    exactly.  ``k`` is read by ``_as_integer``, in 1..64.
     """
-    if k < 1:
-        raise ValueError(f"dimension must be a positive integer, got {k}")
+    k = _as_integer(k, "dimension k", 1, MAX_DIMENSION)
     return k / (k + 1)
 
 
@@ -73,12 +154,12 @@ class BalanceProblem:
     ``beta`` is the ratio of the centroid's distance from the tangency end
     of the chord to the full chord length; it must lie strictly between
     0 and 1.  A Python ``int`` k in 1..64 and a Python ``float`` beta in
-    (0, 1) are taken after two ``type(...) is`` tests.  Any other integer
-    (``numbers.Integral`` but a boolean: numpy integers) is stored as a
-    Python ``int``, and any other real number (``numbers.Real``: numpy
-    floats) as a float; anything else raises TypeError.  Rational inputs
-    (``fractions.Fraction``) are converted to the nearest float on their
-    own side of ``k/(k+1)``.
+    (0, 1) are taken after two ``type(...) is`` tests.  Any other k is read
+    by ``_as_integer`` and stored as a Python ``int``, and any other beta by
+    ``_as_number`` and stored as a float, so numpy integers and floats build
+    the problem Python ones do; anything else raises ValueError naming
+    ``dimension k`` or ``beta``.  Rational inputs (``fractions.Fraction``)
+    are converted to the nearest float on their own side of ``k/(k+1)``.
     """
 
     k: int
@@ -88,27 +169,15 @@ class BalanceProblem:
         k, beta = self.k, self.beta
         if type(k) is int and type(beta) is float and 0 < k <= MAX_DIMENSION and 0.0 < beta < 1.0:
             return
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool):
-            raise TypeError(f"dimension must be an integer, got {k!r}")
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"dimension must be >= 1, got {k}")
-        if k > MAX_DIMENSION:
-            raise ValueError(
-                f"dimension capped at {MAX_DIMENSION}; beyond that the root is "
-                f"indistinguishable from its limit in binary64"
-            )
-        if isinstance(beta, Fraction):
+        k = _as_integer(k, "dimension k", 1, MAX_DIMENSION)
+        beta = _as_number(self.beta, "beta")
+        if isinstance(self.beta, Fraction):
             # round to the float on the rational's side of k/(k+1), so that the
             # root's ``physical`` flag describes the offset as given
-            physical = beta * (k + 1) < k
-            beta = float(beta)
+            physical = self.beta * (k + 1) < k
             if (Fraction(beta) * (k + 1) < k) != physical:
                 beta = math.nextafter(beta, 0.0 if physical else 1.0)
-        if not isinstance(beta, numbers.Real):
-            raise TypeError(f"beta must be a real number, got {self.beta!r}")
-        beta = float(beta)
-        if not 0.0 < beta < 1.0 or math.isnan(beta):
+        if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie strictly in (0, 1), got {beta}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "beta", beta)

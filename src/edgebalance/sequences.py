@@ -9,13 +9,21 @@ solver: the two never share any arithmetic.
 Everything runs on Python's arbitrary-precision integers; a ratio is the
 true division of two of them, which CPython rounds correctly once, so
 convergence measurements carry no accumulated rounding.
+
+Of ``edgebalance.polynomials`` this module takes only the input readers
+(``_as_integer``, ``_as_list``, ``_as_number``), and no arithmetic, so the
+oracle stays independent of the solver it checks.  Orders, counts and
+indices are integers up to ``sys.maxsize``, the largest a Python sequence
+holds; seeds are non-negative integers of any size.
 """
 
-import math
+import sys
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice, pairwise
+
+from .polynomials import _as_integer, _as_list, _as_number
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -59,11 +67,6 @@ class DoublingSequence:
     doubling_span: tuple[int, int] | None
 
 
-def _validate_order(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"order must be a positive integer, got {k!r}")
-
-
 def _terms(seeds: tuple[int, ...]) -> Iterator[int]:
     """The seeds, then without end each term the sum of the k before it, the
     window sum kept up to date in O(1) integer operations a term."""
@@ -82,19 +85,13 @@ def generate(k: int, seeds: list[int] | tuple[int, ...], count: int) -> KnacciSe
     (an all-zero sequence has no ratio limit).  Arithmetic is exact at any
     count.
     """
-    _validate_order(k)
-    seeds = tuple(seeds)
+    k = _as_integer(k, "order k", 1, sys.maxsize)
+    seeds = tuple([_as_integer(s, "seed", 0, None) for s in _as_list(seeds, "seeds")])
     if len(seeds) != k:
         raise ValueError(f"expected {k} seeds, got {len(seeds)}")
-    for s in seeds:
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ValueError(f"seeds must be integers, got {s!r}")
-        if s < 0:
-            raise ValueError(f"seeds must be non-negative, got {s}")
     if not any(seeds):
         raise ValueError("seeds must not all be zero")
-    if count < k:
-        raise ValueError(f"count must be at least the order ({k}), got {count}")
+    count = _as_integer(count, "count", k, sys.maxsize)
 
     return KnacciSequence(k=k, seeds=seeds, terms=tuple(islice(_terms(seeds), count)))
 
@@ -107,9 +104,8 @@ def doubling_prefix(k: int, count: int) -> DoublingSequence:
     second nonzero term on: term k + j is 2^j, and the doubling runs from
     index k + 1 to the end.
     """
-    _validate_order(k)
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    k = _as_integer(k, "order k", 1, sys.maxsize)
+    count = _as_integer(count, "count", 1, sys.maxsize)
     terms = ([0] * (k - 1) + [1] + [1 << j for j in range(count - k)])[:count]
     span = (k + 1, count - 1) if count > k + 1 else None
     return DoublingSequence(k=k, terms=tuple(terms), doubling_span=span)
@@ -119,10 +115,9 @@ def ratio(seq: KnacciSequence, n: int) -> float:
     """Ratio terms[n] / terms[n-1] as a correctly rounded float.
 
     Integer true division rounds the exact quotient once, however large the
-    terms.  Indices are 0-based.
+    terms.  Indices are 0-based; ``n`` must be in 1..len(terms) - 1.
     """
-    if not 1 <= n < len(seq.terms):
-        raise IndexError(f"ratio index {n} out of range for {len(seq.terms)} terms")
+    n = _as_integer(n, "ratio index n", 1, len(seq.terms) - 1)
     if seq.terms[n - 1] == 0:
         raise ValueError(f"term {n - 1} is zero, ratio undefined")
     return seq.terms[n] / seq.terms[n - 1]
@@ -136,13 +131,15 @@ def converged_ratio(k: int, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> f
     artifact when the subdominant recurrence roots are complex).  The limit
     does not depend on the seed values, only on k.
     """
-    _validate_order(k)
-    if not 0.0 < tol < math.inf:  # inf would stop at the second ratio
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    k = _as_integer(k, "order k", 1, sys.maxsize)
+    tol = _as_number(tol, "tol")  # inf would stop at the second ratio
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    max_terms = _as_integer(max_terms, "max_terms", 0, sys.maxsize)
     prev_ratio = None
     small_streak = 0
     # the ratio of each term past the seeds to the one before, within max_terms
-    for prev, term in pairwise(islice(_terms((1,) * k), k - 1, max(max_terms, 0))):
+    for prev, term in pairwise(islice(_terms((1,) * k), k - 1, max_terms)):
         r = term / prev
         if prev_ratio is not None:
             if abs(r - prev_ratio) < tol:

@@ -55,19 +55,15 @@ few points between take the loop itself.  So every decision is the loop's,
 and every polygon with a table takes the one route.
 
 Input is checked where it enters, in each class's constructor.  Every
-point and number a caller gives is read by one reader, ``_as_point`` and
-``_as_number``, which names the body and the field it refuses.  From
-Python a number field takes any real number (``numbers.Real``: Python and
-numpy ints and floats, fractions), and a point field a list, tuple or numpy
-array of them; each is stored as Python floats.  A JSON shape file gives
-only what JSON holds, and a string (even ``"1"``), a boolean or null where
-a number or a point belongs is refused, never read character by character
-or as 0 or 1; so are a nested list and an integer beyond binary64.  Every
-coordinate and size must be a finite number, sizes positive, polygons
-strictly convex, counterclockwise and winding exactly once (checked in
-vectorised form on the array), simplices affinely independent (the least
-singular value of the edges out of vertex 0 above 1e-12 times the greatest,
-a numerical rank that rotation, scale and shift leave alone), dimensions in
+point and number a caller gives, from Python or from a JSON shape file, is
+read by the readers of ``edgebalance.polynomials`` (``_as_point``,
+``_as_number``, ``_as_integer``), which name the body and field they
+refuse, and stored as Python floats.  Every coordinate and size must be a
+finite number, sizes positive, polygons strictly convex, counterclockwise
+and winding exactly once (checked in vectorised form on the array),
+simplices affinely independent (the least singular value of the edges out
+of vertex 0 above 1e-12 times the greatest, a numerical rank that
+rotation, scale and shift leave alone), dimensions in
 1..64, the measure a positive normal float and the centroid finite.  A body
 derived from a checked one trusts that check: ``scaled_about`` checks only
 its origin and factor, since a positive homothety keeps a body convex,
@@ -88,7 +84,6 @@ the direct formula's float.
 """
 
 import math
-import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
@@ -96,7 +91,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .polynomials import MAX_DIMENSION, _unchecked
+from .polynomials import MAX_DIMENSION, _as_integer, _as_list, _as_number, _as_point, _unchecked
 
 # Polygons with at least this many vertices screen points by angular sectors
 # about the centroid before the edge loop; below it the loop alone is cheaper.
@@ -111,57 +106,6 @@ PREFILTER_MARGIN = 1e-9
 PREFILTER_SECTORS = 256
 
 Point = tuple[float, ...]
-
-
-def _as_number(x, what: str) -> float:
-    """A caller's number as a finite Python float, else ValueError naming ``what``.
-
-    Any real number (``numbers.Real``: Python and numpy ints and floats,
-    fractions) is read; a boolean, a string, None, a list, an integer beyond
-    binary64, inf and NaN are refused.
-    """
-    value = x
-    if type(x) is not float:
-        try:
-            value = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
-        except OverflowError:  # an integer or fraction beyond binary64
-            value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {x!r}")
-    return value
-
-
-def _as_list(items, what: str) -> list:
-    """A caller's list, else ValueError naming ``what``: any iterable but a
-    string or a mapping (a JSON object), so that a string is never read
-    character by character."""
-    if not isinstance(items, (str, bytes, dict)):
-        try:
-            return list(items)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be a list, got {items!r}")
-
-
-def _as_point(p, what: str, dim: int | None = None) -> Point:
-    """A caller's point as a tuple of finite Python floats, else ValueError
-    naming ``what``: a list of numbers (each read as ``_as_number`` reads it),
-    ``dim`` of them, or 1 to ``MAX_DIMENSION`` where ``dim`` is None."""
-    coordinate = f"{what} coordinate"
-    # floats (numpy's float64 among them) are taken inline, other numbers read
-    # one by one; the tuple is built from a list, at its final length: one built
-    # from an iterator starts at 10 slots and is resized, so each call would move
-    # one tuple between CPython's per-size free lists until they hold thousands idle
-    point = tuple([x if type(x) is float else float(x) if isinstance(x, float) else _as_number(x, coordinate)
-                   for x in _as_list(p, what)])
-    # a sum of floats is finite only where every term is; where it is not, or
-    # overflows, the terms are read one by one
-    if not math.isfinite(sum(point)):
-        for x in point:
-            _as_number(x, coordinate)
-    if not (len(point) == dim if dim else 1 <= len(point) <= MAX_DIMENSION):
-        raise ValueError(f"{what} must be {dim or f'1 to {MAX_DIMENSION}'} numbers, got {len(point)}")
-    return point
 
 
 def _scale_point(p: Point, origin, factor: float) -> Point:
@@ -936,12 +880,7 @@ def regular_polygon(
 
     ``n``, an integer, is capped at ``MAX_REGULAR_POLYGON_SIDES``.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"regular polygon n must be an integer, got {n!r}")
-    if not 3 <= n <= MAX_REGULAR_POLYGON_SIDES:
-        raise ValueError(
-            f"regular polygon n must be at least 3 and at most {MAX_REGULAR_POLYGON_SIDES} sides, got {n}"
-        )
+    n = _as_integer(n, "regular polygon n", 3, MAX_REGULAR_POLYGON_SIDES)
     circumradius = _as_number(circumradius, "regular polygon circumradius")
     orientation = _as_number(orientation, "regular polygon orientation")
     if not circumradius > 0.0:

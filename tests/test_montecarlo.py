@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -82,33 +83,39 @@ class TestMembership:
         assert not point_in_shape(cube, (2.1, 1.0))
 
     @pytest.mark.parametrize(
-        "shape, point, got",
+        "shape, point, message",
         [
-            (UNIT_SQUARE, (0.5, 0.5, 99.0), "dimension 3"),
-            (UNIT_SQUARE, (0.5,), "dimension 1"),
-            (Hyperball(center=(0.0, 0.0, 0.0), radius=1.0), (0.0, 0.0, 0.0, 0.0), "dimension 4"),
-            (SIMPLEX_3, (0.1, 0.1), "dimension 2"),
-            (UNIT_SQUARE, 0.5, r"an array of shape \(\)"),
+            (UNIT_SQUARE, (0.5, 0.5, 99.0), "point must be 2 numbers, got 3"),
+            (UNIT_SQUARE, (0.5,), "point must be 2 numbers, got 1"),
+            (Hyperball(center=(0.0, 0.0, 0.0), radius=1.0), (0.0, 0.0, 0.0, 0.0), "point must be 3 numbers, got 4"),
+            (SIMPLEX_3, (0.1, 0.1), "point must be 3 numbers, got 2"),
+            (UNIT_SQUARE, 0.5, "point must be a list, got 0.5"),
+            # a string or a boolean is not read as the number it spells or stands for
+            (UNIT_SQUARE, ["0.5", "0.5"], "point coordinate must be a finite number, got '0.5'"),
+            (UNIT_SQUARE, [True, False], "point coordinate must be a finite number, got True"),
         ],
-        ids=["square-long", "square-short", "ball3-long", "simplex3-short", "scalar"],
+        ids=["square-long", "square-short", "ball3-long", "simplex3-short", "scalar", "strings", "booleans"],
     )
-    def test_point_of_another_dimension_is_refused(self, shape, point, got):
-        k = shape.dim
-        with pytest.raises(ValueError, match=f"{k}-D {shape.kind} takes points of dimension {k}, got {got}"):
+    def test_point_of_another_dimension_is_refused(self, shape, point, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             point_in_shape(shape, point)
 
     @pytest.mark.parametrize(
-        "shape, points, got",
+        "shape, points, message",
         [
-            (UNIT_SQUARE, np.full((4, 3), 0.5), "dimension 3"),
-            (Hyperball(center=(0.0,) * 4, radius=1.0), np.zeros((4, 3)), "dimension 3"),
-            (UNIT_SQUARE, np.full(2, 0.5), r"an array of shape \(2,\)"),
+            (UNIT_SQUARE, np.full((4, 3), 0.5), "2-D polygon takes points of dimension 2, got dimension 3"),
+            (Hyperball(center=(0.0,) * 4, radius=1.0), np.zeros((4, 3)),
+             "4-D hyperball takes points of dimension 4, got dimension 3"),
+            (UNIT_SQUARE, np.full(2, 0.5), "2-D polygon takes points of dimension 2, got an array of shape (2,)"),
+            # one dtype test refuses strings, booleans and objects before any conversion
+            (UNIT_SQUARE, [["0.5", "0.5"]], "points must be an array of numbers, got an array of <U3"),
+            (UNIT_SQUARE, [[True, False]], "points must be an array of numbers, got an array of bool"),
+            (UNIT_SQUARE, [[0.5, None]], "points must be an array of numbers, got an array of object"),
         ],
-        ids=["square-long", "ball4-short", "flat"],
+        ids=["square-long", "ball4-short", "flat", "strings", "booleans", "none"],
     )
-    def test_points_of_another_dimension_are_refused(self, shape, points, got):
-        k = shape.dim
-        with pytest.raises(ValueError, match=f"{k}-D {shape.kind} takes points of dimension {k}, got {got}"):
+    def test_points_of_another_dimension_are_refused(self, shape, points, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             contains(shape, points)
 
     def test_vectorized_matches_scalar(self):
@@ -433,9 +440,19 @@ class TestBadArguments:
         est = sample_region_centroid(UNIT_SQUARE, None, np.int64(5000), seed=1)
         assert est.samples_total == 5000 and isinstance(est.samples_total, int)
 
-    @pytest.mark.parametrize("seed", [True, -1, np.int64(-1), 5.0, np.float64(5.0), "5"])
-    def test_bad_seed_is_refused(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer, got True"),
+            (-1, "seed must be at least 0, got -1"),
+            (np.int64(-1), "seed must be at least 0, got -1"),
+            (5.0, "seed must be an integer, got 5.0"),
+            (np.float64(5.0), f"seed must be an integer, got {np.float64(5.0)!r}"),
+            ("5", "seed must be an integer, got '5'"),
+        ],
+    )
+    def test_bad_seed_is_refused(self, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             sample_region_centroid(UNIT_SQUARE, None, 5000, seed=seed)
 
     def test_numpy_integer_seed_is_accepted(self):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -253,7 +254,15 @@ class TestBalancedChordSearch:
         with pytest.raises(TypeError):
             scan_balanced_chords(TRIANGLE, 720)
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.nan, "tol must be a finite number, got nan"),
+            (0.0, "tol must be positive, got 0.0"),
+            (-1.0, "tol must be positive, got -1.0"),
+            (math.inf, "tol must be a finite number, got inf"),
+        ],
+    )
     @pytest.mark.parametrize(
         "search",
         [
@@ -263,8 +272,8 @@ class TestBalancedChordSearch:
         ],
         ids=["find_balanced_chord", "find_chord_with_beta", "scan_balanced_chords"],
     )
-    def test_searches_refuse_a_tolerance_that_is_not_positive(self, search, tol):
-        with pytest.raises(ValueError, match="tol must be positive"):
+    def test_searches_refuse_a_tolerance_that_is_not_positive(self, search, tol, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             search(Polygon(((0.0, 0.0), (4.0, 0.0), (1.0, 2.0))), tol)
 
     def test_targeted_offset_search(self):
@@ -476,11 +485,19 @@ class TestVerifyBalance:
         assert report.distance > 1e-3
         assert abs(report.polynomial_residual) > 1e-3
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.inf, "tol must be a finite number, got inf"),
+            (math.nan, "tol must be a finite number, got nan"),
+            (-1.0, "tol must be positive, got -1.0"),
+            (0.0, "tol must be positive, got 0.0"),
+        ],
+    )
+    def test_rejects_tol_that_is_not_finite_and_positive(self, tol, message):
         # inf would pass every plan, and NaN or a tol <= 0 fail every one
         plan = plan_excision(UNIT_SQUARE, chord_through_centroid(UNIT_SQUARE, math.pi / 4.0))
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             verify_balance(plan, tol=tol)
 
     def test_circle_plan_passes(self):
@@ -659,5 +676,6 @@ class TestRandomConvexPolygon:
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[:4] == [f"scale must be finite and nonzero, got {s}" for s in ("0.0", "nan", "inf", "-inf")]
+        assert lines[:4] == ["scale must be nonzero, got 0.0"] + [
+            f"scale must be a finite number, got {s}" for s in ("nan", "inf", "-inf")]
         assert len(lines) == 6

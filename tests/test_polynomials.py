@@ -1,9 +1,12 @@
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from edgebalance import polynomials
 from edgebalance.polynomials import (
     MAX_DIMENSION,
     BalancePolynomial,
@@ -21,19 +24,21 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-T, V = TypeError, ValueError
+V = ValueError
 ONE_BELOW = math.nextafter(1.0, 0.0)
 # BalanceProblem(k, beta) on a fixed table: the error raised, or the beta
 # stored.  A Fraction k/(k+1) is stored as the float above the threshold
-# float, which lies below it, so that the root stays unphysical.
+# float, which lies below it, so that the root stays unphysical.  Every
+# refusal is a ValueError, a k that is not an integer or a beta that is not
+# a real number included.
 VERDICTS = [
     (1, 0.5, 0.5), (2, 0.5, 0.5), (64, 0.5, 0.5), (0, 0.5, V), (-1, 0.5, V), (65, 0.5, V),
-    (True, 0.5, T), (False, 0.5, T), (3.0, 0.5, T), ("3", 0.5, T), (None, 0.5, T),
-    (Fraction(3), 0.5, T), (np.bool_(True), 0.5, T),
+    (True, 0.5, V), (False, 0.5, V), (3.0, 0.5, V), ("3", 0.5, V), (None, 0.5, V),
+    (Fraction(3), 0.5, V), (np.bool_(True), 0.5, V),
     (3, 1e-300, 1e-300), (3, 5e-324, 5e-324), (3, ONE_BELOW, ONE_BELOW),
     (3, 0.0, V), (3, -0.0, V), (3, 1.0, V), (3, -0.5, V), (3, 1.5, V), (3, 1, V), (3, 0, V),
     (3, True, V), (3, False, V), (3, math.nan, V), (3, math.inf, V), (3, -math.inf, V),
-    (3, "0.5", T), (3, None, T), (3, np.bool_(True), T),
+    (3, "0.5", V), (3, None, V), (3, np.bool_(True), V),
     (3, Fraction(1, 3), 1.0 / 3.0), (3, Fraction(1, 2), 0.5), (3, Fraction(0), V), (3, Fraction(1), V),
     (3, np.float64(0.5), 0.5),
 ] + [
@@ -313,3 +318,48 @@ class TestKnacciConstants:
         # for beta = 1/2 the large-k root approaches 1/beta = 2
         result = positive_root(BalanceProblem(k=60, beta=0.5))
         assert abs(result.value - 2.0) < 1e-4
+
+
+# the checks that only the caller-input readers of ``polynomials`` may make
+NUMBER_CLASSES = {"bool", "numbers.Integral", "numbers.Real", "np.integer", "numpy.integer"}
+
+
+def _reader_design_breaches(package: pathlib.Path) -> list[str]:
+    """Where the package's source reads a caller's number outside ``polynomials``
+    (an ``isinstance`` test against a number class), and every name the
+    ``sequences`` oracle imports from ``polynomials`` but an ``_as_`` reader."""
+    breaches = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if (path.stem != "polynomials" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2):
+                classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(ast.unparse(c) in NUMBER_CLASSES for c in classes):
+                    breaches.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if path.stem == "sequences" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                for alias in node.names:
+                    whole = f"{module}.{alias.name}".lstrip(".") if isinstance(node, ast.ImportFrom) else alias.name
+                    reader = module.endswith("polynomials") and alias.name.startswith("_as_")
+                    if "polynomials" in whole.split(".") and not reader:
+                        breaches.append(f"{path.name}:{node.lineno}: imports {whole}")
+    return breaches
+
+
+def test_only_polynomials_reads_caller_numbers():
+    # one module knows the input policy, and the sequence oracle takes nothing
+    # from the solver's module but its readers: no arithmetic
+    assert _reader_design_breaches(pathlib.Path(polynomials.__file__).parent) == []
+
+
+def test_the_reader_design_check_sees_a_breach(tmp_path):
+    # the check itself: a second reader and an oracle that borrows the solver
+    (tmp_path / "montecarlo.py").write_text("import numbers\nok = isinstance(n, (int, numbers.Integral))\n")
+    (tmp_path / "sequences.py").write_text(
+        "from .polynomials import _as_integer, positive_root\nfrom . import polynomials\n")
+    (tmp_path / "polynomials.py").write_text("ok = isinstance(x, bool)\n")
+    assert _reader_design_breaches(tmp_path) == [
+        "montecarlo.py:2: isinstance(n, (int, numbers.Integral))",
+        "sequences.py:1: imports polynomials.positive_root",
+        "sequences.py:2: imports polynomials",
+    ]

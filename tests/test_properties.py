@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgebalance import cli, planar
@@ -945,3 +945,45 @@ def test_every_boundary_point_away_from_an_apex_plans(seed, k, n):
         lo, hi = 1.0 / (body.dim + 1), body.dim / (body.dim + 1)
         plan = plan_excision_kd(body, o)
         assert lo - 4.0 * math.ulp(lo) <= plan.beta <= hi + 4.0 * math.ulp(hi) and plan.scale_ratio > 1.0
+
+
+@settings(PROPERTY, max_examples=100)
+@given(seed=seeds, k=st.integers(2, MAX_DIMENSION))
+@example(seed=0, k=MAX_DIMENSION)
+def test_every_boundary_point_of_every_body_class_plans(seed, k):
+    # the Minkowski–Radon bound beyond polygons and small simplices: balls,
+    # cubes and simplices up to k = 64, circles and ellipses, each at a random
+    # boundary point away from any apex; a centrally symmetric body gives 1/2
+    rng = np.random.default_rng(seed)
+    corner, size = rng.uniform(-1.0, 1.0, k), float(rng.uniform(0.5, 2.0))
+    u = rng.standard_normal(k)
+    on_sphere = corner + size * (u / np.linalg.norm(u))
+    # a point on a facet of the cube, every other coordinate at least 1% of a side from an edge
+    on_face = corner + size * rng.uniform(0.01, 0.99, k)
+    j = int(rng.integers(0, k))
+    on_face[j] = corner[j] + size * int(rng.integers(0, 2))
+    # a point on a facet of the simplex, every weight of its k vertices at least 1/(20k)
+    simplex = jittered_simplex(seed, k)
+    weights = rng.uniform(0.05, 1.0, k)
+    on_facet = weights / weights.sum() @ np.delete(simplex.vertex_array, int(rng.integers(0, k + 1)), axis=0)
+    phi, rotation = rng.uniform(0.0, 2.0 * math.pi, 2)
+    a, b = rng.uniform(0.5, 2.0, 2)
+    cr, sr = math.cos(rotation), math.sin(rotation)
+    ellipse_point = (a * math.cos(phi), b * math.sin(phi))
+    cases = [
+        (Hyperball(center=corner, radius=size), on_sphere),
+        (Hypercube(min_corner=corner, side=size), on_face),
+        (simplex, on_facet),
+        (Circle(center=corner[:2], radius=size), corner[:2] + size * np.array([math.cos(phi), math.sin(phi)])),
+        (Ellipse(center=corner[:2], semi_axes=(a, b), rotation=rotation),
+         corner[:2] + np.array([cr * ellipse_point[0] - sr * ellipse_point[1],
+                                sr * ellipse_point[0] + cr * ellipse_point[1]])),
+    ]
+    for body, o in cases:
+        plan = plan_excision_kd(body, o)
+        # [1/(k+1), k/(k+1)], widened by 4 ulps of each end for the rounding of a computed beta
+        lo, hi = 1.0 / (body.dim + 1), body.dim / (body.dim + 1)
+        assert lo - 4.0 * math.ulp(lo) <= plan.beta <= hi + 4.0 * math.ulp(hi), (body.kind, k, seed)
+        assert plan.scale_ratio > 1.0, (body.kind, k, seed)
+        if body.centrally_symmetric:
+            assert plan.beta == 0.5, (body.kind, k, seed)

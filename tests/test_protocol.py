@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgebalance import cli
-from edgebalance.montecarlo import contains
+from edgebalance.montecarlo import contains, point_in_shape, sample_region_centroid
 from edgebalance.ndim import (
     ExcisionPlanKd,
     Hyperball,
@@ -35,8 +35,10 @@ from edgebalance.planar import (
     ExcisionPlan,
     Polygon,
     area,
+    beta_complement,
     boundary_points,
     centroid,
+    chord_through_centroid,
     composite_centroid,
     excision_with_ratio,
     find_balanced_chord,
@@ -44,9 +46,13 @@ from edgebalance.planar import (
     plan_excision,
     random_convex_polygon,
     regular_polygon,
+    regular_polygon_betas,
+    scan_balanced_chords,
     shape_from_dict,
     verify_balance,
 )
+from edgebalance.polynomials import BalanceProblem, physicality_threshold
+from edgebalance.sequences import converged_ratio, doubling_prefix, generate, ratio
 from edgebalance.shapes import MAX_REGULAR_POLYGON_SIDES
 
 NAN, INF = float("nan"), float("inf")
@@ -85,7 +91,7 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
          "error: tangency point (0.1, -0.9, 0.25) is not on the shape boundary"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 10**400]]},
          "polygon vertex coordinate must be a finite number, got 1000"),
-        (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "at most 100000 sides"),
+        (["excise"], {**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1}, "regular polygon n must be at most 100000, got 100001"),
         # each polygon check, with its own message
         (["excise"], {"type": "polygon", "vertices": HEPTAGRAM}, "total turning is 12.566"),
         (["excise"], {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, INF]]}, "finite"),
@@ -174,7 +180,7 @@ PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
         (["excise-kd", "--o=0"], {**BALL3, "center": []},
          "error: hyperball center must be 1 to 64 numbers, got 0"),
         (["excise"], {**PENTAGON, "n": 2},
-         "error: regular polygon n must be at least 3 and at most 100000 sides, got 2"),
+         "error: regular polygon n must be at least 3, got 2"),
         (["excise"], {**PENTAGON, "circumradius": 0},
          "error: regular polygon circumradius must be positive, got 0.0"),
         (["excise"], {"type": "ellipse", "center": [0, 0, 0], "semi_axes": [2, 1]},
@@ -230,7 +236,7 @@ def test_tolerance_below_angle_resolution_is_refused(tmp_path, capsys):
 
 
 def test_regular_polygon_size_is_capped():
-    with pytest.raises(ValueError, match="at most 100000 sides"):
+    with pytest.raises(ValueError, match="regular polygon n must be at most 100000, got 100001"):
         shape_from_dict({**PENTAGON, "n": MAX_REGULAR_POLYGON_SIDES + 1})
 
 
@@ -261,7 +267,7 @@ DISC = Circle(center=(0.0, 0.0), radius=1.0)
         # a hand-built plan whose cavity is the body itself
         (lambda: composite_centroid(ExcisionPlan(SQUARE, find_balanced_chord(SQUARE), 2.0, SQUARE, (0.5, 0.5))),
          "cavity measure must be strictly smaller than the body measure"),
-        (lambda: boundary_points(SQUARE, 0), "count must be positive, got 0"),
+        (lambda: boundary_points(SQUARE, 0), "count must be at least 1, got 0"),
         (lambda: DISC.scaled_about((0, 1), "0.5"), "homothety factor must be a finite number, got '0.5'"),
         # a body's fields, read from Python as from JSON
         (lambda: Circle(center="12", radius=1), "circle center must be a list, got '12'"),
@@ -353,6 +359,106 @@ def test_the_loader_refuses_a_value_of_the_wrong_kind_by_field(shape, path, valu
     assert shape["type"].replace("_", " ") in message
     field = path[0]
     assert any(name in message for name in ((field, "vertex") if field == "vertices" else (field,))), message
+
+
+TRIANGLE = Polygon(((0.0, 0.0), (4.0, 0.0), (1.0, 2.0)))
+SQUARE_PLAN = plan_excision(SQUARE, find_balanced_chord(SQUARE))
+SEQUENCE = generate(2, [1, 1], 6)
+# every public entry that reads a number, one row a parameter: the call with
+# that parameter set to a value, the name its refusal starts with, and its kind
+ENTRY_PARAMETERS = [
+    ("BalanceProblem-k", lambda v: BalanceProblem(k=v, beta=0.5), "dimension k", "integer"),
+    ("BalanceProblem-beta", lambda v: BalanceProblem(k=3, beta=v), "beta", "number"),
+    ("physicality_threshold-k", physicality_threshold, "dimension k", "integer"),
+    ("generate-k", lambda v: generate(v, [1, 1], 5), "order k", "integer"),
+    ("generate-seed", lambda v: generate(2, [1, v], 5), "seed", "seed"),
+    ("generate-count", lambda v: generate(2, [1, 1], v), "count", "integer"),
+    ("doubling_prefix-k", lambda v: doubling_prefix(v, 5), "order k", "integer"),
+    ("doubling_prefix-count", lambda v: doubling_prefix(2, v), "count", "integer"),
+    ("converged_ratio-k", lambda v: converged_ratio(v, 1e-9), "order k", "integer"),
+    ("converged_ratio-tol", lambda v: converged_ratio(3, v), "tol", "number"),
+    ("converged_ratio-max_terms", lambda v: converged_ratio(3, 1e-9, v), "max_terms", "integer"),
+    ("ratio-n", lambda v: ratio(SEQUENCE, v), "ratio index n", "integer"),
+    ("sample_region_centroid-n", lambda v: sample_region_centroid(SQUARE, None, v, seed=1), "sample count",
+     "integer"),
+    ("sample_region_centroid-seed", lambda v: sample_region_centroid(SQUARE, None, 5000, seed=v), "seed", "seed"),
+    ("chord_through_centroid-theta", lambda v: chord_through_centroid(SQUARE, v), "theta", "number"),
+    ("beta_complement-theta", lambda v: beta_complement(TRIANGLE, v), "theta", "number"),
+    ("find_balanced_chord-tol", lambda v: find_balanced_chord(TRIANGLE, v), "tol", "number"),
+    ("find_chord_with_beta-target", lambda v: find_chord_with_beta(TRIANGLE, v), "beta target", "number"),
+    ("find_chord_with_beta-tol", lambda v: find_chord_with_beta(TRIANGLE, 0.45, v), "tol", "number"),
+    ("scan_balanced_chords-tol", lambda v: scan_balanced_chords(TRIANGLE, tol=v), "tol", "number"),
+    ("excision_with_ratio-scale_ratio", lambda v: excision_with_ratio(SQUARE, SQUARE_PLAN.chord, v),
+     "scale ratio", "number"),
+    ("verify_balance-tol", lambda v: verify_balance(SQUARE_PLAN, v), "tol", "number"),
+    ("regular_polygon_betas-n", regular_polygon_betas, "n", "integer"),
+    ("boundary_points-count", lambda v: boundary_points(SQUARE, v), "count", "integer"),
+    ("random_convex_polygon-n_vertices", lambda v: random_convex_polygon(v, np.random.default_rng(0)),
+     "n_vertices", "integer"),
+    ("random_convex_polygon-scale", lambda v: random_convex_polygon(5, np.random.default_rng(0), v), "scale",
+     "number"),
+    ("regular_polygon-n", lambda v: regular_polygon(v, 1.0), "regular polygon n", "integer"),
+    ("point_in_shape-coordinate", lambda v: point_in_shape(SQUARE, [0.5, v]), "point coordinate", "number"),
+]
+NOT_FINITE = st.sampled_from([NAN, INF, -INF, np.float64(NAN), np.float64(-INF)])
+WRONG_BY_KIND = {
+    "number": WRONG_FOR_A_NUMBER | NOT_FINITE | st.just(np.bool_(True)),
+    # a float is not an integer, even 5.0
+    "integer": WRONG_FOR_A_NUMBER | st.floats() | st.floats(-99, 99).map(np.float64) | st.just(np.bool_(True)),
+    # a seed is read exactly, never as a float, so it may be an integer of any size
+    "seed": st.one_of(TEXT, st.booleans(), st.none(), OBJECT, st.lists(st.integers(), max_size=3), st.floats(),
+                      st.integers(max_value=-1)),
+}
+
+
+@pytest.mark.parametrize("call, name, kind", [row[1:] for row in ENTRY_PARAMETERS],
+                         ids=[row[0] for row in ENTRY_PARAMETERS])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_entry_refuses_a_value_of_the_wrong_kind_by_parameter(call, name, kind, data):
+    # one reader for every entry: a string, a boolean, None, a list, NaN, an
+    # infinity, a float where an integer belongs and an integer beyond binary64
+    # are each refused with a ValueError that starts with the parameter's name
+    value = data.draw(WRONG_BY_KIND[kind])
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert str(refused.value).startswith(f"{name} must be "), str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i, f: BalanceProblem(i(3), f(0.25)),
+        lambda i, f: physicality_threshold(i(3)),
+        lambda i, f: generate(i(2), [i(1), i(1)], i(5)),
+        lambda i, f: doubling_prefix(i(3), i(8)),
+        lambda i, f: converged_ratio(i(3), f(1e-9), i(500)),
+        lambda i, f: ratio(SEQUENCE, i(4)),
+        lambda i, f: sample_region_centroid(SQUARE, None, i(2000), seed=i(7)),
+        lambda i, f: chord_through_centroid(SQUARE, f(0.3)),
+        lambda i, f: beta_complement(TRIANGLE, f(0.3)),
+        lambda i, f: find_balanced_chord(TRIANGLE, f(1e-12)),
+        lambda i, f: find_chord_with_beta(TRIANGLE, f(0.45), f(1e-12)),
+        lambda i, f: scan_balanced_chords(TRIANGLE, tol=f(1e-12)),
+        lambda i, f: excision_with_ratio(SQUARE, SQUARE_PLAN.chord, f(1.5)),
+        lambda i, f: verify_balance(SQUARE_PLAN, f(1e-10)),
+        lambda i, f: regular_polygon_betas(i(5)),
+        lambda i, f: boundary_points(SQUARE, i(7)),
+        lambda i, f: random_convex_polygon(i(6), np.random.default_rng(3), f(2.0)),
+        lambda i, f: regular_polygon(i(7), f(1.5)),
+        lambda i, f: point_in_shape(SQUARE, [f(0.5), i(1)]),
+    ],
+    ids=["BalanceProblem", "physicality_threshold", "generate", "doubling_prefix", "converged_ratio", "ratio",
+         "sample_region_centroid", "chord_through_centroid", "beta_complement", "find_balanced_chord",
+         "find_chord_with_beta", "scan_balanced_chords", "excision_with_ratio", "verify_balance",
+         "regular_polygon_betas", "boundary_points", "random_convex_polygon", "regular_polygon",
+         "point_in_shape"],
+)
+def test_numpy_numbers_are_read_as_python_ones(call):
+    # the same result, bit for bit, from numpy integers and floats as from Python ones
+    python = repr(call(int, float))
+    for integer in (np.int64, np.uint16):
+        assert repr(call(integer, np.float64)) == python
 
 
 def test_pentagram_is_not_a_polygon():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -160,9 +161,9 @@ class TestRatio:
 
     def test_index_out_of_range(self):
         seq = generate(2, [1, 1], 5)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="ratio index n must be at most 4, got 5"):
             ratio(seq, 5)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="ratio index n must be at least 1, got 0"):
             ratio(seq, 0)
 
 
@@ -178,18 +179,29 @@ class TestConvergedRatio:
     def test_order_one_is_constant(self):
         assert converged_ratio(1, 1e-12) == 1.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
-    def test_rejects_bad_tol(self, tol):
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (0.0, "tol must be positive, got 0.0"),
+            (-1e-12, "tol must be positive, got -1e-12"),
+            (math.inf, "tol must be a finite number, got inf"),
+            (math.nan, "tol must be a finite number, got nan"),
+        ],
+    )
+    def test_rejects_bad_tol(self, tol, message):
         # an infinite tol once returned 1.8 for the tribonacci constant 1.839...
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             converged_ratio(3, tol)
 
     def test_non_convergence_raises(self):
         # six terms stop short of the limit; a budget of no more terms than
         # seeds leaves no ratio at all
-        for k, max_terms in ((2, 6), (5, 5), (5, 3), (5, 0), (3, -1)):
+        for k, max_terms in ((2, 6), (5, 5), (5, 3), (5, 0)):
             with pytest.raises(ConvergenceError):
                 converged_ratio(k, 1e-15, max_terms=max_terms)
+        # a negative budget is refused, not read as no terms at all
+        with pytest.raises(ValueError, match="max_terms must be at least 0, got -1"):
+            converged_ratio(3, 1e-15, max_terms=-1)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_agrees_with_root_solver(self, k):
