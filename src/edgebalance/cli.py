@@ -162,20 +162,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_seq(args) -> int:
     _as_integer(args.k, "k", 1, MAX_DIMENSION)
-    if args.count > sequences.DEFAULT_MAX_TERMS:  # doubling terms make memory grow as count^2
-        raise ValueError(f"--count is capped at {sequences.DEFAULT_MAX_TERMS}, got {args.count}")
     if args.seeds == "doubling":
         result = sequences.doubling_prefix(args.k, args.count)
     else:
         seeds = [1] * args.k if args.seeds is None else _parse_seeds(args.seeds)
         result = sequences.generate(args.k, seeds, args.count)
     terms = result.terms
-    ratios = [None]
-    for i in range(1, len(terms)):
-        try:
-            ratios.append(terms[i] / terms[i - 1] if terms[i - 1] != 0 else None)
-        except OverflowError:  # a huge seed: the exact quotient is beyond any float
-            raise ValueError(f"term {i} divided by term {i - 1} overflows a float") from None
+    ratios = [None] + [sequences.ratio(result, i) if terms[i - 1] else None for i in range(1, len(terms))]
     payload = {"k": args.k, "terms": list(terms), "ratios": ratios}
     if getattr(result, "doubling_span", None) is not None:
         payload["doubling_span"] = list(result.doubling_span)

@@ -115,9 +115,11 @@ def _unchecked(cls, **values):
     """An instance of the frozen dataclass ``cls`` holding ``values`` as given,
     without ``__post_init__``: for objects built from others already checked.
 
-    ``positive_root`` builds its ``RootResult`` this way, ``ConvexBody.scaled_about``
-    the image of a body, and ``planar._centroid_chord`` and
-    ``planar._chords_with_offset`` the chords they read off a body's exits.
+    ``ConvexBody.scaled_about`` builds the image of a body this way, and
+    ``planar._centroid_chord`` and ``planar._chords_with_offset`` the chords
+    they read off a body's exits.  ``positive_root`` writes its ``RootResult``'s
+    fields into a fresh instance's ``__dict__`` itself, without the keyword
+    round trip, and ``BalanceProblem``'s own ``__init__`` writes its two.
     ``values`` name every field, in field order, so the instance compares,
     hashes, copies and pickles as one built by the constructor.
     """
@@ -160,27 +162,33 @@ class BalanceProblem:
     the problem Python ones do; anything else raises ValueError naming
     ``dimension k`` or ``beta``.  Rational inputs (``fractions.Fraction``)
     are converted to the nearest float on their own side of ``k/(k+1)``.
+
+    The dataclass keeps the ``__init__`` written here, one call in place of
+    a generated ``__init__`` and a ``__post_init__``.  Both paths end by
+    writing the two fields into the instance ``__dict__``, so the problem
+    compares, hashes, prints, copies, pickles and takes
+    ``dataclasses.replace`` like any frozen dataclass.
     """
 
     k: int
     beta: float
 
-    def __post_init__(self):
-        k, beta = self.k, self.beta
-        if type(k) is int and type(beta) is float and 0 < k <= MAX_DIMENSION and 0.0 < beta < 1.0:
-            return
-        k = _as_integer(k, "dimension k", 1, MAX_DIMENSION)
-        beta = _as_number(self.beta, "beta")
-        if isinstance(self.beta, Fraction):
-            # round to the float on the rational's side of k/(k+1), so that the
-            # root's ``physical`` flag describes the offset as given
-            physical = self.beta * (k + 1) < k
-            if (Fraction(beta) * (k + 1) < k) != physical:
-                beta = math.nextafter(beta, 0.0 if physical else 1.0)
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie strictly in (0, 1), got {beta}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "beta", beta)
+    def __init__(self, k: int, beta: float):
+        if not (type(k) is int and type(beta) is float and 0 < k <= MAX_DIMENSION and 0.0 < beta < 1.0):
+            given = beta
+            k = _as_integer(k, "dimension k", 1, MAX_DIMENSION)
+            beta = _as_number(given, "beta")
+            if isinstance(given, Fraction):
+                # round to the float on the rational's side of k/(k+1), so that the
+                # root's ``physical`` flag describes the offset as given
+                physical = given * (k + 1) < k
+                if (Fraction(beta) * (k + 1) < k) != physical:
+                    beta = math.nextafter(beta, 0.0 if physical else 1.0)
+            if not 0.0 < beta < 1.0:
+                raise ValueError(f"beta must lie strictly in (0, 1), got {beta}")
+        state = self.__dict__
+        state["k"] = k
+        state["beta"] = beta
 
 
 @dataclass(frozen=True)
@@ -238,8 +246,9 @@ class RootResult:
     floats, and their difference says nothing, and it stays a normal float
     where ``value^-k`` alone would underflow (tiny ``beta``).
 
-    ``positive_root`` builds it without the constructor (``_unchecked``); it
-    compares, hashes, copies and pickles like one built by the constructor.
+    ``positive_root`` builds it without the constructor, writing the six
+    fields, in field order, into a fresh instance's ``__dict__``; it compares,
+    hashes, copies and pickles like one built by the constructor.
     """
 
     value: float
@@ -252,6 +261,7 @@ class RootResult:
 
 _BRACKET_WIDTH = 1e-13
 _MAX_NEWTON = 100
+_FLOAT_MIN = sys.float_info.min  # the least normal float
 
 
 def _concave_step(beta: float, k: int, x: float) -> float:
@@ -294,7 +304,7 @@ def _gap(beta: float, k: int, x: float) -> float:
     about 1.
     """
     t = x**-k
-    if t < sys.float_info.min:
+    if t < _FLOAT_MIN:
         return (1.0 - beta) / (beta * x) * x ** (1 - k)
     return (1.0 - beta) * t / beta
 
@@ -348,8 +358,9 @@ def positive_root(problem: BalanceProblem) -> RootResult:
     ceiling = 1.0 / beta
     if ceiling == math.inf:
         raise RootSolverError(f"the root for beta={beta!r}, just below 1/beta, overflows a float")
-    # beta == threshold is the float nearest k/(k+1): physical if it lies below
-    threshold = physicality_threshold(k)
+    # beta == threshold is the float nearest k/(k+1): physical if it lies below;
+    # k is the problem's, already read as a Python int in 1..64
+    threshold = k / (k + 1)
     physical = beta < threshold or (beta == threshold and Fraction(threshold) * (k + 1) < k)
     iterations = 0
     if k == 1:
@@ -390,8 +401,10 @@ def positive_root(problem: BalanceProblem) -> RootResult:
     p_lo, p_x, p_hi = _signs(beta, k, lo, x, hi)
     if not p_lo < 0.0 < p_hi:
         raise RootSolverError(f"p changes sign nowhere within {half!r} of {x!r}")
-    return _unchecked(RootResult, value=x, residual=abs(p_x), bracket=(lo, hi),
-                      physical=physical, iterations=iterations, gap=gap)
+    result = object.__new__(RootResult)
+    result.__dict__.update(value=x, residual=abs(p_x), bracket=(lo, hi),
+                           physical=physical, iterations=iterations, gap=gap)
+    return result
 
 
 def knacci_constant(k: int) -> RootResult:

@@ -12,9 +12,11 @@ convergence measurements carry no accumulated rounding.
 
 Of ``edgebalance.polynomials`` this module takes only the input readers
 (``_as_integer``, ``_as_list``, ``_as_number``), and no arithmetic, so the
-oracle stays independent of the solver it checks.  Orders, counts and
-indices are integers up to ``sys.maxsize``, the largest a Python sequence
-holds; seeds are non-negative integers of any size.
+oracle stays independent of the solver it checks.  Orders and indices
+are integers up to ``sys.maxsize``, the largest a Python sequence holds;
+the count of a materialized sequence is at most ``DEFAULT_MAX_TERMS``,
+since the size of a term grows with its index, and the total size as the
+count squared; seeds are non-negative integers of any size.
 """
 
 import sys
@@ -83,7 +85,7 @@ def generate(k: int, seeds: list[int] | tuple[int, ...], count: int) -> KnacciSe
 
     Seeds must be non-negative integers, exactly k of them, not all zero
     (an all-zero sequence has no ratio limit).  Arithmetic is exact at any
-    count.
+    count; ``count`` runs from k to ``DEFAULT_MAX_TERMS``.
     """
     k = _as_integer(k, "order k", 1, sys.maxsize)
     seeds = tuple([_as_integer(s, "seed", 0, None) for s in _as_list(seeds, "seeds")])
@@ -91,7 +93,7 @@ def generate(k: int, seeds: list[int] | tuple[int, ...], count: int) -> KnacciSe
         raise ValueError(f"expected {k} seeds, got {len(seeds)}")
     if not any(seeds):
         raise ValueError("seeds must not all be zero")
-    count = _as_integer(count, "count", k, sys.maxsize)
+    count = _as_integer(count, "count", k, DEFAULT_MAX_TERMS)
 
     return KnacciSequence(k=k, seeds=seeds, terms=tuple(islice(_terms(seeds), count)))
 
@@ -102,25 +104,29 @@ def doubling_prefix(k: int, count: int) -> DoublingSequence:
     Each term after the seed block is the sum of every term before it,
     so the values run 1, 1, 2, 4, 8, 16, ... with ratios exactly 2 from the
     second nonzero term on: term k + j is 2^j, and the doubling runs from
-    index k + 1 to the end.
+    index k + 1 to the end.  ``count`` runs from 1 to ``DEFAULT_MAX_TERMS``.
     """
     k = _as_integer(k, "order k", 1, sys.maxsize)
-    count = _as_integer(count, "count", 1, sys.maxsize)
+    count = _as_integer(count, "count", 1, DEFAULT_MAX_TERMS)
     terms = ([0] * (k - 1) + [1] + [1 << j for j in range(count - k)])[:count]
     span = (k + 1, count - 1) if count > k + 1 else None
     return DoublingSequence(k=k, terms=tuple(terms), doubling_span=span)
 
 
-def ratio(seq: KnacciSequence, n: int) -> float:
+def ratio(seq: KnacciSequence | DoublingSequence, n: int) -> float:
     """Ratio terms[n] / terms[n-1] as a correctly rounded float.
 
     Integer true division rounds the exact quotient once, however large the
-    terms.  Indices are 0-based; ``n`` must be in 1..len(terms) - 1.
+    terms; a quotient beyond binary64 raises ValueError.  Indices are
+    0-based; ``n`` must be in 1..len(terms) - 1.
     """
     n = _as_integer(n, "ratio index n", 1, len(seq.terms) - 1)
     if seq.terms[n - 1] == 0:
         raise ValueError(f"term {n - 1} is zero, ratio undefined")
-    return seq.terms[n] / seq.terms[n - 1]
+    try:
+        return seq.terms[n] / seq.terms[n - 1]
+    except OverflowError:  # a huge seed: the exact quotient is beyond any float
+        raise ValueError(f"term {n} divided by term {n - 1} overflows a float") from None
 
 
 def converged_ratio(k: int, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:

@@ -253,11 +253,14 @@ class _Polytope(ConvexBody):
         return {"vertex_array": _read_only(np.add(o, (self.vertex_array - o) * f))}
 
     def exit_parameter(self, origin, u) -> float:
-        # the exit is the nearest crossing among the facets the ray faces
+        """The nearest crossing among the facets the ray faces.  From the
+        centroid itself (``origin is centroid()``) the facet distances are
+        the kept ``_centroid_distances``, the same floats, not formed again."""
         rate = self._facet_rates(u)
         leaving = rate < 0.0
+        distance = self._centroid_distances if origin is self._centroid else self._facet_distances(origin)
         with np.errstate(over="ignore"):  # a facet the ray nearly runs along
-            return self._nearest_exit(-self._facet_distances(origin)[leaving] / rate[leaving])
+            return self._nearest_exit(-distance[leaving] / rate[leaving])
 
     @cached_property
     def _centroid_distances(self) -> np.ndarray:
@@ -700,7 +703,11 @@ class Hyperball(ConvexBody):
         return dist_sq <= self.radius**2
 
     def exit_parameter(self, origin, u) -> float:
-        # |origin + t*u - c|^2 = r^2 with origin inside or on the sphere
+        """The root t >= 0 of ``|origin + t*u - c|^2 = r^2``, origin inside or
+        on the sphere.  From the centre itself (``origin is centroid()``) the
+        offset is zero, and the formula reduces to ``sqrt(r^2)``, the same float."""
+        if origin is self._centroid:
+            return math.sqrt(self.radius**2)
         w = np.asarray(origin, dtype=float) - np.asarray(self.center)
         b = float(np.dot(w, u))
         disc = b * b - (float(np.dot(w, w)) - self.radius**2)

@@ -284,6 +284,32 @@ class TestVerification:
         assert 2.0 - ratios[-1] < 1e-5
 
 
+def test_centroid_exits_equal_the_general_path():
+    # from the centroid itself a cube or ball reads its exit off kept numbers;
+    # from an equal tuple it forms the facet distances or the offset again, and
+    # the two must be the same float, for random unit u and the axis ray
+    rng = np.random.default_rng(33)
+    bodies = [
+        planar.Circle(center=tuple(rng.uniform(-5.0, 5.0, 2)), radius=float(10.0 ** rng.uniform(-100, 100)))
+        for _ in range(16)
+    ]
+    for k in range(1, 65):
+        for _ in range(2):
+            corner, size = tuple(rng.uniform(-5.0, 5.0, k)), float(10.0 ** rng.uniform(-4, 4))
+            bodies += [Hyperball(center=corner, radius=size), Hypercube(min_corner=corner, side=size)]
+    for body in bodies:
+        c = body.centroid()
+        equal = tuple(list(c))
+        assert equal is not c and equal == c
+        rays = [(-1.0,) + (0.0,) * (body.dim - 1)]
+        for _ in range(8):
+            u = rng.normal(size=body.dim)
+            rays.append(tuple((u / np.linalg.norm(u)).tolist()))
+        for u in rays:
+            kept, general = body.exit_parameter(c, u), body.exit_parameter(equal, u)
+            assert kept.hex() == general.hex(), (body.kind, body.dim, u)
+
+
 class TestBalancedBoundaryPoint:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_ball_cube_simplex_all_balance(self, k):

@@ -201,7 +201,7 @@ class TestSeqCommand:
         code, out, err = run_cli(capsys, "seq", "2", "--count", "10001")
         assert code == 2
         assert out == ""
-        assert "--count is capped at 10000, got 10001" in err
+        assert "count must be at most 10000, got 10001" in err
 
     def test_ratio_beyond_a_float_exits_two(self, capsys):
         # term 2 over term 1 is (10**309 + 1) / 1, an exact quotient beyond any float

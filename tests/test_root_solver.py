@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 import sys
@@ -51,6 +52,68 @@ KNACCI_HEX = (
 
 def test_knacci_constants_keep_their_bits():
     assert tuple(knacci_constant(k).value.hex() for k in range(1, 65)) == KNACCI_HEX
+
+
+# sha256 of repr(positive_root(BalanceProblem(k, beta))), one line each, for
+# k = 1..64 over the grid of beta_grid(k): any moved bit of any field of any
+# result changes it.  The solver's powers come from the C library's pow, so a
+# libm other than glibc's may move a bit.
+ROOT_GRID_SHA256 = "409a199ee57d2dc038a60c2f909386390d92abe4a39734864487ba00cc8ff4de"
+
+
+def beta_grid(k: int) -> list[float]:
+    """The 64 cell midpoints of (0, 1), the float nearest k/(k+1) and its two
+    neighbours, and two extremes."""
+    t = physicality_threshold(k)
+    return [(j + 0.5) / 64 for j in range(64)] + [
+        math.nextafter(t, 0.0), t, math.nextafter(t, 1.0), 1e-300, 1.0 - 2.0**-53,
+    ]
+
+
+def test_roots_over_the_grid_keep_their_bits():
+    digest = hashlib.sha256()
+    for k in range(1, MAX_DIMENSION + 1):
+        for beta in beta_grid(k):
+            digest.update(f"{positive_root(BalanceProblem(k, beta))!r}\n".encode())
+    assert digest.hexdigest() == ROOT_GRID_SHA256
+
+
+class Order(int):
+    """An int subclass: BalanceProblem reads it on its slow path."""
+
+
+@pytest.mark.parametrize("k, beta", [(1, 0.5), (2, 0.5), (3, 0.75), (10, 1e-300), (64, 0.9999)])
+def test_problem_is_a_constructed_dataclass(k, beta):
+    # BalanceProblem's own __init__ writes its fields: a problem from the fast
+    # path (a Python int and float) and one from the slow path (an int subclass,
+    # an exact Fraction) are the same frozen dataclass
+    fast = BalanceProblem(k, beta)
+    assert vars(fast) == {"k": k, "beta": beta}
+    assert [f.name for f in dataclasses.fields(fast)] == ["k", "beta"]
+    assert BalanceProblem.__match_args__ == ("k", "beta")
+    match fast:
+        case BalanceProblem(matched_k, matched_beta):
+            assert (matched_k, matched_beta) == (k, beta)
+    for slow in (BalanceProblem(k=Order(k), beta=beta), BalanceProblem(k, Fraction(beta)),
+                 BalanceProblem(beta=beta, k=k)):
+        assert type(slow.k) is int and type(slow.beta) is float
+        assert slow == fast and fast == slow
+        assert repr(slow) == repr(fast) == f"BalanceProblem(k={k!r}, beta={beta!r})"
+        assert hash(slow) == hash(fast)
+    assert dataclasses.replace(fast) == fast
+    assert dataclasses.replace(fast, beta=0.25) == BalanceProblem(k, 0.25)
+    assert dataclasses.replace(fast, k=Order(5)) == BalanceProblem(5, beta)
+    for twin in (copy.deepcopy(fast), copy.copy(fast), pickle.loads(pickle.dumps(fast))):
+        assert type(twin) is BalanceProblem
+        assert twin == fast and repr(twin) == repr(fast) and hash(twin) == hash(fast)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.beta = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del fast.k
+    with pytest.raises(ValueError, match="beta"):
+        dataclasses.replace(fast, beta=1.0)
+    with pytest.raises(TypeError):
+        BalanceProblem(k)
 
 
 def test_root_beyond_the_float_range_is_refused():

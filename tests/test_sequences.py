@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from edgebalance.polynomials import knacci_constant
 from edgebalance.sequences import (
+    DEFAULT_MAX_TERMS,
     ConvergenceError,
     converged_ratio,
     doubling_prefix,
@@ -140,6 +141,19 @@ class TestDoublingPrefix:
             assert seq.terms[i] == 2 * seq.terms[i - 1]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda count: generate(2, [1, 1], count), lambda count: doubling_prefix(2, count)],
+    ids=["generate", "doubling_prefix"],
+)
+def test_count_is_capped_at_the_term_limit(build):
+    # the terms grow in size with their index, so memory grows as count^2
+    assert len(build(DEFAULT_MAX_TERMS).terms) == DEFAULT_MAX_TERMS
+    for count in (DEFAULT_MAX_TERMS + 1, 10**7, 10**400):
+        with pytest.raises(ValueError, match=f"^count must be at most {DEFAULT_MAX_TERMS}, got {count}$"):
+            build(count)
+
+
 class TestRatio:
     def test_fibonacci_late_ratio(self):
         seq = generate(2, [1, 1], 9)
@@ -158,6 +172,13 @@ class TestRatio:
         seq = generate(3, [0, 0, 1], 9)
         with pytest.raises(ValueError, match="zero"):
             ratio(seq, 1)
+
+    def test_quotient_beyond_a_float_is_a_value_error(self):
+        # 10**400 / 1: the exact quotient is beyond binary64
+        seq = generate(2, [1, 10**400], 4)
+        with pytest.raises(ValueError, match=r"^term 1 divided by term 0 overflows a float$"):
+            ratio(seq, 1)
+        assert ratio(seq, 2) == 1.0
 
     def test_index_out_of_range(self):
         seq = generate(2, [1, 1], 5)
